@@ -12,14 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dyadic import NEAREST, ZERO, Dyadic, Interval, dy_max, dy_min
-from .dynamics import (TrackedInterval, certify_attracting_cycle, check_param,
-                       isolate_periodic_points, iter_eval, iv_quad_step,
-                       precision_cap)
+from .dyadic import (NEAREST, ONE, ZERO, Dyadic, Interval, dy_max, dy_min,
+                     iv_orbit)
+from .dynamics import (CertifiedCycle, TrackedInterval, _return_map_eval,
+                       certify_attracting_cycle, check_param,
+                       isolate_periodic_points, iv_quad_step, precision_cap)
 from .oracle import ExactOracle, OracleFault, ParamOracle, QueryLedger
+from .params import (_center_oracle, _contract_root, _float_roots,
+                     _is_primitive, _q_float, _window_at)
 from .renorm import CombinatorialType
-
-ONE = Dyadic(1)
+from .solver import interval_newton
 
 
 class ApproximationFailed(RuntimeError):
@@ -84,26 +86,30 @@ def classify(o: ParamOracle, hints: Hints | None = None,
              budget: Budget | None = None,
              ledger: QueryLedger | None = None) -> AttractorClass | None:
     """Certified attractor class, or None when the budget gives out."""
+    return _classify(o, hints or Hints(), budget or Budget(), ledger)[0]
+
+
+def _classify(o: ParamOracle, h: Hints, b: Budget,
+              ledger: QueryLedger | None) -> tuple:
+    """(class or None, the cycle certificate when case 1a decided it)."""
     check_param(o, ledger)
-    h = hints or Hints()
-    b = budget or Budget()
     if h.case in (None, "1b") and o.known_critical_period:
         return AttractorClass("limit-cycle", "superattracting",
-                              o.known_critical_period)
+                              o.known_critical_period), None
     if h.case == "1b":
-        return None
+        return None, None
     if h.case == "1c":
         if h.period is None:
             raise ValueError("case 1c needs a period hint")
         if _parabolic_points(o, h.period, b, ledger) is not None:
-            return AttractorClass("limit-cycle", "parabolic", h.period)
-        return None
+            return AttractorClass("limit-cycle", "parabolic", h.period), None
+        return None, None
     if h.case == "2":
         if h.period is None:
             raise ValueError("case 2 needs a period hint")
         if _interval_chain(o, h.period, 10, b, ledger) is not None:
-            return AttractorClass("interval-cycle", None, h.period)
-        return None
+            return AttractorClass("interval-cycle", None, h.period), None
+        return None, None
     if h.case in (None, "1a"):
         try:
             cert = certify_attracting_cycle(o, b.max_period, b.steps, ledger,
@@ -111,33 +117,31 @@ def classify(o: ParamOracle, hints: Hints | None = None,
         except OracleFault:
             cert = None  # oracle cannot reach the precision; try deeper cases
         if cert is not None and cert.kind in ("attracting", "superattracting"):
-            return AttractorClass("limit-cycle", cert.kind, cert.period)
+            return AttractorClass("limit-cycle", cert.kind, cert.period), cert
         if h.case == "1a":
-            return None
+            return None, None
     if h.period is not None:
         if _parabolic_points(o, h.period, b, ledger) is not None:
-            return AttractorClass("limit-cycle", "parabolic", h.period)
+            return AttractorClass("limit-cycle", "parabolic", h.period), None
         if _interval_chain(o, h.period, 10, b, ledger) is not None:
-            return AttractorClass("interval-cycle", None, h.period)
+            return AttractorClass("interval-cycle", None, h.period), None
     prefix = _window_tower(o, b, ledger)
     if prefix:
-        return AttractorClass("feigenbaum-like", prefix=tuple(prefix))
-    return None
+        return AttractorClass("feigenbaum-like", prefix=tuple(prefix)), None
+    return None, None
 
 
 def _orbit_enclosures(o: ParamOracle, steps: int, p: int,
-                      ledger: QueryLedger | None, m: int | None = None) -> list:
+                      ledger: QueryLedger | None) -> list:
     """[0, P(0), ..., P^steps(0)]; the oracle is read at every step.
 
     Reading c once per application of P is the cost model's intent: every
     use of the parameter at precision p is charged, cache hits included.
-    m overrides the oracle precision when it should differ from the
-    arithmetic precision p (oracles with expensive deep queries).
     """
     x = Interval.point(ZERO)
     out = [x]
     for _ in range(steps):
-        c = o.enclosure(m or p, ledger)
+        c = o.enclosure(p, ledger)
         x = iv_quad_step(x, c, p)
         out.append(x)
     return out
@@ -262,13 +266,13 @@ _WINDOW_CACHE: dict = {}
 
 
 def _certified_window(period: int, enc: Interval, with_tau: bool):
-    """window_endpoints memoized on the center enclosure (oracle-free)."""
-    from .params import window_endpoints
+    """The window of a certified center enclosure, memoized (oracle-free)."""
     key = (period, enc.lo, enc.hi, with_tau)
     if key not in _WINDOW_CACHE:
         try:
-            _WINDOW_CACHE[key] = window_endpoints(period, enc,
-                                                  with_tau=with_tau)
+            center = _center_oracle(enc, period, f"superstable:{period}")
+            _WINDOW_CACHE[key] = _window_at(period, center,
+                                            with_tau=with_tau)
         except OracleFault:
             _WINDOW_CACHE[key] = None
     return _WINDOW_CACHE[key]
@@ -284,7 +288,6 @@ def _window_tower(o: ParamOracle, b: Budget,
     endpoint.  Returns the list of per-level combinatorial types found
     within the depth budget.
     """
-    from .params import _contract_root, _float_roots, _is_primitive
     m = 8
     m_cap = min(b.p_cap(), 4096)
     bracket = o.enclosure(m, ledger)
@@ -376,7 +379,7 @@ def _build_certificate(o: ParamOracle, n: int, hints: Hints | None,
                        ledger: QueryLedger | None) -> _Certificate:
     h = hints or Hints()
     b = budget or Budget()
-    cls = classify(o, h, b, ledger)
+    cls, cycle = _classify(o, h, b, ledger)
     if cls is None:
         raise ApproximationFailed("classification undecided at the budget")
     if cls.variant == "limit-cycle":
@@ -394,7 +397,7 @@ def _build_certificate(o: ParamOracle, n: int, hints: Hints | None,
             encs = _exact_cycle(o, cls.period, n, b, ledger)
             trace = {"case": "1b", "period": cls.period}
         else:
-            encs = _refined_cycle(o, cls.period, n, b, ledger)
+            encs = _refined_cycle(o, cycle, n, b, ledger)
             trace = {"case": "1a", "period": cls.period}
         gap = max(e.width() for e in encs)
         return _Certificate("points", encs, None, gap, trace)
@@ -437,37 +440,22 @@ def _exact_cycle(o: ParamOracle, q: int, n: int, b: Budget,
     raise ApproximationFailed("critical orbit not localized")
 
 
-def _refined_cycle(o: ParamOracle, q: int, n: int, b: Budget,
+def _refined_cycle(o: ParamOracle, cycle: CertifiedCycle, n: int, b: Budget,
                    ledger: QueryLedger | None) -> list:
-    """Case 1a: certify the cycle, then Newton-squeeze each point enclosure."""
-    cert = certify_attracting_cycle(o, max(b.max_period, q), b.steps, ledger,
-                                    p_cap=b.p_cap())
-    if cert is None or cert.period != q:
-        raise ApproximationFailed("attracting cycle lost during refinement")
+    """Case 1a: Newton-squeeze each point enclosure of the certified cycle."""
     target = Dyadic(1, -(n + 3))
-    p = max(64, 2 * (n + 8))
     out = []
-    for enc in cert.point_enclosures:
-        box, pp = enc, p
+    for enc in cycle.point_enclosures:
+        box, p = enc, max(64, 2 * (n + 8))
         while box.width() >= target:
-            c = o.enclosure(pp, ledger)
-            mid = box.mid()
-            fm, _ = iter_eval(Interval.point(mid), c, q, pp)
-            _, df = iter_eval(box, c, q, pp)
-            dg = df - Interval.point(ONE)
-            if dg.contains_zero():
-                pp *= 2
-                if pp > b.p_cap():
-                    raise ApproximationFailed("cycle point not localized")
-                continue
-            corr = (fm - Interval.point(mid)).divide(dg, pp)
-            nxt = Interval(mid - corr.hi, mid - corr.lo).intersect(box)
-            if nxt is None or nxt.width() >= box.width():
-                pp *= 2
-                if pp > b.p_cap():
-                    raise ApproximationFailed("cycle point not localized")
-                continue
-            box = nxt
+            c = o.enclosure(p, ledger)
+            got = interval_newton(
+                lambda x, pr: _return_map_eval(x, c, cycle.period, pr)[:2],
+                box, p, target, holds_root=True)
+            p *= 2
+            if got is None or (got[0].width() >= target and p > b.p_cap()):
+                raise ApproximationFailed("cycle point not localized")
+            box = got[0]
         out.append(box)
     return out
 
@@ -484,9 +472,7 @@ def _trap_chain(c: Interval, bval: float, period: int, p: int):
     """
     enc = Interval.point(Dyadic.from_float(bval)).round_out(p)
     k0 = Interval(-enc.hi, enc.hi)
-    chain = [k0]
-    for _ in range(period):
-        chain.append((chain[-1].square() + c).round_out(p))
+    chain = iv_orbit(k0, c, period, p)
     return chain if k0.strictly_contains(chain[period]) else None
 
 
@@ -513,13 +499,13 @@ def _nested_cycle_cover(o: ParamOracle, n: int, cls: AttractorClass,
     for P in periods:
         m = n + 10
         m_cap = min(n + 40, b.p_cap())
-        chain = None
-        exhausted = False
+        chain = fault = None
         while chain is None and m <= m_cap:
             c = None
             try:
                 c = o.enclosure(m, ledger)
-            except OracleFault:
+            except OracleFault as exc:
+                fault = exc
                 # clamp to the best precision the oracle still answers
                 floor_m = m - 6
                 while m > floor_m:
@@ -531,21 +517,20 @@ def _nested_cycle_cover(o: ParamOracle, n: int, cls: AttractorClass,
                         continue
                 if c is None:
                     break
-                exhausted = True
             p = max(64, 4 * m)
-            cf, x = float(c.mid()), 0.0
-            for _ in range(P):
-                x = x * x + cf
+            x = _q_float(float(c.mid()), P)
             for t in (1.025, 1.05, 1.1, 1.2, 1.35, 1.55, 1.8):
                 chain = _trap_chain(c, t * abs(x), P, p)
                 if chain is not None:
                     break
             else:
-                if exhausted:
+                if fault is not None:
                     break
                 m += 6  # fine steps: deep-ladder oracles double cost per bit
         if chain is None:
-            last_err = f"period-{P} trap not certified below the precision cap"
+            limit = ("the precision cap" if fault is None
+                     else f"the oracle's limit ({fault})")
+            last_err = f"period-{P} trap not certified below {limit}"
             continue
         comps = chain[:P]
         diam = max(k.width() for k in comps)
@@ -624,13 +609,24 @@ def _dist_bounds(cert: _Certificate, x: Dyadic):
 
 def _cached_certificate(o: ParamOracle, n: int, hints, budget,
                         ledger) -> _Certificate:
+    """The certificate for (n, hints, budget), built once per oracle.
+
+    A hit charges the ledger what the build was charged (units, queries,
+    max precision), as the cost model charges replays like first runs.
+    """
     cache = getattr(o, "_qal_cert_cache", None)
     if cache is None:
         cache = o._qal_cert_cache = {}
     key = (n, hints, budget)
-    if key not in cache:
-        cache[key] = _build_certificate(o, n, hints, budget, ledger)
-    return cache[key]
+    cost = QueryLedger()
+    try:
+        if key not in cache:
+            cache[key] = _build_certificate(o, n, hints, budget, cost), cost
+        cert, cost = cache[key]
+    finally:  # a failed build is charged too
+        if ledger is not None:
+            ledger.add(cost)
+    return cert
 
 
 def pixel_query(o: ParamOracle, n: int, x: Dyadic,
@@ -660,7 +656,6 @@ def render(o: ParamOracle, n: int, viewport: Interval,
     hi = viewport.hi.scale2(n).floor_int()
     if hi < lo:
         raise ValueError("viewport contains no pixel centers")
-    _cached_certificate(o, n, hints, budget, ledger)
     row = bytearray()
     for j in range(lo, hi + 1):
         bit = pixel_query(o, n, Dyadic(j, -n), hints, budget, ledger)

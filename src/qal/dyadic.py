@@ -276,10 +276,6 @@ class Interval:
     def point(cls, d: Dyadic) -> "Interval":
         return cls(d, d)
 
-    @classmethod
-    def from_floats(cls, lo: float, hi: float) -> "Interval":
-        return cls(Dyadic.from_float(lo), Dyadic.from_float(hi))
-
     # -- geometry ----------------------------------------------------------
 
     def width(self) -> Dyadic:
@@ -287,9 +283,6 @@ class Interval:
 
     def mid(self) -> Dyadic:
         return (self.lo + self.hi).half()
-
-    def rad(self) -> Dyadic:
-        return (self.hi - self.lo).half()
 
     def mag(self) -> Dyadic:
         """sup |x| over the interval."""
@@ -318,9 +311,6 @@ class Interval:
 
     def disjoint(self, other: "Interval") -> bool:
         return self.hi < other.lo or other.hi < self.lo
-
-    def interiors_disjoint(self, other: "Interval") -> bool:
-        return self.hi <= other.lo or other.hi <= self.lo
 
     def intersect(self, other: "Interval") -> "Interval | None":
         lo, hi = dy_max(self.lo, other.lo), dy_min(self.hi, other.hi)
@@ -411,6 +401,14 @@ def iv_quad_step(x: Interval, c: Interval, p) -> Interval:
     return (x.square() + c).round_out(p)
 
 
-def iv_deriv_enclosure(x: Interval, p=None) -> Interval:
+def iv_orbit(x0: Interval, c: Interval, n: int, p) -> list:
+    """[x0, P(x0), ..., P^n(x0)] by n outward steps of iv_quad_step."""
+    xs = [x0]
+    for _ in range(n):
+        xs.append(iv_quad_step(xs[-1], c, p))
+    return xs
+
+
+def iv_deriv_enclosure(x: Interval) -> Interval:
     """Enclosure of the map derivative 2v over x (exact)."""
     return x.scale2(1)

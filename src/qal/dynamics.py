@@ -8,14 +8,13 @@ remain valid under adversarial oracles.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .dyadic import (DOWN, UP, ZERO, Dyadic, Interval, dy_max, dy_min,
-                     iv_deriv_enclosure, iv_quad_step)
+from .dyadic import (DOWN, ONE, TWO, UP, ZERO, Dyadic, Interval, dy_max,
+                     dy_min, iv_deriv_enclosure, iv_orbit, iv_quad_step)
 from .oracle import ParamOracle, QueryLedger
+from .solver import interval_newton
 
-ONE = Dyadic(1)
-TWO_D = Dyadic(2)
 NEG_TWO = Dyadic(-2)
 QUARTER = Dyadic(1, -2)
 PARAM_RANGE = Interval(NEG_TWO, QUARTER)
@@ -71,12 +70,12 @@ def critical_orbit(o: ParamOracle, n_steps: int, p: int,
     c = o.enclosure(p, ledger)
     clamp = None
     if not (c.hi < PARAM_RANGE.lo or c.lo > PARAM_RANGE.hi):
-        clamp = Interval(NEG_TWO, TWO_D)
+        clamp = Interval(NEG_TWO, TWO)
     steps = [Interval.point(ZERO)]
     blown = False
     for _ in range(n_steps):
         x = iv_quad_step(steps[-1], c, p)
-        if x.lo > TWO_D or x.hi < NEG_TWO:
+        if x.lo > TWO or x.hi < NEG_TWO:
             steps.append(x)
             blown = True
             break
@@ -124,9 +123,6 @@ class TrackedInterval:
             return Interval(self.lo.hi, self.hi.lo)
         return None
 
-    def outer_width(self) -> Dyadic:
-        return self.hi.hi - self.lo.lo
-
     def endpoint_slack(self) -> Dyadic:
         return dy_max(self.lo.width(), self.hi.width())
 
@@ -149,9 +145,6 @@ class TrackedInterval:
 
     def certainly_inside(self, other: "TrackedInterval") -> bool:
         return other.lo.hi <= self.lo.lo and self.hi.hi <= other.hi.lo
-
-    def certainly_inside_iv(self, box: Interval) -> bool:
-        return box.lo <= self.lo.lo and self.hi.hi <= box.hi
 
     def certainly_contains_point(self, x: Dyadic) -> bool:
         return self.lo.hi <= x <= self.hi.lo
@@ -261,54 +254,41 @@ def certify_attracting_cycle(o: ParamOracle, max_period: int = 64,
             r = Dyadic(1, -rexp)
             center = Dyadic.from_float(w).round(min(p, 128))
             j = Interval(center - r, center + r)
-            tube = [j]
-            for _ in range(n):
-                tube.append(iv_quad_step(tube[-1], c, p))
-            if not (j.lo < tube[-1].lo and tube[-1].hi < j.hi):
+            tube = iv_orbit(j, c, n, p)
+            if not j.strictly_contains(tube[-1]):
                 continue
             prod = Interval.point(ONE)
             for t in tube[:-1]:
                 prod = (prod * Interval.point(iv_deriv_enclosure(t).mag())).round_out(p)
             if not prod.hi < ONE:
                 continue
-            return _polish_cycle(o, n, j, c, p, ledger)
+            return _polish_cycle(n, j, c, p)
         p *= 2
     return None
 
 
-def _polish_cycle(o: ParamOracle, n: int, j: Interval, c: Interval, p: int,
-                  ledger) -> CertifiedCycle:
+def _polish_cycle(n: int, j: Interval, c: Interval, p: int) -> CertifiedCycle:
     """Iterate P^n on a certified trap J until the enclosure stabilizes."""
     y = j
     prev_width = y.width()
     for _ in range(4 * p):
-        z = y
-        for _ in range(n):
-            z = iv_quad_step(z, c, p)
+        z = iv_orbit(y, c, n, p)[-1]
         z = z.intersect(y) or z  # cycle point lies in both
         if z.width() >= prev_width:
             break
         y, prev_width = z, z.width()
     # enclosures of the full cycle
-    encs = [y]
-    for _ in range(n - 1):
-        encs.append(iv_quad_step(encs[-1], c, p))
+    encs = iv_orbit(y, c, n - 1, p)
     # reduce to the true period if images meet earlier
     for d in range(1, n):
-        if n % d == 0 and not encs[d].disjoint(encs[0]) and _recheck_trap(j, d, c, p):
-            return _polish_cycle(o, d, j, c, p, ledger)
+        if (n % d == 0 and not encs[d].disjoint(encs[0])
+                and j.strictly_contains(iv_orbit(j, c, d, p)[-1])):
+            return _polish_cycle(d, j, c, p)
     mult = Interval.point(ONE)
     for e in encs:
         mult = (mult * iv_deriv_enclosure(e)).round_out(p)
     kind = classify_cycle(encs, mult)
     return CertifiedCycle(n, encs, mult, kind)
-
-
-def _recheck_trap(j: Interval, d: int, c: Interval, p: int) -> bool:
-    z = j
-    for _ in range(d):
-        z = iv_quad_step(z, c, p)
-    return j.lo < z.lo and z.hi < j.hi
 
 
 def recheck_cycle(cycle: CertifiedCycle, o: ParamOracle, p: int) -> bool:
@@ -317,7 +297,7 @@ def recheck_cycle(cycle: CertifiedCycle, o: ParamOracle, p: int) -> bool:
     j = cycle.point_enclosures[0]
     pad = Dyadic(1, -(p // 4))
     j = Interval(j.lo - pad, j.hi + pad)
-    return _recheck_trap(j, cycle.period, c, p)
+    return j.strictly_contains(iv_orbit(j, c, cycle.period, p)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +352,6 @@ def _return_map_eval(x: Interval, c: Interval, n: int, p: int):
     return f, dg, deriv
 
 
-def _point_sign(x: Dyadic, c: Interval, n: int, p: int) -> int:
-    f, _, _ = _return_map_eval(Interval.point(x), c, n, p)
-    if f.lo > ZERO:
-        return 1
-    if f.hi < ZERO:
-        return -1
-    return 0
-
-
 def isolate_periodic_points(o: ParamOracle, n: int, p: int,
                             ledger: QueryLedger | None = None) -> list:
     """All solutions of P_c^n(w) = w in (a superset of) the dynamical interval.
@@ -391,10 +362,19 @@ def isolate_periodic_points(o: ParamOracle, n: int, p: int,
     enclosures contain every solution (exclusion test on the complement).
     """
     c = o.enclosure(p, ledger)
+
+    def newton(x: Interval) -> Interval | None:
+        got = interval_newton(lambda y, pr: _return_map_eval(y, c, n, pr)[:2],
+                              x, p)
+        return got[0] if got is not None and got[1] else None
+
+    def point(x: Interval, unique: bool) -> PeriodicPoint:
+        return PeriodicPoint(x, unique, _return_map_eval(x, c, n, p)[2])
+
     # all periodic points of x^2+c with c in [-2, 1/4] lie in [-beta, beta]
     # with beta <= 2; a fixed pad keeps endpoint roots (c = -2) interior
     pad = Dyadic(1, -6)
-    box = Interval(NEG_TWO - pad, Dyadic(2) + pad)
+    box = Interval(NEG_TWO - pad, TWO + pad)
     min_width = Dyadic(1, -max(16, p // 2))
     queue = [box]
     unique, undecided = [], []
@@ -404,7 +384,7 @@ def isolate_periodic_points(o: ParamOracle, n: int, p: int,
         if not f.contains_zero():
             continue
         if not df.contains_zero():
-            root = _newton_refine(x, c, n, p)
+            root = newton(x)
             if root is not None:
                 unique.append(root)
                 continue
@@ -414,10 +394,7 @@ def isolate_periodic_points(o: ParamOracle, n: int, p: int,
         mid = x.mid()
         queue.append(Interval(x.lo, mid))
         queue.append(Interval(mid, x.hi))
-    out = []
-    for root in unique:
-        _, _, dv = _return_map_eval(root, c, n, p)
-        out.append(PeriodicPoint(root, True, dv))
+    out = [point(root, True) for root in unique]
     for cluster in _merge_boxes(undecided):
         # drop clusters that duplicate an already-certified unique root
         if any(not cluster.disjoint(r.enclosure) for r in out if r.unique):
@@ -426,37 +403,10 @@ def isolate_periodic_points(o: ParamOracle, n: int, p: int,
         # of minimal boxes; a Newton retry on the inflated hull certifies it
         w = dy_max(cluster.width(), min_width)
         inflated = Interval(cluster.lo - w, cluster.hi + w)
-        root = _newton_refine(inflated, c, n, p)
-        if root is not None:
-            _, _, dv = _return_map_eval(root, c, n, p)
-            out.append(PeriodicPoint(root, True, dv))
-            continue
-        _, _, dv = _return_map_eval(cluster, c, n, p)
-        out.append(PeriodicPoint(cluster, False, dv))
+        root = newton(inflated)
+        out.append(point(cluster, False) if root is None else point(root, True))
     out.sort(key=lambda r: r.enclosure.lo.as_fraction())
     return out
-
-
-def _newton_refine(x: Interval, c: Interval, n: int, p: int) -> Interval | None:
-    """Interval Newton: returns a contracted enclosure certified unique."""
-    certified = False
-    for _ in range(80):
-        mid = x.mid()
-        f_mid, _, _ = _return_map_eval(Interval.point(mid), c, n, p)
-        _, df, _ = _return_map_eval(x, c, n, p)
-        if df.contains_zero():
-            return x if certified else None
-        corr = f_mid.divide(df, p)
-        nxt = Interval(mid - corr.hi, mid - corr.lo)
-        if x.strictly_contains(nxt):
-            certified = True
-        inter = nxt.intersect(x)
-        if inter is None:
-            return None  # no root in x at all
-        if inter.width() >= x.width():
-            break
-        x = inter
-    return x if certified else None
 
 
 def _merge_boxes(boxes: list) -> list:

@@ -8,9 +8,10 @@ identically to first runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .dyadic import ZERO, Dyadic, Interval, dy_max, dy_min
+from .dyadic import TWO, ZERO, Dyadic, Interval
+from .solver import interval_newton, iv_sign, sign_bisect
 
 DEFAULT_PRECISION_CAP = 4096
 
@@ -25,20 +26,22 @@ class OracleFault(Exception):
 
 @dataclass
 class QueryLedger:
-    """Oracle-cost accounting: total units, max precision, full query log."""
+    """Oracle-cost accounting: total units, max precision, query count."""
 
     total_units: int = 0
     max_precision: int = 0
-    log: list = field(default_factory=list)
+    query_count: int = 0
 
-    def charge(self, m: int, answer: Dyadic):
+    def charge(self, m: int):
         self.total_units += m
         self.max_precision = max(self.max_precision, m)
-        self.log.append((m, answer))
+        self.query_count += 1
 
-    @property
-    def query_count(self) -> int:
-        return len(self.log)
+    def add(self, other: "QueryLedger"):
+        """Charge everything other was charged, as a replay of its queries."""
+        self.total_units += other.total_units
+        self.max_precision = max(self.max_precision, other.max_precision)
+        self.query_count += other.query_count
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ class ParamOracle:
             self._cache[m] = self._answer(m)
         ans = self._cache[m]
         if ledger is not None:
-            ledger.charge(m, ans)
+            ledger.charge(m)
         return ans
 
     def enclosure(self, m: int, ledger: QueryLedger | None = None) -> Interval:
@@ -84,10 +87,6 @@ class ParamOracle:
         a = self.query(m, ledger)
         slack = Dyadic(1, -(m - 1))
         return Interval(a - slack, a + slack)
-
-
-def query(o: ParamOracle, ledger: QueryLedger, m: int) -> Dyadic:
-    return o.query(m, ledger)
 
 
 class ExactOracle(ParamOracle):
@@ -102,12 +101,6 @@ class ExactOracle(ParamOracle):
     def _answer(self, m: int) -> Dyadic:
         return self.value.round(m)
 
-    def enclosure(self, m: int, ledger: QueryLedger | None = None) -> Interval:
-        # Still answers (and charges) through the query path; the bracket is
-        # the generic contract bracket, so downstream certificates never
-        # depend on exactness they could not observe.
-        return super().enclosure(m, ledger)
-
 
 def oracle_exact(d: Dyadic) -> ParamOracle:
     return ExactOracle(d)
@@ -121,12 +114,9 @@ def _exact_critical_period(c: Dyadic, max_steps: int = 64,
         x = x * x + c
         if x == ZERO:
             return k
-        if abs(x.man).bit_length() > max_bits or abs(x) > _TWO:
+        if abs(x.man).bit_length() > max_bits or abs(x) > TWO:
             return None
     return None
-
-
-_TWO = Dyadic(2)
 
 
 class RefinerOracle(ParamOracle):
@@ -164,16 +154,18 @@ class BisectOracle(RefinerOracle):
         self.pred = pred
         self.precision_cap = precision_cap
         self.spec = spec
-        p = 64
-        slo = self._sign(bracket.lo, p)
-        shi = self._sign(bracket.hi, p)
+        self._p = 64
+        slo = self._sign_at(bracket.lo)
+        shi = self._sign_at(bracket.hi)
         if slo == 0 or shi == 0 or slo == shi:
             raise OracleFault(
                 f"no certified sign change on {bracket} (signs {slo},{shi})")
         self.bracket = bracket
         self._slo = slo
 
-    def _sign(self, x: Dyadic, p: int) -> int:
+    def _sign_at(self, x: Dyadic) -> int:
+        """pred at x, doubling the precision up to the cap while undecided."""
+        p = self._p
         while True:
             s = self.pred(x, p)
             if s != 0 or p >= self.precision_cap:
@@ -181,27 +173,12 @@ class BisectOracle(RefinerOracle):
             p *= 2
 
     def _refine_to(self, width_exp: int):
-        target = Dyadic(1, -width_exp)
-        while self.bracket.width() >= target:
-            lo, hi = self.bracket.lo, self.bracket.hi
-            mid = self.bracket.mid()
-            s = self._sign(mid, 64)
-            if s == 0:
-                # Undecided exactly at mid (e.g. mid is the root): try two
-                # off-center probes; keeping either still shrinks by 1/4.
-                q = self.bracket.width().scale2(-2)
-                for probe in (mid - q, mid + q):
-                    s = self._sign(probe, 64)
-                    if s != 0:
-                        mid = probe
-                        break
-                else:
-                    raise OracleFault(
-                        f"sign undecided near {mid} at precision cap")
-            if s == self._slo:
-                self.bracket = Interval(mid, hi)
-            else:
-                self.bracket = Interval(lo, mid)
+        got = sign_bisect(self._sign_at, self.bracket, self._slo,
+                          Dyadic(1, -width_exp))
+        if got is None:
+            raise OracleFault(
+                f"sign undecided near {self.bracket.mid()} at precision cap")
+        self.bracket = got
 
 
 def oracle_bisect(pred, bracket: Interval, precision_cap: int = DEFAULT_PRECISION_CAP,
@@ -214,7 +191,7 @@ def oracle_newton(func, bracket: Interval, precision_cap: int = DEFAULT_PRECISIO
     return IntervalNewtonOracle(func, bracket, precision_cap, spec)
 
 
-class IntervalNewtonOracle(RefinerOracle):
+class IntervalNewtonOracle(BisectOracle):
     """Refiner for a simple root of F using interval Newton with bisection
     fallback.
 
@@ -224,76 +201,29 @@ class IntervalNewtonOracle(RefinerOracle):
 
     def __init__(self, func, bracket: Interval, precision_cap: int = DEFAULT_PRECISION_CAP,
                  spec: str = "newton"):
-        super().__init__()
         self.func = func
-        self.precision_cap = precision_cap
-        self.spec = spec
-        self._p = 64
-        if self._sign_at(bracket.lo) * self._sign_at(bracket.hi) != -1:
-            raise OracleFault(f"no certified sign change on {bracket}")
-        self._slo = self._sign_at(bracket.lo)
-        self.bracket = bracket
-
-    def _sign_at(self, x: Dyadic) -> int:
-        p = self._p
-        while True:
-            f, _ = self.func(Interval.point(x), p)
-            if f.lo > ZERO:
-                return 1
-            if f.hi < ZERO:
-                return -1
-            if p >= self.precision_cap:
-                return 0
-            p *= 2
+        super().__init__(lambda x, p: iv_sign(func(Interval.point(x), p)[0]),
+                         bracket, precision_cap, spec)
 
     def _refine_to(self, width_exp: int):
         target = Dyadic(1, -width_exp)
-        stall = 0
         while self.bracket.width() >= target:
-            X = self.bracket
-            f_mid, _ = self.func(Interval.point(X.mid()), self._p)
-            _, df = self.func(X, self._p)
-            stepped = False
-            if not df.contains_zero():
-                # N(X) = mid - F(mid)/F'(X), intersected with X
-                corr = f_mid.divide(df, self._p)
-                n_lo = X.mid() - corr.hi
-                n_hi = X.mid() - corr.lo
-                nxt = Interval(dy_min(n_lo, n_hi), dy_max(n_lo, n_hi)).intersect(X)
-                if nxt is None:
-                    raise OracleFault("interval Newton emptied the bracket")
-                if nxt.width() < X.width():
-                    self.bracket = nxt
-                    stepped = True
-            if not stepped:
-                # bisection fallback on the certified sign change
-                mid = X.mid()
-                s = self._sign_at(mid)
-                if s == 0:
-                    q = X.width().scale2(-2)
-                    for probe in (mid - q, mid + q):
-                        s = self._sign_at(probe)
-                        if s != 0:
-                            mid = probe
-                            break
-                    else:
-                        if self._p >= self.precision_cap:
-                            raise OracleFault("sign undecided at precision cap")
-                        self._p *= 2
-                        continue
-                if s == self._slo:
-                    self.bracket = Interval(mid, X.hi)
-                else:
-                    self.bracket = Interval(X.lo, mid)
-            if self.bracket.width() >= X.width():
-                stall += 1
-                if stall > 4:
-                    if self._p >= self.precision_cap:
-                        raise OracleFault("refiner stalled at precision cap")
-                    self._p *= 2
-                    stall = 0
+            got = interval_newton(self.func, self.bracket, self._p, target,
+                                  holds_root=True)
+            if got is None:
+                raise OracleFault("interval Newton emptied the bracket")
+            self.bracket = got[0]
+            if self.bracket.width() < target:
+                return
+            # Newton stopped short: one bisection step on the sign change
+            got = sign_bisect(self._sign_at, self.bracket, self._slo,
+                              self.bracket.width())
+            if got is not None:
+                self.bracket = got
+            elif self._p >= self.precision_cap:
+                raise OracleFault("sign undecided at precision cap")
             else:
-                stall = 0
+                self._p *= 2
 
 
 class WorstCaseOracle(ParamOracle):

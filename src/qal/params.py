@@ -11,17 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dyadic import UP, ZERO, Dyadic, Interval, dy_max, dy_min
-from .dynamics import precision_cap
+from .dyadic import ONE, UP, ZERO, Dyadic, Interval, dy_max, dy_min, iv_orbit
+from .dynamics import certify_attracting_cycle, precision_cap
 from .oracle import (IntervalNewtonOracle, OracleFault, ParamOracle,
                      QueryLedger)
 from .renorm import CombinatorialType, detect_renormalization, principal_nest
+from .solver import interval_newton, iv_sign, sign_bisect
 
-ONE = Dyadic(1)
-TWO = Dyadic(2)
 PARAM_LO = Dyadic(-2)
 PARAM_HI = Dyadic(1, -2)
-CUSP3 = Dyadic(-7, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +74,7 @@ def _q_newton_float(c: float, n: int, iters: int = 60) -> float | None:
     return None
 
 
-def _contract_root(guess: float, n: int, radius: float, p: int = 64,
-                   p_cap: int | None = None,
+def _contract_root(guess: float, n: int, radius: float,
                    box_radius: float | None = None) -> Interval | None:
     """Certified enclosure of a simple root of Q_n near guess, or None.
 
@@ -86,41 +83,28 @@ def _contract_root(guess: float, n: int, radius: float, p: int = 64,
     far the polished seed may drift from guess; box_radius (default radius)
     sizes the Newton box and must exclude neighboring roots.
     """
-    p_cap = p_cap or precision_cap()
     seed = _q_newton_float(guess, n)
     if seed is None or abs(seed - guess) > radius:
         return None
-    while p <= p_cap:
+    min_w = Dyadic(1, -45)
+    p = 64
+    while p <= precision_cap():
         r = Dyadic.from_float(box_radius or radius).round(min(p, 128), UP)
         mid = Dyadic.from_float(seed).round(min(p, 128))
         box = Interval(dy_max(mid - r, PARAM_LO), dy_min(mid + r, PARAM_HI))
-        certified = False
-        min_w = Dyadic(1, -45)
-        for _ in range(200):
-            m = Interval.point(box.mid())
-            fm, _ = critical_value_eval(m, n, p)
-            _, df = critical_value_eval(box, n, p)
-            if df.contains_zero():
-                # Wrapping: long compositions wrap the derivative over wide
-                # boxes; shrink toward the seed (accurate to ~2^-45 easily)
-                # before spending precision.
-                if box.width() > min_w:
-                    c0, q = box.mid(), box.width().scale2(-3)
-                    box = Interval(c0 - q, c0 + q)
-                    continue
-                break
-            corr = fm.divide(df, p)
-            nxt = Interval(box.mid() - corr.hi, box.mid() - corr.lo)
-            if box.strictly_contains(nxt):
-                certified = True
-            inter = nxt.intersect(box)
-            if inter is None:
-                return None
-            if inter.width() >= box.width():
-                break
-            box = inter
-        if certified:
-            return box
+        # Long compositions wrap the derivative over wide boxes; shrink
+        # toward the seed (accurate to ~2^-45 easily) before spending
+        # precision.
+        while (box.width() > min_w
+               and critical_value_eval(box, n, p)[1].contains_zero()):
+            c0, q = box.mid(), box.width().scale2(-3)
+            box = Interval(c0 - q, c0 + q)
+        got = interval_newton(lambda x, pr: critical_value_eval(x, n, pr),
+                              box, p)
+        if got is None:
+            return None
+        if got[1]:
+            return got[0]
         p *= 2
     return None
 
@@ -149,15 +133,7 @@ def superstable_center(n: int, selector=None, p: int = 64) -> ParamOracle:
         lo, hi = float(selector.lo) - 1e-7, float(selector.hi) + 1e-7
     else:
         lo, hi = -2.0, 0.25
-    roots = _float_roots(n, lo, hi)
-    enclosures = []
-    for r in roots:
-        enc = _contract_root(r, n, 1e-6 + 1e-3 / n)
-        if enc is None:
-            continue
-        prim = _is_primitive(enc, n, p)
-        if prim:
-            enclosures.append(enc)
+    enclosures = _primitive_centers(n, lo, hi, p)
     if not enclosures:
         raise OracleFault(f"no primitive period-{n} center in [{lo}, {hi}]")
     idx = selector if isinstance(selector, int) else 0
@@ -169,6 +145,17 @@ def superstable_center(n: int, selector=None, p: int = 64) -> ParamOracle:
                           f"pass an index or bracket")
     return _center_oracle(enclosures[idx], n,
                           f"superstable:{n}" + (f":{idx}" if isinstance(selector, int) else ""))
+
+
+def _primitive_centers(n: int, lo: float, hi: float, p: int) -> list:
+    """Certified enclosures of the primitive period-n centers seeded in
+    [lo, hi], ascending."""
+    out = []
+    for seed in _float_roots(n, lo, hi):
+        enc = _contract_root(seed, n, 1e-6 + 1e-3 / n)
+        if enc is not None and _is_primitive(enc, n, p):
+            out.append(enc)
+    return out
 
 
 def _center_oracle(enc: Interval, n: int, spec: str) -> ParamOracle:
@@ -240,14 +227,12 @@ def _system_eval(c: Interval, w: Interval, n: int, p: int):
 
 
 def _parabolic_refine(n: int, c0: float, w0: float, target_exp: int,
-                      mult: int = 1, p: int = 64,
-                      p_cap: int | None = None) -> tuple | None:
+                      mult: int = 1) -> tuple | None:
     """Certified (c, w) box for P^n(w) = w, (P^n)'(w) = mult.
 
     Two-variable interval Newton; returns (c_enclosure, w_enclosure) with
     the c side refined below 2^-target_exp, or None.
     """
-    p_cap = p_cap or precision_cap()
     seed = _parabolic_float(n, c0, w0, mult)
     if seed is None:
         return None
@@ -255,7 +240,8 @@ def _parabolic_refine(n: int, c0: float, w0: float, target_exp: int,
     radius = 1e-4
     tgt = Interval.point(Dyadic(mult))
     target = Dyadic(1, -target_exp)
-    while p <= p_cap:
+    p = 64
+    while p <= 1024:
         r = Dyadic.from_float(radius).round(min(p, 128), UP)
         cm = Dyadic.from_float(c0).round(min(p, 128))
         wm = Dyadic.from_float(w0).round(min(p, 128))
@@ -315,10 +301,8 @@ def _parabolic_float(n: int, c: float, w: float, mult: int,
     return None
 
 
-def _left_endpoint(n: int, guess: float, target_exp: int,
-                   p: int = 64, p_cap: int | None = None) -> Interval | None:
+def _left_endpoint(n: int, guess: float, target_exp: int) -> Interval | None:
     """Certified bracket of the root of Q_{3n}(c) - Q_{2n}(c) near guess."""
-    p_cap = p_cap or precision_cap()
 
     def h_float(c: float) -> float:
         return _q_float(c, 3 * n) - _q_float(c, 2 * n)
@@ -334,38 +318,22 @@ def _left_endpoint(n: int, guess: float, target_exp: int,
         else:
             return None
 
-    def h_iv(x: Interval, pr: int) -> Interval:
-        v3, _ = critical_value_eval(x, 3 * n, pr)
-        v2, _ = critical_value_eval(x, 2 * n, pr)
-        return v3 - v2
+    def h_sign(x: Dyadic, pr: int) -> int:
+        v3, _ = critical_value_eval(Interval.point(x), 3 * n, pr)
+        v2, _ = critical_value_eval(Interval.point(x), 2 * n, pr)
+        return iv_sign(v3 - v2)
 
-    lo, hi = Dyadic.from_float(a), Dyadic.from_float(b)
-    target = Dyadic(1, -target_exp)
-    while p <= p_cap:
-        sa = _iv_sign(h_iv(Interval.point(lo), p))
-        sb = _iv_sign(h_iv(Interval.point(hi), p))
+    bracket = Interval(Dyadic.from_float(a), Dyadic.from_float(b))
+    p = 64
+    while p <= precision_cap():
+        sa, sb = h_sign(bracket.lo, p), h_sign(bracket.hi, p)
         if sa != 0 and sb != 0 and sa != sb:
-            while hi - lo >= target:
-                mid = Interval(lo, hi).mid()
-                sm = _iv_sign(h_iv(Interval.point(mid), p))
-                if sm == 0:
-                    break
-                if sm == sa:
-                    lo = mid
-                else:
-                    hi = mid
-            if hi - lo < target:
-                return Interval(lo, hi)
+            got = sign_bisect(lambda x: h_sign(x, p), bracket, sa,
+                              Dyadic(1, -target_exp))
+            if got is not None:
+                return got
         p *= 2
     return None
-
-
-def _iv_sign(v: Interval) -> int:
-    if v.lo > ZERO:
-        return 1
-    if v.hi < ZERO:
-        return -1
-    return 0
 
 
 def window_endpoints(n: int, center_hint=None, width_exp: int = 34,
@@ -381,7 +349,13 @@ def window_endpoints(n: int, center_hint=None, width_exp: int = 34,
     """
     if n < 2:
         raise ValueError("windows have period >= 2")
-    center = superstable_center(n, center_hint)
+    return _window_at(n, superstable_center(n, center_hint), width_exp,
+                      with_tau)
+
+
+def _window_at(n: int, center: ParamOracle, width_exp: int = 34,
+               with_tau: bool = True) -> RenormWindow:
+    """window_endpoints around the period-n center that center delivers."""
     c_star = float(center.query(53))
     right = _right_endpoint(n, c_star, width_exp)
     if right is None:
@@ -408,15 +382,10 @@ def _right_endpoint(n: int, c_star: float, width_exp: int) -> Interval | None:
     is a triple root and the saddle-node solve is singular, so the parent
     system is used instead.  Seeds are the superstable cycle points.
     """
-    seeds = [0.0]
-    x = 0.0
-    for _ in range(n - 1):
-        x = x * x + c_star
-        seeds.append(x)
+    seeds = [_q_float(c_star, k) for k in range(n)]
     for q, mult in ((n, 1),) + (((n // 2, -1),) if n % 2 == 0 else ()):
         for w0 in seeds:
-            sol = _parabolic_refine(q, c_star, w0, width_exp, mult=mult,
-                                    p_cap=1024)
+            sol = _parabolic_refine(q, c_star, w0, width_exp, mult=mult)
             if sol is None:
                 continue
             r = float(sol[0].lo)
@@ -493,11 +462,7 @@ def _epsilon_enclosure(n: int, q: int) -> Interval:
 
 def _epsilon_float_itinerary(c: float, n: int) -> bool:
     alpha = (1.0 - (1.0 - 4.0 * c) ** 0.5) / 2.0
-    x = 0.0
-    pts = [0.0]
-    for _ in range(3 * n + 2):
-        x = x * x + c
-        pts.append(x)
+    pts = [_q_float(c, k) for k in range(3 * n + 3)]
     for i in range(1, n):
         if not abs(pts[3 * i]) < 0.6 * abs(alpha):
             return False
@@ -513,13 +478,7 @@ def _check_epsilon_itinerary(o: ParamOracle, n: int):
         raise OracleFault("eps-family: nest level I^1 unavailable")
     i0, i1 = nest.levels[0], nest.levels[1]
     c = nest.param_enclosure
-    p = nest.precision
-    from .dyadic import iv_quad_step
-    x = Interval.point(ZERO)
-    orbit = [x]
-    for _ in range(3 * n + 1):
-        x = iv_quad_step(x, c, p)
-        orbit.append(x)
+    orbit = iv_orbit(Interval.point(ZERO), c, 3 * n + 1, nest.precision)
     for i in range(1, n):
         if not i1.certainly_contains_iv(orbit[3 * i]):
             raise OracleFault(f"eps-family: f^{3 * i}(0) not certified in I^1")
@@ -581,30 +540,23 @@ class FeigenbaumOracle(ParamOracle):
         if k == 1:
             self._centers.append(Interval.point(Dyadic(-1)))
             return
-        prev = float(self._centers[-1].mid())
-        if len(self._centers) >= 3:
-            p2 = float(self._centers[-2].mid())
-            p3 = float(self._centers[-3].mid())
-            delta = abs((p3 - p2) / (p2 - prev))  # empirical Feigenbaum ratio
-        elif len(self._centers) == 2:
+        if k == 2:
+            enc = _contract_root(-1.3107026, 4, 1e-3)
+        else:
+            prev = float(self._centers[-1].mid())
             p2 = float(self._centers[-2].mid())
             delta = 4.669201609
-        else:
-            p2, delta = None, None
-        if p2 is None:
-            guess, radius = -1.3107026, 1e-3
-            box = radius
-        else:
+            if k > 3:  # the empirical Feigenbaum ratio
+                p3 = float(self._centers[-3].mid())
+                delta = abs((p3 - p2) / (p2 - prev))
             gap = abs(prev - p2) / delta  # predicted next center gap
             guess = prev - gap if p2 > prev else prev + gap
-            radius = 0.25 * gap  # extrapolation slack
-            box = None
-        enc = None
-        for shrink in (1.0, 0.4, 0.15, 0.05):
-            b = box if box is not None else 0.05 * gap * shrink
-            enc = _contract_root(guess, 1 << k, radius, box_radius=b)
-            if enc is not None or box is not None:
-                break
+            for shrink in (1.0, 0.4, 0.15, 0.05):
+                # 0.25 gap of extrapolation slack; the box excludes neighbors
+                enc = _contract_root(guess, 1 << k, 0.25 * gap,
+                                     box_radius=0.05 * gap * shrink)
+                if enc is not None:
+                    break
         if enc is None:
             raise OracleFault(f"period 2^{k} center did not certify")
         self._centers.append(enc)
@@ -616,7 +568,7 @@ class FeigenbaumOracle(ParamOracle):
         if predicted - 2 > self.depth_cap:
             raise OracleFault(
                 f"precision {m} needs about depth {predicted}, "
-                f"beyond the cap {self.depth_cap}")
+                f"beyond the depth cap {self.depth_cap}")
         need = Dyadic(1, -(m + 3))
         while True:
             while len(self._centers) < 2:
@@ -647,7 +599,6 @@ def window_locate(o: ParamOracle, max_period: int,
     periods to divisors of q (an attracting fixed point settles none
     immediately).
     """
-    from .dynamics import certify_attracting_cycle
     periods = range(2, max_period + 1)
     cert = certify_attracting_cycle(o, max_period, ledger=ledger)
     if cert is not None and cert.kind in ("attracting", "superattracting"):
@@ -679,14 +630,10 @@ def _windows_near(period: int, bracket: Interval) -> list:
     lo = max(float(bracket.lo) - 1.0, -2.0)
     hi = min(float(bracket.hi) + 1.0, 0.25)
     out = []
-    for seed in _float_roots(period, lo, hi):
-        enc = _contract_root(seed, period, 1e-6 + 1e-3 / period)
-        if enc is None:
-            continue
-        if not _is_primitive(enc, period, 64):
-            continue
+    for enc in _primitive_centers(period, lo, hi, 64):
         try:
-            win = window_endpoints(period, enc, with_tau=True)
+            win = _window_at(period, _center_oracle(enc, period,
+                                                    f"superstable:{period}"))
         except OracleFault:
             continue
         out.append(win)

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dyadic import ZERO, Dyadic, Interval, iv_quad_step
-from .dynamics import (TrackedInterval, check_param,
+from .dyadic import ZERO, Dyadic, Interval, iv_orbit
+from .dynamics import (TrackedInterval, _merge_boxes, check_param,
                        isolate_periodic_points, iter_eval, precision_cap)
 from .oracle import ParamOracle, QueryLedger
-
-ONE = Dyadic(1)
+from .solver import iv_sign
 
 
 class _Undecided(Exception):
@@ -35,6 +34,9 @@ class KneadingSequence:
         return self.symbols
 
 
+_SYMBOL = {-1: "L", 0: "?", 1: "R"}
+
+
 def kneading(o: ParamOracle, length: int, ledger: QueryLedger | None = None,
              p_cap: int | None = None) -> KneadingSequence:
     """Certified itinerary of the critical orbit relative to 0.
@@ -50,20 +52,10 @@ def kneading(o: ParamOracle, length: int, ledger: QueryLedger | None = None,
     best = "?" * length
     p = 64
     while p <= p_cap:
-        c = o.enclosure(p, ledger)
-        syms = []
-        x = Interval.point(ZERO)
-        for k in range(length):
-            if k == 0 or (q is not None and k % q == 0):
-                syms.append("C")
-            elif x.hi < ZERO:
-                syms.append("L")
-            elif x.lo > ZERO:
-                syms.append("R")
-            else:
-                syms.append("?")
-            x = iv_quad_step(x, c, p)
-        s = "".join(syms)
+        orbit = iv_orbit(Interval.point(ZERO), o.enclosure(p, ledger),
+                         length - 1, p)
+        s = "".join("C" if k == 0 or (q is not None and k % q == 0)
+                    else _SYMBOL[iv_sign(x)] for k, x in enumerate(orbit))
         if "?" not in s:
             return KneadingSequence(s, length)
         if s.count("?") < best.count("?"):
@@ -106,24 +98,17 @@ class RenormCert:
     precision: int
 
 
-def _rank_descending(tracked: list) -> list | None:
-    """1-based descending real-order ranks, or None if order uncertified."""
-    order = sorted(range(len(tracked)),
-                   key=lambda i: -float(tracked[i].outer().mid()))
+def _cycle_type(tracked: list) -> CombinatorialType | None:
+    """Type of the cycle J_{i0} -> J_{i1} -> ... -> J_{i0} in real order,
+    or None if the order is not certified."""
+    n = len(tracked)
+    order = sorted(range(n), key=lambda i: -float(tracked[i].outer().mid()))
     for a, b in zip(order, order[1:]):
         if not tracked[b].certainly_precedes(tracked[a]):
             return None
-    ranks = [0] * len(tracked)
+    ranks = [0] * n  # 1-based, descending
     for r, i in enumerate(order):
         ranks[i] = r + 1
-    return ranks
-
-
-def _tau_of_images(images: list) -> CombinatorialType | None:
-    n = len(images) - 1
-    ranks = _rank_descending(images[:n])
-    if ranks is None:
-        return None
     perm = [0] * n
     for i in range(n):
         perm[ranks[i] - 1] = ranks[(i + 1) % n]
@@ -147,26 +132,31 @@ def _certify_renorm_period(o: ParamOracle, n: int, p: int,
             j = base - base.scale2(-s)
             if not j > ZERO:
                 continue
-            imgs = [TrackedInterval.from_exact(-j, j)]
-            ok = True
-            for _ in range(n):
-                imgs.append(imgs[-1].image(c, p))
-                if imgs[-1].outer().mag() > Dyadic(4):
-                    ok = False
-                    break
-            if not ok:
+            imgs = _renorm_images(Interval(-j, j), n, c, p)
+            if imgs is None:
                 continue
-            last = imgs[n]
-            if not (-j < last.lo.lo and last.hi.hi < j):
-                continue
-            if any(not imgs[a].interiors_certainly_disjoint(imgs[b])
-                   for a in range(n) for b in range(a + 1, n)):
-                continue
-            tau = _tau_of_images(imgs)
+            tau = _cycle_type(imgs[:n])
             if tau is None or not tau.is_single_cycle():
                 continue
             return RenormCert(n, Interval(-j, j), imgs, tau, p)
     return None
+
+
+def _renorm_images(J: Interval, n: int, c: Interval, p: int) -> list | None:
+    """Tracked images f^0(J)..f^n(J) when f^n(J) is strictly inside J and
+    f^0(J)..f^(n-1)(J) have disjoint interiors; None otherwise."""
+    imgs = [TrackedInterval.from_exact(J.lo, J.hi)]
+    for _ in range(n):
+        imgs.append(imgs[-1].image(c, p))
+        if imgs[-1].outer().mag() > Dyadic(4):
+            return None  # escaping: no later image comes back inside J
+    last = imgs[n]
+    if not (J.lo < last.lo.lo and last.hi.hi < J.hi):
+        return None
+    if any(not imgs[a].interiors_certainly_disjoint(imgs[b])
+           for a in range(n) for b in range(a + 1, n)):
+        return None
+    return imgs
 
 
 def detect_renormalization(o: ParamOracle, max_period: int,
@@ -194,16 +184,7 @@ def detect_renormalization(o: ParamOracle, max_period: int,
 def recheck_renormalization(cert: RenormCert, o: ParamOracle) -> bool:
     """Post-hoc verification of the certificate at doubled precision."""
     p = 2 * cert.precision
-    c = o.enclosure(p)
-    imgs = [TrackedInterval.from_exact(cert.J.lo, cert.J.hi)]
-    for _ in range(cert.period):
-        imgs.append(imgs[-1].image(c, p))
-    last = imgs[cert.period]
-    if not (cert.J.lo < last.lo.lo and last.hi.hi < cert.J.hi):
-        return False
-    n = cert.period
-    return all(imgs[a].interiors_certainly_disjoint(imgs[b])
-               for a in range(n) for b in range(a + 1, n))
+    return _renorm_images(cert.J, cert.period, o.enclosure(p), p) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +214,6 @@ def _membership(enc: Interval, t: TrackedInterval) -> int:
     return 0
 
 
-def _orbit(c: Interval, length: int, p: int) -> list:
-    xs = [Interval.point(ZERO)]
-    for _ in range(length):
-        xs.append(iv_quad_step(xs[-1], c, p))
-    return xs
-
-
 def _smallest_root(c: Interval, k: int, beta: Interval, domain: Interval,
                    p: int):
     """Leftmost solution of P^k(x) = beta on domain, with a clean-ness flag.
@@ -265,22 +239,11 @@ def _smallest_root(c: Interval, k: int, beta: Interval, domain: Interval,
         queue.append(Interval(mid, x.hi))
     if not boxes:
         return None, True
-    boxes.sort(key=lambda b: float(b.lo))
-    merged = [boxes[0]]
-    for b in boxes[1:]:
-        if merged[-1].hi >= b.lo:
-            merged[-1] = merged[-1].hull(b)
-        else:
-            merged.append(b)
+    merged = _merge_boxes(boxes)
 
     def sign_at(x: Dyadic) -> int:
         v, _ = iter_eval(Interval.point(x), c, k, p)
-        h = v - beta
-        if h.lo > ZERO:
-            return 1
-        if h.hi < ZERO:
-            return -1
-        return 0
+        return iv_sign(v - beta)
 
     cur = sign_at(domain.lo)
     if cur == 0:
@@ -365,15 +328,12 @@ def principal_nest(o: ParamOracle, max_depth: int,
     check_param(o, ledger)
     p_cap = p_cap or precision_cap()
     p = p_start
-    record = None
     while p <= p_cap:
         try:
             return _nest_at_precision(o, max_depth, p, ledger, max_return)
         except _Undecided:
             p *= 2
-    if record is None:
-        record = NestRecord([], [None], [], False, True, p_cap)
-    return record
+    return NestRecord([], [None], [], False, True, p_cap)
 
 
 def _nest_at_precision(o: ParamOracle, max_depth: int, p: int, ledger,
@@ -387,7 +347,7 @@ def _nest_at_precision(o: ParamOracle, max_depth: int, p: int, ledger,
         return NestRecord([], [None], [], False, False, p, c)
     i0 = TrackedInterval(alpha, Interval(-alpha.hi, -alpha.lo))
     levels, returns, noncentral = [i0], [None], []
-    orbit = _orbit(c, max_return, p)
+    orbit = iv_orbit(Interval.point(ZERO), c, max_return, p)
     closed = False
     for m in range(1, max_depth + 1):
         try:
@@ -555,7 +515,7 @@ def _essential_at(o: ParamOracle, ledger, max_depth: int,
     if period is None:
         return None
     cycle = imgs[:period]
-    postcritical = _orbit(c, 2 * period + 2, p)
+    postcritical = iv_orbit(Interval.point(ZERO), c, 2 * period + 2, p)
     casc = cascades(nest, postcritical)
     if any(ci.saddle_node is None or ci.depth_bound is None for ci in casc):
         raise _Undecided("cascade flags")
@@ -600,18 +560,6 @@ def _essential_at(o: ParamOracle, ledger, max_depth: int,
         raise _Undecided("reduced ranking")
     return EssentialData(period, len(survivors), negl, reduced, full,
                          casc, nest)
-
-
-def _cycle_type(tracked: list) -> CombinatorialType | None:
-    """Type of the cycle J_{i0} -> J_{i1} -> ... -> J_{i0} in real order."""
-    n = len(tracked)
-    ranks = _rank_descending(tracked)
-    if ranks is None:
-        return None
-    perm = [0] * n
-    for i in range(n):
-        perm[ranks[i] - 1] = ranks[(i + 1) % n]
-    return CombinatorialType(n, tuple(perm))
 
 
 def essential_period(o: ParamOracle, ledger: QueryLedger | None = None,

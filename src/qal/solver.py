@@ -1,0 +1,82 @@
+"""The shared root solvers: interval Newton and certified sign bisection.
+
+Every refiner in the package (oracle brackets, periodic points, centers,
+cycle points, window endpoints) runs one of these two loops.
+"""
+
+from __future__ import annotations
+
+from .dyadic import ZERO, Dyadic, Interval
+
+
+def iv_sign(v: Interval) -> int:
+    """+1 or -1 when the enclosure certifies a sign, 0 when it straddles 0."""
+    if v.lo > ZERO:
+        return 1
+    if v.hi < ZERO:
+        return -1
+    return 0
+
+
+def interval_newton(func, box: Interval, p: int, target: Dyadic | None = None,
+                    holds_root: bool = False):
+    """Interval Newton N(X) = m - F(m)/F'(X) on box at precision p.
+
+    func(X, p) -> (F, dF) encloses F and F' over X.  Returns (box, unique),
+    unique once a step landed strictly inside its box (then the box holds
+    exactly one root), or None when N(X) misses X (no root in box).  Stops
+    below target, when F' may vanish, when a step does not shrink the box,
+    or after 80 steps.  Once the box is known to hold a root (holds_root,
+    or unique), a step that does not halve the box stops it too: at the
+    precision floor such steps shave slivers without end, so the caller's
+    fallback (bisection, more precision, or none) is the better next move.
+    """
+    unique = False
+    for _ in range(80):
+        if target is not None and box.width() < target:
+            break
+        mid = box.mid()
+        f_mid, _ = func(Interval.point(mid), p)
+        _, df = func(box, p)
+        if df.contains_zero():
+            break
+        corr = f_mid.divide(df, p)
+        nxt = Interval(mid - corr.hi, mid - corr.lo)
+        unique = unique or box.strictly_contains(nxt)
+        inter = nxt.intersect(box)
+        if inter is None:
+            return None
+        if (holds_root or unique) and inter.width().scale2(1) > box.width():
+            break
+        if inter.width() >= box.width():
+            break
+        box = inter
+    return box, unique
+
+
+def sign_bisect(sign, box: Interval, s_lo: int, target: Dyadic) -> Interval | None:
+    """Halve box on a certified sign change until narrower than target.
+
+    sign(x) -> -1 | 0 | +1 certifies the sign at x (0: undecided), s_lo is
+    the sign left of the root.  An undecided midpoint (it may be the root)
+    gives way to a probe a quarter width off center, which still shrinks
+    the box by 1/4.  None when the midpoint and both probes are undecided.
+    """
+    lo, hi = box.lo, box.hi
+    while hi - lo >= target:
+        mid = (lo + hi).half()
+        s = sign(mid)
+        if s == 0:
+            q = (hi - lo).scale2(-2)
+            for probe in (mid - q, mid + q):
+                s = sign(probe)
+                if s != 0:
+                    mid = probe
+                    break
+            else:
+                return None
+        if s == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return Interval(lo, hi)

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import qal.attractor
 from qal.attractor import (ApproximationFailed, Budget, Hints, approximate,
                            classify, pixel_query, render)
 from qal.dyadic import Dyadic, Interval
-from qal.oracle import QueryLedger, WorstCaseOracle, oracle_exact
+from qal.oracle import (OracleFault, ParamOracle, QueryLedger, WorstCaseOracle,
+                        oracle_exact)
 
 NEG_ONE = Dyadic(-1)
 QUARTER = Dyadic(1, -2)
@@ -181,3 +183,66 @@ class TestLedgerAccounting:
         approximate(oracle_exact(NEG_ONE), 8, ledger=led)
         assert led.total_units > 0
         assert led.max_precision >= 8
+
+    @pytest.mark.parametrize("c", [NEG_ONE, Dyadic(-9, -3)])
+    def test_cached_certificate_hits_charge_like_the_build(self, c):
+        o = oracle_exact(c)
+        first, second = QueryLedger(), QueryLedger()
+        pixel_query(o, 12, Dyadic(0), ledger=first)
+        pixel_query(o, 12, Dyadic(1, -12), ledger=second)
+        assert first.query_count > 0
+        assert (second.total_units, second.query_count, second.max_precision) \
+            == (first.total_units, first.query_count, first.max_precision)
+
+
+class TestCaseOneA:
+    # points of approximate(oracle_exact(c), 12) in the period-1, 2 and 4
+    # windows, as the library gave them when case 1a certified the cycle a
+    # second time before refining it
+    CASES = [
+        (Dyadic(-1, -2), 1, ["-3393*2^-14"]),
+        (Dyadic(-9, -3), 2, ["-18225*2^-14", "1841*2^-14"]),
+        (Dyadic(-21, -4), 4,
+         ["-21*2^-4", "-4687*2^-12", "-51*2^-14", "105*2^-8"]),
+    ]
+
+    @pytest.mark.parametrize("c,period,points", CASES)
+    def test_the_cycle_is_certified_once(self, monkeypatch, c, period, points):
+        calls = []
+        certify = qal.attractor.certify_attracting_cycle
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(qal.attractor, "certify_attracting_cycle", counted)
+        got = approximate(oracle_exact(c), 12)
+        assert len(calls) == 1
+        assert got.trace == {"case": "1a", "period": period}
+        assert [str(p) for p in got.points] == points
+
+
+class _CappedOracle(ParamOracle):
+    """Answers like inner up to precision m_max and faults above it."""
+
+    def __init__(self, inner: ParamOracle, m_max: int):
+        super().__init__()
+        self.inner, self.m_max = inner, m_max
+
+    def _answer(self, m: int) -> Dyadic:
+        if m > self.m_max:
+            raise OracleFault(f"precision {m} is past this oracle's cap")
+        return self.inner.query(m)
+
+
+def test_failure_names_the_oracle_limit_that_stopped_it():
+    # a Feigenbaum-like parameter whose oracle stops answering above 16
+    # bits: the case-3 cover is clamped to what the oracle answers, so the
+    # failure is the oracle's, not the precision cap's
+    c_f = Dyadic.from_fraction_rounded(Fraction("-1.401155189092050426"), 62)
+    with pytest.raises(ApproximationFailed) as exc:
+        approximate(_CappedOracle(oracle_exact(c_f), 16), 20)
+    text = str(exc.value)
+    assert "below the precision cap" not in text
+    assert text.endswith("trap not certified below the oracle's limit "
+                         "(precision 30 is past this oracle's cap)")

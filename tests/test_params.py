@@ -1,5 +1,9 @@
 """Parameter-space solvers: centers, window endpoints, eps family, limit."""
 
+import signal
+from contextlib import contextmanager
+from fractions import Fraction
+
 import pytest
 
 from qal.dyadic import Dyadic, Interval
@@ -10,6 +14,28 @@ from qal.params import (epsilon_family, feigenbaum_limit, superstable_center,
 from qal.renorm import CombinatorialType
 
 NEG_7_4 = Dyadic(-7, -2)
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Fail, instead of hanging, when the body runs past seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def q_sign(c: Fraction, q: int) -> int:
+    """Sign of Q_q(c) = P_c^q(0) in exact rational arithmetic."""
+    x = Fraction(0)
+    for _ in range(q):
+        x = x * x + c
+    return (x > 0) - (x < 0)
 
 
 def close(ans: Dyadic, ref: float, m: int) -> bool:
@@ -35,6 +61,14 @@ class TestSuperstableCenters:
                       for i in range(2))
         for v, ref in zip(vals, (-1.9407998065294847, -1.3107026413368328)):
             assert abs(v - ref) < 1e-10
+
+    @pytest.mark.parametrize("q,i", [(5, 0), (5, 1), (6, 1)])
+    def test_centers_near_the_precision_floor_answer(self, q, i):
+        # interval Newton once shaved slivers off these brackets forever
+        with time_limit(60):
+            a = superstable_center(q, i).query(64).as_fraction()
+        slack = Fraction(1, 1 << 63)
+        assert q_sign(a - slack, q) * q_sign(a + slack, q) == -1
 
     def test_bracket_selector(self):
         hint = Interval(Dyadic.from_float(-1.32), Dyadic.from_float(-1.30))
