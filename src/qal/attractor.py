@@ -16,12 +16,12 @@ from .dyadic import (NEAREST, ONE, ZERO, Dyadic, Interval, dy_max, dy_min,
                      iv_orbit)
 from .dynamics import (CertifiedCycle, TrackedInterval, _return_map_eval,
                        certify_attracting_cycle, check_param,
-                       isolate_periodic_points, iv_quad_step, precision_cap)
+                       isolate_periodic_points, iv_quad_step)
 from .oracle import ExactOracle, OracleFault, ParamOracle, QueryLedger
 from .params import (_center_oracle, _contract_root, _float_roots,
                      _is_primitive, _q_float, _window_at)
 from .renorm import CombinatorialType
-from .solver import interval_newton
+from .solver import PRECISION_CAP, interval_newton, ladder
 
 
 class ApproximationFailed(RuntimeError):
@@ -50,8 +50,7 @@ class Budget:
     depth: int = 5  # window-tower levels for case 3
 
     def p_cap(self) -> int:
-        # an explicit budget wins over the environment's default cap
-        return self.max_precision or precision_cap()
+        return self.max_precision or PRECISION_CAP
 
 
 @dataclass(frozen=True)
@@ -158,14 +157,12 @@ def _parabolic_points(o: ParamOracle, q: int, b: Budget,
     parabolic interpretation of the survivors is the hint's claim; the
     certificates here are the isolation and the expansion filter.
     """
-    p = max(64, 2 * (width_exp + 4))
     target = Dyadic(1, -width_exp)
-    while p <= b.p_cap():
+    for p in ladder(max(64, 2 * (width_exp + 4)), b.p_cap()):
         pts = isolate_periodic_points(o, q, p, ledger)
         keep = [pt for pt in pts if not pt.multiplier.mig() > ONE]
         if keep and all(pt.enclosure.width() < target for pt in keep):
             return keep
-        p *= 2
     return None
 
 
@@ -237,8 +234,7 @@ def _interval_chain(o: ParamOracle, q: int, slack_exp: int, b: Budget,
             return [TrackedInterval.from_exact(k.lo, k.hi)
                     for k in exact[:q]], 0
     tol = Dyadic(1, -slack_exp)
-    p = max(64, 4 * slack_exp)
-    while p <= b.p_cap():
+    for p in ladder(max(64, 4 * slack_exp), b.p_cap()):
         orbit = _orbit_enclosures(o, 2 * q, p, ledger)
         a, z = orbit[q], orbit[2 * q]
         if a.hi < z.lo:
@@ -246,7 +242,6 @@ def _interval_chain(o: ParamOracle, q: int, slack_exp: int, b: Budget,
         elif z.hi < a.lo:
             j = TrackedInterval(z, a)
         else:
-            p *= 2
             continue
         chain = [j]
         c = o.enclosure(p, ledger)
@@ -258,7 +253,6 @@ def _interval_chain(o: ParamOracle, q: int, slack_exp: int, b: Budget,
         slack = max(t.endpoint_slack() for t in chain)
         if inflated.contains_interval(wrap.outer()) and slack < tol:
             return chain[:q], p
-        p *= 2
     return None
 
 
@@ -431,12 +425,10 @@ def _exact_cycle(o: ParamOracle, q: int, n: int, b: Budget,
             pts.append(x)
         return [Interval.point(x) for x in pts]
     target = Dyadic(1, -(n + 3))
-    p = max(64, 2 * (n + 8))
-    while p <= b.p_cap():
+    for p in ladder(max(64, 2 * (n + 8)), b.p_cap()):
         orbit = _orbit_enclosures(o, q, p, ledger)
         if all(x.width() < target for x in orbit):
             return orbit[:q]
-        p *= 2
     raise ApproximationFailed("critical orbit not localized")
 
 
@@ -445,17 +437,19 @@ def _refined_cycle(o: ParamOracle, cycle: CertifiedCycle, n: int, b: Budget,
     """Case 1a: Newton-squeeze each point enclosure of the certified cycle."""
     target = Dyadic(1, -(n + 3))
     out = []
-    for enc in cycle.point_enclosures:
-        box, p = enc, max(64, 2 * (n + 8))
-        while box.width() >= target:
+    for box in cycle.point_enclosures:
+        for p in ladder(max(64, 2 * (n + 8)), b.p_cap()):
+            if box.width() < target:
+                break
             c = o.enclosure(p, ledger)
             got = interval_newton(
                 lambda x, pr: _return_map_eval(x, c, cycle.period, pr)[:2],
-                box, p, target, holds_root=True)
-            p *= 2
-            if got is None or (got[0].width() >= target and p > b.p_cap()):
-                raise ApproximationFailed("cycle point not localized")
+                box, p, target)
+            if got is None:
+                break
             box = got[0]
+        if box.width() >= target:
+            raise ApproximationFailed("cycle point not localized")
         out.append(box)
     return out
 

@@ -7,22 +7,17 @@ remain valid under adversarial oracles.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .dyadic import (DOWN, ONE, TWO, UP, ZERO, Dyadic, Interval, dy_max,
                      dy_min, iv_deriv_enclosure, iv_orbit, iv_quad_step)
 from .oracle import ParamOracle, QueryLedger
-from .solver import interval_newton
+from .solver import PRECISION_CAP, interval_newton, ladder
 
 NEG_TWO = Dyadic(-2)
 QUARTER = Dyadic(1, -2)
 PARAM_RANGE = Interval(NEG_TWO, QUARTER)
 BLOWUP_WIDTH = Dyadic(1, -4)
-
-
-def precision_cap() -> int:
-    return int(os.environ.get("QAL_MAX_PRECISION", "4096"))
 
 
 class ParameterRangeError(ValueError):
@@ -229,7 +224,7 @@ def _float_cycle_candidate(c: float, max_period: int, transient: int = 4096):
 def certify_attracting_cycle(o: ParamOracle, max_period: int = 64,
                              step_budget: int = 200_000,
                              ledger: QueryLedger | None = None,
-                             p_cap: int | None = None) -> CertifiedCycle | None:
+                             p_cap: int = PRECISION_CAP) -> CertifiedCycle | None:
     """Find and rigorously certify the attracting/superattracting limit cycle.
 
     Certificate: a dyadic interval J and n with P^n(J) strictly inside J and
@@ -237,15 +232,13 @@ def certify_attracting_cycle(o: ParamOracle, max_period: int = 64,
     budget runs out -- never a false certificate.
     """
     check_param(o, ledger)
-    p_cap = p_cap or precision_cap()
     c_float = float(o.query(53, ledger))
     cand = _float_cycle_candidate(c_float, max_period)
     if cand is None:
         return None
     n, w = cand
     steps_used = 0
-    p = 64
-    while p <= p_cap:
+    for p in ladder(64, p_cap):
         c = o.enclosure(p, ledger)
         for rexp in range(6, min(40, p // 2), 2):
             steps_used += n
@@ -263,7 +256,6 @@ def certify_attracting_cycle(o: ParamOracle, max_period: int = 64,
             if not prod.hi < ONE:
                 continue
             return _polish_cycle(n, j, c, p)
-        p *= 2
     return None
 
 
@@ -425,8 +417,8 @@ def _merge_boxes(boxes: list) -> list:
 # ---------------------------------------------------------------------------
 # Parabolic escape-time measurement for f_eps(w) = w + w^2 + eps
 
-def escape_time(epsilon: Dyadic, gate: Interval, p_start: int = 64,
-                p_cap: int | None = None, max_steps: int = 50_000_000) -> int:
+def escape_time(epsilon: Dyadic, gate: Interval,
+                max_steps: int = 50_000_000) -> int:
     """Steps of w -> w + w^2 + eps to carry -a past +a, gate = [-a, a].
 
     Runs two directed-rounding orbits; counts must agree, else the working
@@ -439,14 +431,11 @@ def escape_time(epsilon: Dyadic, gate: Interval, p_start: int = 64,
         raise ValueError("gate must be symmetric [-a, a] with a > 0")
     if not a < Dyadic(1, -1):
         raise ValueError("gate must sit inside (-1/2, 1/2) where the map is monotone")
-    p_cap = p_cap or precision_cap()
-    p = p_start
-    while p <= p_cap:
+    for p in ladder():
         n_lo = _escape_count(epsilon, a, p, UP, max_steps)    # early bound
         n_hi = _escape_count(epsilon, a, p, DOWN, max_steps)  # late bound
         if n_lo == n_hi and n_lo is not None:
             return n_lo
-        p *= 2
     raise PrecisionExhausted("escape counts disagree at precision cap")
 
 

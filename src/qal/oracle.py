@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dyadic import TWO, ZERO, Dyadic, Interval
-from .solver import interval_newton, iv_sign, sign_bisect
-
-DEFAULT_PRECISION_CAP = 4096
+from .solver import (PRECISION_CAP, interval_newton, iv_sign, ladder,
+                     sign_bisect)
 
 
 class OracleFault(Exception):
@@ -148,45 +147,47 @@ class BisectOracle(RefinerOracle):
     bracket endpoints must carry certain opposite signs.
     """
 
-    def __init__(self, pred, bracket: Interval, precision_cap: int = DEFAULT_PRECISION_CAP,
+    def __init__(self, pred, bracket: Interval, precision_cap: int = PRECISION_CAP,
                  spec: str = "bisect"):
         super().__init__()
         self.pred = pred
         self.precision_cap = precision_cap
         self.spec = spec
-        self._p = 64
-        slo = self._sign_at(bracket.lo)
-        shi = self._sign_at(bracket.hi)
+        slo = self._sign_at(bracket.lo, 64)
+        shi = self._sign_at(bracket.hi, 64)
         if slo == 0 or shi == 0 or slo == shi:
             raise OracleFault(
                 f"no certified sign change on {bracket} (signs {slo},{shi})")
         self.bracket = bracket
         self._slo = slo
 
-    def _sign_at(self, x: Dyadic) -> int:
-        """pred at x, doubling the precision up to the cap while undecided."""
-        p = self._p
-        while True:
+    def _sign_at(self, x: Dyadic, p_start: int) -> int:
+        """pred at x, climbing the ladder from p_start to the cap while
+        undecided; 0 when still undecided at the cap."""
+        for p in ladder(p_start, self.precision_cap):
             s = self.pred(x, p)
-            if s != 0 or p >= self.precision_cap:
+            if s != 0:
                 return s
-            p *= 2
+        return 0
 
-    def _refine_to(self, width_exp: int):
-        got = sign_bisect(self._sign_at, self.bracket, self._slo,
-                          Dyadic(1, -width_exp))
+    def _bisect(self, width: Dyadic, p_start: int):
+        got = sign_bisect(lambda x: self._sign_at(x, p_start), self.bracket,
+                          self._slo, width)
         if got is None:
             raise OracleFault(
                 f"sign undecided near {self.bracket.mid()} at precision cap")
         self.bracket = got
 
+    def _refine_to(self, width_exp: int):
+        self._bisect(Dyadic(1, -width_exp), 64)
 
-def oracle_bisect(pred, bracket: Interval, precision_cap: int = DEFAULT_PRECISION_CAP,
+
+def oracle_bisect(pred, bracket: Interval, precision_cap: int = PRECISION_CAP,
                   spec: str = "bisect") -> ParamOracle:
     return BisectOracle(pred, bracket, precision_cap, spec)
 
 
-def oracle_newton(func, bracket: Interval, precision_cap: int = DEFAULT_PRECISION_CAP,
+def oracle_newton(func, bracket: Interval, precision_cap: int = PRECISION_CAP,
                   spec: str = "newton") -> ParamOracle:
     return IntervalNewtonOracle(func, bracket, precision_cap, spec)
 
@@ -199,31 +200,27 @@ class IntervalNewtonOracle(BisectOracle):
     defining function and its derivative over X.
     """
 
-    def __init__(self, func, bracket: Interval, precision_cap: int = DEFAULT_PRECISION_CAP,
+    def __init__(self, func, bracket: Interval, precision_cap: int = PRECISION_CAP,
                  spec: str = "newton"):
         self.func = func
         super().__init__(lambda x, p: iv_sign(func(Interval.point(x), p)[0]),
                          bracket, precision_cap, spec)
 
     def _refine_to(self, width_exp: int):
+        # rounding and the derivative eat working bits: a width of 2^-w is
+        # sought from the first ladder rung at or above 2w, or the top one
+        for p in ladder(64, self.precision_cap):
+            if p >= 2 * width_exp:
+                break
         target = Dyadic(1, -width_exp)
         while self.bracket.width() >= target:
-            got = interval_newton(self.func, self.bracket, self._p, target,
-                                  holds_root=True)
+            got = interval_newton(self.func, self.bracket, p, target)
             if got is None:
                 raise OracleFault("interval Newton emptied the bracket")
             self.bracket = got[0]
-            if self.bracket.width() < target:
-                return
-            # Newton stopped short: one bisection step on the sign change
-            got = sign_bisect(self._sign_at, self.bracket, self._slo,
-                              self.bracket.width())
-            if got is not None:
-                self.bracket = got
-            elif self._p >= self.precision_cap:
-                raise OracleFault("sign undecided at precision cap")
-            else:
-                self._p *= 2
+            if self.bracket.width() >= target:
+                # Newton stopped short: one bisection step on the sign change
+                self._bisect(self.bracket.width(), p)
 
 
 class WorstCaseOracle(ParamOracle):

@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dyadic import ONE, UP, ZERO, Dyadic, Interval, dy_max, dy_min, iv_orbit
-from .dynamics import certify_attracting_cycle, precision_cap
+from .dynamics import certify_attracting_cycle
 from .oracle import (IntervalNewtonOracle, OracleFault, ParamOracle,
                      QueryLedger)
 from .renorm import CombinatorialType, detect_renormalization, principal_nest
-from .solver import interval_newton, iv_sign, sign_bisect
+from .solver import interval_newton, iv_sign, ladder, sign_bisect
 
 PARAM_LO = Dyadic(-2)
 PARAM_HI = Dyadic(1, -2)
@@ -87,8 +87,7 @@ def _contract_root(guess: float, n: int, radius: float,
     if seed is None or abs(seed - guess) > radius:
         return None
     min_w = Dyadic(1, -45)
-    p = 64
-    while p <= precision_cap():
+    for p in ladder():
         r = Dyadic.from_float(box_radius or radius).round(min(p, 128), UP)
         mid = Dyadic.from_float(seed).round(min(p, 128))
         box = Interval(dy_max(mid - r, PARAM_LO), dy_min(mid + r, PARAM_HI))
@@ -105,7 +104,6 @@ def _contract_root(guess: float, n: int, radius: float,
             return None
         if got[1]:
             return got[0]
-        p *= 2
     return None
 
 
@@ -183,19 +181,24 @@ def _float_roots(n: int, lo: float, hi: float, grid: int = 4096) -> list:
         if prev_v == 0.0:
             out.append(prev_c)
         elif v * prev_v < 0.0:
-            a, b, va = prev_c, c, prev_v
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                vm = _q_float(m, n)
-                if vm == 0.0 or b - a < 1e-15:
-                    break
-                if vm * va < 0.0:
-                    b = m
-                else:
-                    a, va = m, vm
-            out.append(0.5 * (a + b))
+            out.append(_float_bisect(lambda x: _q_float(x, n), prev_c, c, prev_v))
         prev_c, prev_v = c, v
     return out
+
+
+def _float_bisect(h, a: float, b: float, va: float) -> float:
+    """Float sign bisection of h on [a, b], where va = h(a) and h(b) has
+    the other sign; a seed, never a certificate."""
+    for _ in range(80):
+        m = 0.5 * (a + b)
+        vm = h(m)
+        if vm == 0.0 or b - a < 1e-15:
+            break
+        if vm * va < 0.0:
+            b = m
+        else:
+            a, va = m, vm
+    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +243,7 @@ def _parabolic_refine(n: int, c0: float, w0: float, target_exp: int,
     radius = 1e-4
     tgt = Interval.point(Dyadic(mult))
     target = Dyadic(1, -target_exp)
-    p = 64
-    while p <= 1024:
+    for p in ladder(64, 1024):
         r = Dyadic.from_float(radius).round(min(p, 128), UP)
         cm = Dyadic.from_float(c0).round(min(p, 128))
         wm = Dyadic.from_float(w0).round(min(p, 128))
@@ -275,7 +277,6 @@ def _parabolic_refine(n: int, c0: float, w0: float, target_exp: int,
                 return cbox, wbox
         if certified and cbox.width() < target:
             return cbox, wbox
-        p *= 2
     return None
 
 
@@ -324,15 +325,13 @@ def _left_endpoint(n: int, guess: float, target_exp: int) -> Interval | None:
         return iv_sign(v3 - v2)
 
     bracket = Interval(Dyadic.from_float(a), Dyadic.from_float(b))
-    p = 64
-    while p <= precision_cap():
+    for p in ladder():
         sa, sb = h_sign(bracket.lo, p), h_sign(bracket.hi, p)
         if sa != 0 and sb != 0 and sa != sb:
             got = sign_bisect(lambda x: h_sign(x, p), bracket, sa,
                               Dyadic(1, -target_exp))
             if got is not None:
                 return got
-        p *= 2
     return None
 
 
@@ -408,17 +407,7 @@ def _left_guess(n: int, center: float, right: float) -> float:
             break
         v = h(c)
         if v == 0.0 or v * prev_v < 0.0:
-            a, b, va = c, prev_c, v
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                vm = h(m)
-                if vm == 0.0:
-                    return m
-                if vm * va < 0.0:
-                    b = m
-                else:
-                    a, va = m, vm
-            return 0.5 * (a + b)
+            return _float_bisect(h, c, prev_c, v)
         prev_c, prev_v = c, v
     raise OracleFault(f"no left endpoint seed for period {n}")
 

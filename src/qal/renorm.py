@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 from .dyadic import ZERO, Dyadic, Interval, iv_orbit
 from .dynamics import (TrackedInterval, _merge_boxes, check_param,
-                       isolate_periodic_points, iter_eval, precision_cap)
+                       isolate_periodic_points, iter_eval)
 from .oracle import ParamOracle, QueryLedger
-from .solver import iv_sign
+from .solver import PRECISION_CAP, iv_sign, ladder
 
 
 class _Undecided(Exception):
@@ -37,8 +37,8 @@ class KneadingSequence:
 _SYMBOL = {-1: "L", 0: "?", 1: "R"}
 
 
-def kneading(o: ParamOracle, length: int, ledger: QueryLedger | None = None,
-             p_cap: int | None = None) -> KneadingSequence:
+def kneading(o: ParamOracle, length: int,
+             ledger: QueryLedger | None = None) -> KneadingSequence:
     """Certified itinerary of the critical orbit relative to 0.
 
     C appears at index 0 and, when the oracle's construction guarantees
@@ -47,11 +47,9 @@ def kneading(o: ParamOracle, length: int, ledger: QueryLedger | None = None,
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    p_cap = p_cap or precision_cap()
     q = o.known_critical_period
     best = "?" * length
-    p = 64
-    while p <= p_cap:
+    for p in ladder():
         orbit = iv_orbit(Interval.point(ZERO), o.enclosure(p, ledger),
                          length - 1, p)
         s = "".join("C" if k == 0 or (q is not None and k % q == 0)
@@ -60,7 +58,6 @@ def kneading(o: ParamOracle, length: int, ledger: QueryLedger | None = None,
             return KneadingSequence(s, length)
         if s.count("?") < best.count("?"):
             best = s
-        p *= 2
     cert = best.index("?") if "?" in best else length
     return KneadingSequence(best, cert)
 
@@ -160,24 +157,20 @@ def _renorm_images(J: Interval, n: int, c: Interval, p: int) -> list | None:
 
 
 def detect_renormalization(o: ParamOracle, max_period: int,
-                           ledger: QueryLedger | None = None,
-                           p_start: int = 64,
-                           p_cap: int = 512) -> RenormCert | None:
+                           ledger: QueryLedger | None = None) -> RenormCert | None:
     """Smallest certified renormalization of period <= max_period.
 
     Certificate: a symmetric dyadic interval J around 0 whose boundary sits
     just inside a periodic point, with f^n(J) strictly inside J and the n
     images pairwise disjoint in their interiors.  None when nothing
-    certifies up to the precision cap.
+    certifies up to 512 bits.
     """
     check_param(o, ledger)
     for n in range(2, max_period + 1):
-        p = p_start
-        while p <= p_cap:
+        for p in ladder(64, 512):
             cert = _certify_renorm_period(o, n, p, ledger)
             if cert is not None:
                 return cert
-            p *= 2
     return None
 
 
@@ -316,7 +309,6 @@ def _build_level(o: ParamOracle, c: Interval, p: int, prev: TrackedInterval,
 
 def principal_nest(o: ParamOracle, max_depth: int,
                    ledger: QueryLedger | None = None,
-                   p_start: int = 64, p_cap: int | None = None,
                    max_return: int = 256) -> NestRecord:
     """Principal nest I^0 of [alpha, -alpha] and its first-return levels.
 
@@ -326,18 +318,16 @@ def principal_nest(o: ParamOracle, max_depth: int,
     the record truncated.
     """
     check_param(o, ledger)
-    p_cap = p_cap or precision_cap()
-    p = p_start
-    while p <= p_cap:
+    for p in ladder():
         try:
             return _nest_at_precision(o, max_depth, p, ledger, max_return)
         except _Undecided:
-            p *= 2
-    return NestRecord([], [None], [], False, True, p_cap)
+            pass
+    return NestRecord([], [None], [], False, True, PRECISION_CAP)
 
 
 def _nest_at_precision(o: ParamOracle, max_depth: int, p: int, ledger,
-                       max_return: int) -> NestRecord:
+                       max_return: int = 256) -> NestRecord:
     c = o.enclosure(p, ledger)
     alpha = None
     for pp in isolate_periodic_points(o, 1, p, ledger):
@@ -467,8 +457,7 @@ class EssentialData:
 
 def essential_structure(o: ParamOracle, ledger: QueryLedger | None = None,
                         max_depth: int = 64,
-                        p_start: int = 64,
-                        p_cap: int | None = None) -> EssentialData | None:
+                        p_cap: int = PRECISION_CAP) -> EssentialData | None:
     """Renormalization cycle of J = I^{m(kappa)+1} with neglectability data.
 
     Neglectability follows the cascade rule: an interval certified inside a
@@ -477,21 +466,18 @@ def essential_structure(o: ParamOracle, ledger: QueryLedger | None = None,
     the assignment of the visit that starts their block (the orbit transport
     of the annulus).  Returns None when anything stays undecided at the cap.
     """
-    p_cap = p_cap or precision_cap()
-    p = p_start
-    while p <= p_cap:
+    check_param(o, ledger)
+    for p in ladder(64, p_cap):
         try:
             return _essential_at(o, ledger, max_depth, p)
         except _Undecided:
-            p *= 2
+            pass
     return None
 
 
 def _essential_at(o: ParamOracle, ledger, max_depth: int,
                   p: int) -> EssentialData | None:
-    nest = principal_nest(o, max_depth, ledger, p_start=p, p_cap=p)
-    if nest.truncated:
-        raise _Undecided("nest truncated")
+    nest = _nest_at_precision(o, max_depth, p, ledger)
     if not nest.closed:
         return None
     c = nest.param_enclosure

@@ -1,12 +1,23 @@
-"""The shared root solvers: interval Newton and certified sign bisection.
+"""The shared root solvers and the precision ladder.
 
 Every refiner in the package (oracle brackets, periodic points, centers,
-cycle points, window endpoints) runs one of these two loops.
+cycle points, window endpoints) runs interval Newton or certified sign
+bisection, and every escalation of the working precision climbs ladder().
 """
 
 from __future__ import annotations
 
 from .dyadic import ZERO, Dyadic, Interval
+
+PRECISION_CAP = 4096
+
+
+def ladder(p_start: int = 64, p_cap: int = PRECISION_CAP):
+    """Working precisions p_start, 2 p_start, 4 p_start, ... up to p_cap."""
+    p = p_start
+    while p <= p_cap:
+        yield p
+        p *= 2
 
 
 def iv_sign(v: Interval) -> int:
@@ -18,18 +29,17 @@ def iv_sign(v: Interval) -> int:
     return 0
 
 
-def interval_newton(func, box: Interval, p: int, target: Dyadic | None = None,
-                    holds_root: bool = False):
+def interval_newton(func, box: Interval, p: int, target: Dyadic | None = None):
     """Interval Newton N(X) = m - F(m)/F'(X) on box at precision p.
 
     func(X, p) -> (F, dF) encloses F and F' over X.  Returns (box, unique),
     unique once a step landed strictly inside its box (then the box holds
     exactly one root), or None when N(X) misses X (no root in box).  Stops
-    below target, when F' may vanish, when a step does not shrink the box,
-    or after 80 steps.  Once the box is known to hold a root (holds_root,
-    or unique), a step that does not halve the box stops it too: at the
-    precision floor such steps shave slivers without end, so the caller's
-    fallback (bisection, more precision, or none) is the better next move.
+    below target, when F' may vanish, when a step does not shrink the box
+    or does not at least halve it, or after 80 steps: at the precision
+    floor, or far from a simple root, steps that do not halve shave
+    slivers without end, so the caller's fallback (bisection, more
+    precision, splitting the box) is the better next move.
     """
     unique = False
     for _ in range(80):
@@ -46,9 +56,8 @@ def interval_newton(func, box: Interval, p: int, target: Dyadic | None = None,
         inter = nxt.intersect(box)
         if inter is None:
             return None
-        if (holds_root or unique) and inter.width().scale2(1) > box.width():
-            break
-        if inter.width() >= box.width():
+        # a point box (an exact dyadic root) halves without shrinking
+        if inter.width() >= box.width() or inter.width().scale2(1) > box.width():
             break
         box = inter
     return box, unique

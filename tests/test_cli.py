@@ -186,3 +186,10 @@ class TestEnvPrecisionCap:
                            "--max-precision", "128")
         assert code == EXIT_OK
         assert out.strip() == "LimitCycle parabolic period=3"
+
+    def test_library_calls_ignore_the_variable(self, capsys, monkeypatch):
+        # the variable only sets the budget of the budgeted subcommands
+        monkeypatch.setenv("QAL_MAX_PRECISION", "16")
+        code, out, _ = run(capsys, "windows", "--period", "3")
+        assert code == EXIT_OK
+        assert "(2,3,1)" in out

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qal.dynamics
 from qal.dyadic import NEAREST, Dyadic, Interval
 from qal.dynamics import (ParameterRangeError, TrackedInterval,
                           certify_attracting_cycle, check_param,
@@ -144,6 +145,28 @@ class TestPeriodicPoints:
         for a, b in zip(encs, encs[1:]):
             assert a.enclosure.disjoint(b.enclosure)
         # the superattracting 2-cycle {0, -1} appears among the four roots
+        assert any(p.enclosure.contains(Dyadic(0)) for p in pts)
+        assert any(p.enclosure.contains(Dyadic(-1)) for p in pts)
+
+    def test_newton_runs_stop_once_a_step_cannot_halve(self, monkeypatch):
+        # isolation once shaved slivers off its boxes until the 80-step cap
+        real, runs = qal.dynamics.interval_newton, []
+
+        def counted(func, box, p, target=None):
+            evals = []
+
+            def f(x, pr):
+                evals.append(x)
+                return func(x, pr)
+
+            got = real(f, box, p, target)
+            runs.append(len(evals) // 2)  # two evaluations per step
+            return got
+
+        monkeypatch.setattr(qal.dynamics, "interval_newton", counted)
+        pts = isolate_periodic_points(oracle_exact(Dyadic(-1)), 2, 128)
+        assert runs and max(runs) < 40
+        assert len(pts) == 4 and all(p.unique for p in pts)
         assert any(p.enclosure.contains(Dyadic(0)) for p in pts)
         assert any(p.enclosure.contains(Dyadic(-1)) for p in pts)
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import qal.oracle
 from qal.dyadic import Dyadic, Interval
 from qal.oracle import OracleFault, WorstCaseOracle, oracle_exact
 from qal.params import (epsilon_family, feigenbaum_limit, superstable_center,
@@ -80,6 +81,30 @@ class TestSuperstableCenters:
             superstable_center(0)
         with pytest.raises(OracleFault):
             superstable_center(3, 7)
+
+
+class TestWorkingPrecision:
+    def test_precision_follows_the_request(self, monkeypatch):
+        # Newton runs at a precision near twice the requested bits, so
+        # refining a center far past 64 bits needs no bisection steps
+        real, calls = qal.oracle.sign_bisect, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(qal.oracle, "sign_bisect", counted)
+        o = superstable_center(3)
+        for m in (128, 256, 512):
+            a = o.query(m).as_fraction()
+            slack = Fraction(1, 1 << (m - 1))
+            assert q_sign(a - slack, 3) * q_sign(a + slack, 3) == -1
+        assert len(calls) <= 16
+
+    def test_library_ignores_the_precision_variable(self, monkeypatch):
+        want = superstable_center(3).query(64)
+        monkeypatch.setenv("QAL_MAX_PRECISION", "16")
+        assert superstable_center(3).query(64) == want
 
 
 class TestWindowEndpoints:
