@@ -8,8 +8,7 @@ a resolution-vs-cost profiler.
 from .attractor import (ApproximationFailed, ApproxSet, AttractorClass,
                         Budget, Hints, approximate, classify, pixel_query,
                         render)
-from .dyadic import (Dyadic, Interval, Precision, dy_add, dy_mul, dy_round,
-                     iv_deriv_enclosure, iv_quad_step)
+from .dyadic import Dyadic, Interval, iv_deriv_enclosure, iv_quad_step
 from .dynamics import (ParameterRangeError, certify_attracting_cycle,
                        critical_orbit, escape_time, isolate_periodic_points)
 from .oracle import (OracleFault, ParamOracle, QueryLedger, WorstCaseOracle,
@@ -21,8 +20,7 @@ from .renorm import (CombinatorialType, detect_renormalization,
                      principal_nest)
 
 __all__ = [
-    "Dyadic", "Interval", "Precision",
-    "dy_add", "dy_mul", "dy_round", "iv_quad_step", "iv_deriv_enclosure",
+    "Dyadic", "Interval", "iv_quad_step", "iv_deriv_enclosure",
     "ParamOracle", "QueryLedger", "OracleFault", "WorstCaseOracle",
     "oracle_exact", "oracle_bisect", "oracle_newton", "ledger_report",
     "ParameterRangeError", "critical_orbit", "certify_attracting_cycle",

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dyadic import (NEAREST, ONE, ZERO, Dyadic, Interval, dy_max, dy_min,
-                     iv_orbit)
-from .dynamics import (CertifiedCycle, TrackedInterval, _return_map_eval,
-                       certify_attracting_cycle, check_param,
-                       isolate_periodic_points, iv_quad_step)
+                     iv_orbit, iv_quad_step)  # bench/test_bench.py reads it
+from .dynamics import (CertifiedCycle, TrackedInterval, _critical_enclosures,
+                       _return_map_eval, certify_attracting_cycle,
+                       check_param, isolate_periodic_points)
 from .oracle import ExactOracle, OracleFault, ParamOracle, QueryLedger
 from .params import (_center_oracle, _contract_root, _float_roots,
                      _is_primitive, _q_float, _window_at)
@@ -130,22 +130,6 @@ def _classify(o: ParamOracle, h: Hints, b: Budget,
     return None, None
 
 
-def _orbit_enclosures(o: ParamOracle, steps: int, p: int,
-                      ledger: QueryLedger | None) -> list:
-    """[0, P(0), ..., P^steps(0)]; the oracle is read at every step.
-
-    Reading c once per application of P is the cost model's intent: every
-    use of the parameter at precision p is charged, cache hits included.
-    """
-    x = Interval.point(ZERO)
-    out = [x]
-    for _ in range(steps):
-        c = o.enclosure(p, ledger)
-        x = iv_quad_step(x, c, p)
-        out.append(x)
-    return out
-
-
 def _parabolic_points(o: ParamOracle, q: int, b: Budget,
                       ledger: QueryLedger | None,
                       width_exp: int = 10) -> list | None:
@@ -235,7 +219,11 @@ def _interval_chain(o: ParamOracle, q: int, slack_exp: int, b: Budget,
                     for k in exact[:q]], 0
     tol = Dyadic(1, -slack_exp)
     for p in ladder(max(64, 4 * slack_exp), b.p_cap()):
-        orbit = _orbit_enclosures(o, 2 * q, p, ledger)
+        for _ in range(2 * q):  # the cost model reads c once per step of P
+            c = o.enclosure(p, ledger)
+        orbit = _critical_enclosures(c, 2 * q, p)
+        if len(orbit) <= 2 * q:
+            return None  # certified escape: no cycle of intervals
         a, z = orbit[q], orbit[2 * q]
         if a.hi < z.lo:
             j = TrackedInterval(a, z)
@@ -426,7 +414,9 @@ def _exact_cycle(o: ParamOracle, q: int, n: int, b: Budget,
         return [Interval.point(x) for x in pts]
     target = Dyadic(1, -(n + 3))
     for p in ladder(max(64, 2 * (n + 8)), b.p_cap()):
-        orbit = _orbit_enclosures(o, q, p, ledger)
+        for _ in range(q):  # the cost model reads c once per step of P
+            c = o.enclosure(p, ledger)
+        orbit = _critical_enclosures(c, q, p)
         if all(x.width() < target for x in orbit):
             return orbit[:q]
     raise ApproximationFailed("critical orbit not localized")

@@ -21,8 +21,9 @@ from .attractor import (ApproximationFailed, Budget, Hints, approximate,
 from .dyadic import Dyadic, Interval
 from .dynamics import ParameterRangeError, escape_time
 from .oracle import OracleFault, ParamOracle, QueryLedger, oracle_exact
-from .params import (epsilon_family, feigenbaum_limit, superstable_center,
-                     window_endpoint_oracle, window_endpoints)
+from .params import (_center_oracle, _primitive_centers, _window_at,
+                     epsilon_family, feigenbaum_limit, superstable_center,
+                     window_endpoint_oracle)
 from .renorm import essential_period
 
 EXIT_OK, EXIT_ERROR, EXIT_UNDECIDED = 0, 1, 2
@@ -150,16 +151,26 @@ def _csv(rows: list[list], header: list[str], out: str | None) -> None:
 
 
 def cmd_windows(args) -> int:
-    if args.period is None:
+    n = args.period
+    if n is None:
         raise ValueError("windows needs --period")
-    try:
-        win = window_endpoints(args.period)
-    except OracleFault as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
+    if n < 2:
+        raise ValueError("windows have period >= 2")
+    centers = _primitive_centers(n, -2.0, 0.25, 64)
+    if not centers:
+        print(f"undecided: no primitive period-{n} center", file=sys.stderr)
         return EXIT_UNDECIDED
-    tau = "" if win.tau is None else "(" + ",".join(map(str, win.tau.perm)) + ")"
-    _csv([[win.period, win.left.lo, win.left.hi,
-           win.right.lo, win.right.hi, tau]], WINDOWS_HEADER, args.out)
+    rows = []
+    for i, enc in enumerate(centers):
+        try:
+            win = _window_at(n, _center_oracle(enc, n, f"superstable:{n}:{i}"))
+        except OracleFault as exc:
+            print(f"undecided: window {n}:{i}: {exc}", file=sys.stderr)
+            return EXIT_UNDECIDED
+        tau = "" if win.tau is None else f"({','.join(map(str, win.tau.perm))})"
+        rows.append([n, win.left.lo, win.left.hi,
+                     win.right.lo, win.right.hi, tau])
+    _csv(rows, WINDOWS_HEADER, args.out)
     return EXIT_OK
 
 

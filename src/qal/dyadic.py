@@ -9,27 +9,11 @@ stated absolute granule 2^-m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 DOWN = "down"
 UP = "up"
 NEAREST = "nearest"
-
-
-@dataclass(frozen=True)
-class Precision:
-    """Absolute rounding granule 2^-bits."""
-
-    bits: int
-
-    def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError("precision must be at least 1 bit")
-
-
-def _bits(p) -> int:
-    return p.bits if isinstance(p, Precision) else int(p)
 
 
 class Dyadic:
@@ -158,13 +142,12 @@ class Dyadic:
 
     # -- rounding ----------------------------------------------------------
 
-    def round(self, m, mode: str = NEAREST) -> "Dyadic":
+    def round(self, m: int, mode: str = NEAREST) -> "Dyadic":
         """Round to the grid D_m (granule 2^-m).
 
         Directed modes bracket the value; nearest lands within 2^-(m+1),
         ties to even.
         """
-        m = _bits(m)
         shift = -(self.exp + m)
         if shift <= 0 or self.man == 0:
             return self
@@ -216,34 +199,10 @@ class Dyadic:
     def __repr__(self) -> str:
         return f"Dyadic({self.man}, {self.exp})"
 
-    def decimal(self, digits: int = 12) -> str:
-        """Decimal rendering with an explicit error statement when inexact."""
-        q = self.as_fraction()
-        scaled = q * 10**digits
-        n = scaled.numerator // scaled.denominator
-        exact = scaled.denominator == 1
-        sign = "-" if n < 0 else ""
-        n = abs(n)
-        whole, frac = divmod(n, 10**digits)
-        out = f"{sign}{whole}.{str(frac).zfill(digits)}"
-        return out if exact else out + f" (+/- 1e-{digits})"
-
 
 ZERO = Dyadic(0)
 ONE = Dyadic(1)
 TWO = Dyadic(2)
-
-
-def dy_add(a: Dyadic, b: Dyadic) -> Dyadic:
-    return a + b
-
-
-def dy_mul(a: Dyadic, b: Dyadic) -> Dyadic:
-    return a * b
-
-
-def dy_round(a: Dyadic, m, direction: str = NEAREST) -> Dyadic:
-    return a.round(m, direction)
 
 
 def dy_min(a: Dyadic, b: Dyadic) -> Dyadic:
@@ -351,16 +310,14 @@ class Interval:
     def scale2(self, k: int) -> "Interval":
         return Interval(self.lo.scale2(k), self.hi.scale2(k))
 
-    def round_out(self, p) -> "Interval":
-        m = _bits(p)
-        return Interval(self.lo.round(m, DOWN), self.hi.round(m, UP))
+    def round_out(self, p: int) -> "Interval":
+        return Interval(self.lo.round(p, DOWN), self.hi.round(p, UP))
 
-    def divide(self, other: "Interval", p) -> "Interval":
+    def divide(self, other: "Interval", p: int) -> "Interval":
         """Enclosure of self/other; other must not contain 0."""
         if other.contains_zero():
             raise ZeroDivisionError("interval divisor contains zero")
-        m = _bits(p)
-        quots = [_dy_div(a, b, m) for a in (self.lo, self.hi)
+        quots = [_dy_div(a, b, p) for a in (self.lo, self.hi)
                  for b in (other.lo, other.hi)]
         lo = min(q[0] for q in quots)
         hi = max(q[1] for q in quots)

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 from .dyadic import (DOWN, ONE, TWO, UP, ZERO, Dyadic, Interval, dy_max,
                      dy_min, iv_deriv_enclosure, iv_orbit, iv_quad_step)
 from .oracle import ParamOracle, QueryLedger
-from .solver import PRECISION_CAP, interval_newton, ladder
+from .solver import PRECISION_CAP, float_newton, interval_newton, ladder
 
 NEG_TWO = Dyadic(-2)
-QUARTER = Dyadic(1, -2)
-PARAM_RANGE = Interval(NEG_TWO, QUARTER)
+PARAM_RANGE = Interval(NEG_TWO, Dyadic(1, -2))
 BLOWUP_WIDTH = Dyadic(1, -4)
 
 
@@ -31,7 +30,7 @@ class PrecisionExhausted(RuntimeError):
 def check_param(o: ParamOracle, ledger: QueryLedger | None = None) -> Interval:
     """Certify c is not outside [-2, 1/4]; returns a bracket for c."""
     enc = o.enclosure(16, ledger)
-    if enc.hi < PARAM_RANGE.lo or enc.lo > PARAM_RANGE.hi:
+    if PARAM_RANGE.disjoint(enc):
         raise ParameterRangeError(f"parameter bracket {enc} outside [-2, 1/4]")
     return enc
 
@@ -50,34 +49,37 @@ def critical_orbit(o: ParamOracle, n_steps: int, p: int,
                    ledger: QueryLedger | None = None) -> OrbitEnclosure:
     """Enclosures of 0, P_c(0), ..., P_c^N(0) at working precision p.
 
-    Iteration stops early once escape is certified (the enclosure is entirely
-    past |x| = 2): from there the orbit increases monotonically to infinity
-    and exact mantissas would double in size every step.
-
-    For c in [-2, 1/4] the critical orbit stays in [c, c^2 + c], inside
-    [-2, 2].  A parameter not certified outside that range is taken to be in
-    it (as in check_param), and each step is clamped to [-2, 2].  Without the
-    clamp a bracket that straddles -2 (c = -2 itself) grows a straddling
-    enclosure whose upper end, and its mantissa, doubles in size every step.
+    One read of c at precision p; see _critical_enclosures.  blown_up flags
+    a certified escape or a step wider than BLOWUP_WIDTH.
     """
     if n_steps < 1:
         raise ValueError("need at least one step")
-    c = o.enclosure(p, ledger)
-    clamp = None
-    if not (c.hi < PARAM_RANGE.lo or c.lo > PARAM_RANGE.hi):
-        clamp = Interval(NEG_TWO, TWO)
+    steps = _critical_enclosures(o.enclosure(p, ledger), n_steps, p)
+    blown = (len(steps) <= n_steps
+             or any(x.width() > BLOWUP_WIDTH for x in steps))
+    return OrbitEnclosure(steps, p, blown)
+
+
+def _critical_enclosures(c: Interval, n: int, p: int) -> list:
+    """[0, P(0), ..., P^n(0)] over the bracket c by outward steps at p.
+
+    For c in [-2, 1/4] the critical orbit stays in [c, c^2 + c], inside
+    [-2, 2].  A bracket not certified outside that range is taken to be in
+    it (as in check_param), and each step is clamped to [-2, 2]; unclamped,
+    a bracket that straddles -2 (c = -2 itself) grows an enclosure whose
+    upper end, and its mantissa, doubles in size every step.  A bracket
+    certified outside stops at a certified escape (past |x| = 2), from where
+    the orbit and its mantissas grow without bound.
+    """
+    clamp = None if PARAM_RANGE.disjoint(c) else Interval(NEG_TWO, TWO)
     steps = [Interval.point(ZERO)]
-    blown = False
-    for _ in range(n_steps):
+    for _ in range(n):
         x = iv_quad_step(steps[-1], c, p)
         if x.lo > TWO or x.hi < NEG_TWO:
             steps.append(x)
-            blown = True
             break
         steps.append(x.intersect(clamp) if clamp else x)
-        if steps[-1].width() > BLOWUP_WIDTH:
-            blown = True
-    return OrbitEnclosure(steps, p, blown)
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +205,14 @@ def _float_cycle_candidate(c: float, max_period: int, transient: int = 4096):
         tail.append(x)
     for n in range(1, max_period + 1):
         if abs(tail[n] - tail[0]) < 1e-7 and abs(tail[2 * n] - tail[n]) < 1e-7:
-            # polish with float Newton on P^n(w) - w
-            w = tail[0]
-            for _ in range(30):
+            def fd(w):  # P^n(w) - w and its derivative
                 v, dv = w, 1.0
                 for _ in range(n):
                     dv *= 2 * v
                     v = v * v + c
-                g, dg = v - w, dv - 1.0
-                if dg == 0.0:
-                    break
-                step = g / dg
-                w -= step
-                if abs(step) < 1e-14:
-                    break
-            return n, w
+                return v - w, dv - 1.0
+            w = float_newton(fd, tail[0])
+            return n, tail[0] if w is None else w
     return None
 
 

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dyadic import ONE, UP, ZERO, Dyadic, Interval, dy_max, dy_min, iv_orbit
-from .dynamics import certify_attracting_cycle
+from .dyadic import ONE, UP, ZERO, Dyadic, Interval
+from .dynamics import (PARAM_RANGE, _critical_enclosures,
+                       certify_attracting_cycle)
 from .oracle import (IntervalNewtonOracle, OracleFault, ParamOracle,
                      QueryLedger)
-from .renorm import CombinatorialType, detect_renormalization, principal_nest
-from .solver import interval_newton, iv_sign, ladder, sign_bisect
-
-PARAM_LO = Dyadic(-2)
-PARAM_HI = Dyadic(1, -2)
+from .renorm import CombinatorialType, _certify_renorm_period, principal_nest
+from .solver import float_newton, interval_newton, iv_sign, ladder, sign_bisect
 
 
 # ---------------------------------------------------------------------------
@@ -53,25 +51,13 @@ def _q_float(c: float, n: int) -> float:
     return x
 
 
-def _q_newton_float(c: float, n: int, iters: int = 60) -> float | None:
-    prev = None
-    for _ in range(iters):
-        x, d = 0.0, 0.0
-        for _ in range(n):
-            d = 2.0 * x * d + 1.0
-            x = x * x + c
-        if d == 0.0:
-            return None
-        step = x / d
-        c -= step
-        if abs(step) < 1e-15:
-            return c
-        # long compositions have a float noise floor well above 1e-15;
-        # two consecutive noise-level steps count as converged
-        if abs(step) < 1e-11 and prev is not None and prev < 1e-11:
-            return c
-        prev = abs(step)
-    return None
+def _q_float_d(c: float, n: int) -> tuple:
+    """(Q_n(c), dQ_n/dc) in floats."""
+    x, d = 0.0, 0.0
+    for _ in range(n):
+        d = 2.0 * x * d + 1.0
+        x = x * x + c
+    return x, d
 
 
 def _contract_root(guess: float, n: int, radius: float,
@@ -83,14 +69,14 @@ def _contract_root(guess: float, n: int, radius: float,
     far the polished seed may drift from guess; box_radius (default radius)
     sizes the Newton box and must exclude neighboring roots.
     """
-    seed = _q_newton_float(guess, n)
+    seed = float_newton(lambda c: _q_float_d(c, n), guess)
     if seed is None or abs(seed - guess) > radius:
         return None
     min_w = Dyadic(1, -45)
     for p in ladder():
         r = Dyadic.from_float(box_radius or radius).round(min(p, 128), UP)
         mid = Dyadic.from_float(seed).round(min(p, 128))
-        box = Interval(dy_max(mid - r, PARAM_LO), dy_min(mid + r, PARAM_HI))
+        box = Interval(mid - r, mid + r).intersect(PARAM_RANGE)
         # Long compositions wrap the derivative over wide boxes; shrink
         # toward the seed (accurate to ~2^-45 easily) before spending
         # precision.
@@ -160,8 +146,7 @@ def _center_oracle(enc: Interval, n: int, spec: str) -> ParamOracle:
     pad = enc.width()
     if pad == ZERO:
         pad = Dyadic(1, -48)
-    bracket = Interval(dy_max(enc.lo - pad, PARAM_LO),
-                       dy_min(enc.hi + pad, PARAM_HI))
+    bracket = Interval(enc.lo - pad, enc.hi + pad).intersect(PARAM_RANGE)
     o = IntervalNewtonOracle(
         lambda x, pr: critical_value_eval(x, n, pr), bracket, spec=spec)
     o.known_critical_period = n
@@ -367,7 +352,7 @@ def _window_at(n: int, center: ParamOracle, width_exp: int = 34,
         raise OracleFault("window endpoints out of order")
     tau = None
     if with_tau:
-        cert = detect_renormalization(center, n)
+        cert = _certify_renorm_period(center, n, None)
         tau = cert.tau if cert is not None else None
     return RenormWindow(n, left, right, tau)
 
@@ -438,7 +423,7 @@ def _epsilon_enclosure(n: int, q: int) -> Interval:
     base = -1.75
     for scale in (0.1246 if n == 1 else 0.166, 0.14, 0.19, 0.11, 0.23):
         guess = base + scale / (n * n)
-        root = _q_newton_float(guess, q)
+        root = float_newton(lambda c: _q_float_d(c, q), guess)
         if root is None or not base < root < base + 0.3:
             continue
         if not _epsilon_float_itinerary(root, n):
@@ -467,7 +452,7 @@ def _check_epsilon_itinerary(o: ParamOracle, n: int):
         raise OracleFault("eps-family: nest level I^1 unavailable")
     i0, i1 = nest.levels[0], nest.levels[1]
     c = nest.param_enclosure
-    orbit = iv_orbit(Interval.point(ZERO), c, 3 * n + 1, nest.precision)
+    orbit = _critical_enclosures(c, 3 * n + 1, nest.precision)
     for i in range(1, n):
         if not i1.certainly_contains_iv(orbit[3 * i]):
             raise OracleFault(f"eps-family: f^{3 * i}(0) not certified in I^1")

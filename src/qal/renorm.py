@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dyadic import ZERO, Dyadic, Interval, iv_orbit
-from .dynamics import (TrackedInterval, _merge_boxes, check_param,
+from .dyadic import ZERO, Dyadic, Interval
+from .dynamics import (PARAM_RANGE, ParameterRangeError, TrackedInterval,
+                       _critical_enclosures, _merge_boxes, check_param,
                        isolate_periodic_points, iter_eval)
 from .oracle import ParamOracle, QueryLedger
 from .solver import PRECISION_CAP, iv_sign, ladder
@@ -43,15 +44,18 @@ def kneading(o: ParamOracle, length: int,
 
     C appears at index 0 and, when the oracle's construction guarantees
     P^q(0) = 0, at multiples of q; everything else is decided from orbit
-    enclosures, escalating precision while '?' remain.
+    enclosures, escalating precision while '?' remain.  A bracket
+    certified outside [-2, 1/4] raises ParameterRangeError.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
     q = o.known_critical_period
     best = "?" * length
     for p in ladder():
-        orbit = iv_orbit(Interval.point(ZERO), o.enclosure(p, ledger),
-                         length - 1, p)
+        c = o.enclosure(p, ledger)
+        if PARAM_RANGE.disjoint(c):
+            raise ParameterRangeError(f"parameter bracket {c} outside [-2, 1/4]")
+        orbit = _critical_enclosures(c, length - 1, p)
         s = "".join("C" if k == 0 or (q is not None and k % q == 0)
                     else _SYMBOL[iv_sign(x)] for k, x in enumerate(orbit))
         if "?" not in s:
@@ -112,30 +116,33 @@ def _cycle_type(tracked: list) -> CombinatorialType | None:
     return CombinatorialType(n, tuple(perm))
 
 
-def _certify_renorm_period(o: ParamOracle, n: int, p: int,
-                           ledger) -> RenormCert | None:
-    c = o.enclosure(p, ledger)
-    candidates = []
-    for k in range(1, n + 1):
-        if n % k:
-            continue
-        for pp in isolate_periodic_points(o, k, p, ledger):
-            base = pp.enclosure.mig()
-            if base > ZERO:
-                candidates.append(base)
-    candidates.sort(key=float)
-    for base in candidates:
-        for s in range(3, max(4, p // 2), 2):
-            j = base - base.scale2(-s)
-            if not j > ZERO:
+def _certify_renorm_period(o: ParamOracle, n: int,
+                           ledger: QueryLedger | None) -> RenormCert | None:
+    """Certified renormalization of period exactly n, climbing the ladder
+    up to 512 bits; None when none certifies."""
+    for p in ladder(64, 512):
+        c = o.enclosure(p, ledger)
+        candidates = []
+        for k in range(1, n + 1):
+            if n % k:
                 continue
-            imgs = _renorm_images(Interval(-j, j), n, c, p)
-            if imgs is None:
-                continue
-            tau = _cycle_type(imgs[:n])
-            if tau is None or not tau.is_single_cycle():
-                continue
-            return RenormCert(n, Interval(-j, j), imgs, tau, p)
+            for pp in isolate_periodic_points(o, k, p, ledger):
+                base = pp.enclosure.mig()
+                if base > ZERO:
+                    candidates.append(base)
+        candidates.sort(key=float)
+        for base in candidates:
+            for s in range(3, max(4, p // 2), 2):
+                j = base - base.scale2(-s)
+                if not j > ZERO:
+                    continue
+                imgs = _renorm_images(Interval(-j, j), n, c, p)
+                if imgs is None:
+                    continue
+                tau = _cycle_type(imgs[:n])
+                if tau is None or not tau.is_single_cycle():
+                    continue
+                return RenormCert(n, Interval(-j, j), imgs, tau, p)
     return None
 
 
@@ -167,10 +174,9 @@ def detect_renormalization(o: ParamOracle, max_period: int,
     """
     check_param(o, ledger)
     for n in range(2, max_period + 1):
-        for p in ladder(64, 512):
-            cert = _certify_renorm_period(o, n, p, ledger)
-            if cert is not None:
-                return cert
+        cert = _certify_renorm_period(o, n, ledger)
+        if cert is not None:
+            return cert
     return None
 
 
@@ -337,7 +343,7 @@ def _nest_at_precision(o: ParamOracle, max_depth: int, p: int, ledger,
         return NestRecord([], [None], [], False, False, p, c)
     i0 = TrackedInterval(alpha, Interval(-alpha.hi, -alpha.lo))
     levels, returns, noncentral = [i0], [None], []
-    orbit = iv_orbit(Interval.point(ZERO), c, max_return, p)
+    orbit = _critical_enclosures(c, max_return, p)
     closed = False
     for m in range(1, max_depth + 1):
         try:
@@ -364,10 +370,6 @@ class CascadeInfo:
     saddle_node: bool | None  # None = undecided at this precision
     depth_bound: int | None  # d_k; None when a membership was undecided
     neglectable_levels: range = field(default_factory=lambda: range(0))
-
-    @property
-    def length(self) -> int:
-        return self.end_level - self.start_level
 
 
 def cascades(nest: NestRecord, postcritical: list) -> list:
@@ -501,7 +503,7 @@ def _essential_at(o: ParamOracle, ledger, max_depth: int,
     if period is None:
         return None
     cycle = imgs[:period]
-    postcritical = iv_orbit(Interval.point(ZERO), c, 2 * period + 2, p)
+    postcritical = _critical_enclosures(c, 2 * period + 2, p)
     casc = cascades(nest, postcritical)
     if any(ci.saddle_node is None or ci.depth_bound is None for ci in casc):
         raise _Undecided("cascade flags")

@@ -2,7 +2,8 @@
 
 Every refiner in the package (oracle brackets, periodic points, centers,
 cycle points, window endpoints) runs interval Newton or certified sign
-bisection, and every escalation of the working precision climbs ladder().
+bisection, every escalation of the working precision climbs ladder(), and
+every 1-D float seed is polished by float_newton().
 """
 
 from __future__ import annotations
@@ -61,6 +62,26 @@ def interval_newton(func, box: Interval, p: int, target: Dyadic | None = None):
             break
         box = inter
     return box, unique
+
+
+def float_newton(fd, x0: float) -> float | None:
+    """Float Newton on fd(x) -> (f, f') from x0: a seed, never a certificate.
+
+    Converged once a step falls below 1e-15, or two consecutive steps below
+    1e-11 (long compositions have a float noise floor well above 1e-15).
+    None when f' vanishes or 60 steps do not converge.
+    """
+    x, prev = x0, 1.0
+    for _ in range(60):
+        f, df = fd(x)
+        if df == 0.0:
+            return None
+        step = f / df
+        x -= step
+        if abs(step) < 1e-15 or (abs(step) < 1e-11 and prev < 1e-11):
+            return x
+        prev = abs(step)
+    return None
 
 
 def sign_bisect(sign, box: Interval, s_lo: int, target: Dyadic) -> Interval | None:

@@ -49,6 +49,13 @@ class TestClassify:
         cls = classify(oracle_exact(Dyadic(-2)), Hints(1, "2"))
         assert cls.describe() == "IntervalCycle period=1"
 
+    def test_escaping_orbit_is_no_interval_cycle(self):
+        # c = -2 - 2^-30 passes the 16-bit range check, but its 64-bit
+        # bracket is certified outside and the critical orbit escapes
+        # within the 2q = 20 steps the chain needs
+        c = Dyadic(-(2**31 + 1), -30)
+        assert classify(oracle_exact(c), Hints(10, "2")) is None
+
     def test_hint_validation(self):
         with pytest.raises(ValueError):
             Hints(case="4")

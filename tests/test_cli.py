@@ -4,6 +4,7 @@ import csv
 import io
 
 import pytest
+from test_params import time_limit
 
 from qal.cli import (EXIT_ERROR, EXIT_OK, EXIT_UNDECIDED, ESCAPE_HEADER,
                      PROFILE_HEADER, WINDOWS_HEADER, expand_specs, main,
@@ -95,6 +96,13 @@ class TestEssperiod:
         code, out, _ = run(capsys, "essperiod", "--c", "exact:-1")
         assert code == EXIT_OK and out.strip() == "p_e=2"
 
+    def test_chebyshev_parameter_answers(self, capsys):
+        # the nest's critical orbit at c = -2 must not grow without bound
+        with time_limit(60):
+            code, out, _ = run(capsys, "essperiod", "--c", "exact:-2")
+        assert (code, out.strip()) == (EXIT_UNDECIDED, "undecided") or \
+            (code == EXIT_OK and out.startswith("p_e="))
+
 
 class TestWindowsCsv:
     def test_schema_and_quoting(self, tmp_path):
@@ -110,6 +118,19 @@ class TestWindowsCsv:
         text = (tmp_path / "out.csv").read_text()
         assert '"(2,3,1)"' in text
         assert '"3"' not in text
+
+    def test_one_row_per_real_center(self, tmp_path):
+        code, rows = run_csv(tmp_path, "windows", "--period", "4")
+        assert code == EXIT_OK
+        assert rows[0] == WINDOWS_HEADER
+        assert len(rows) == 3
+        (_, a_lo, _, _, a_hi, a_tau), (_, b_lo, _, _, b_hi, b_tau) = rows[1:]
+        # ascending and disjoint: the period-4 window near -1.94, then the
+        # doubling window of the 2-cycle near -1.31
+        assert Dyadic.parse(a_hi) < Dyadic.parse(b_lo)
+        assert float(Dyadic.parse(a_lo)) < -1.9408 < float(Dyadic.parse(a_hi))
+        assert float(Dyadic.parse(b_lo)) < -1.3107 < float(Dyadic.parse(b_hi))
+        assert (a_tau, b_tau) == ("(2,3,4,1)", "(3,4,2,1)")
 
 
 class TestRenderPgm:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qal.dyadic import (DOWN, NEAREST, UP, Dyadic, Interval, Precision,
+from qal.dyadic import (DOWN, NEAREST, UP, Dyadic, Interval,
                         iv_deriv_enclosure, iv_quad_step)
 
 dyadics = st.builds(Dyadic,
@@ -75,11 +75,6 @@ class TestRounding:
         r = a.round(m)
         assert r.round(m, DOWN) == r.round(m, UP) == r
 
-    def test_precision_object_accepted(self):
-        assert Dyadic(5, -4).round(Precision(2), DOWN) == Dyadic(1, -2)
-        with pytest.raises(ValueError):
-            Precision(0)
-
     @given(dyadics)
     def test_floor_ceil_int(self, a):
         q = a.as_fraction()
@@ -98,10 +93,6 @@ class TestSerialization:
         assert Dyadic.parse("3") == Dyadic(3)
         with pytest.raises(ValueError):
             Dyadic.parse("0.1")  # not a dyadic rational
-
-    def test_decimal_rendering(self):
-        assert Dyadic(-7, -2).decimal(4) == "-1.7500"
-        assert "+/-" in Dyadic(1, -70).decimal(6)
 
     @given(st.floats(allow_nan=False, allow_infinity=False,
                      min_value=-8.0, max_value=8.0))

@@ -114,6 +114,11 @@ class TestWindowEndpoints:
         assert win.right.width() <= Dyadic(1, -30)
         assert win.tau == CombinatorialType(3, (2, 3, 1))
 
+    def test_doubling_window_has_its_own_period(self):
+        # 4:1 also renormalizes with period 2; the window's type is the
+        # period-4 one all the same
+        assert window_endpoints(4, 1).tau == CombinatorialType(4, (3, 4, 2, 1))
+
     def test_period_three_left_endpoint(self):
         win = window_endpoints(3, with_tau=False)
         assert win.left.hi < win.right.lo

@@ -1,8 +1,10 @@
 """Kneading data, renormalization certificates, nest, essential period."""
 
 import pytest
+from test_params import time_limit
 
 from qal.dyadic import Dyadic
+from qal.dynamics import ParameterRangeError
 from qal.oracle import oracle_exact
 from qal.params import epsilon_family, superstable_center
 from qal.renorm import (CombinatorialType, detect_renormalization,
@@ -21,6 +23,19 @@ class TestKneading:
     def test_chebyshev_parameter(self):
         # 0 -> -2 -> 2 -> 2 -> ...; never returns to 0
         assert kneading(oracle_exact(Dyadic(-2)), 8).symbols == "CLRRRRRR"
+
+    def test_chebyshev_parameter_long_itinerary(self):
+        # the bracket of c = -2 straddles the range; the orbit enclosure
+        # must stay inside [-2, 2] instead of doubling its mantissa per step
+        with time_limit(60):
+            ks = kneading(oracle_exact(Dyadic(-2)), 200)
+        assert ks.symbols == "CL" + "R" * 198
+        assert ks.certified_length == 200
+
+    def test_parameter_outside_the_range_is_refused(self):
+        # c = 1 escapes; its bracket is certified outside [-2, 1/4]
+        with time_limit(60), pytest.raises(ParameterRangeError):
+            kneading(oracle_exact(Dyadic(1)), 40)
 
     def test_attracting_fixed_point(self):
         assert kneading(oracle_exact(HALF_NEG), 8).symbols == "CLLLLLLL"
