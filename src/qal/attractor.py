@@ -345,14 +345,12 @@ class _Certificate:
 
     kind "points": A equals the union of the point enclosures (each holds
     exactly one attractor point).  kind "intervals": A is contained in the
-    union of outer intervals, each within `gap` of A everywhere; for case 2
-    the inner intervals are certified subsets of A.
+    union of the intervals, each near A everywhere (within its endpoint
+    slack in case 2, its diameter in case 3).
     """
 
     kind: str  # points | intervals
     enclosures: list  # Interval
-    inners: list | None  # Interval or None per entry (case 2)
-    gap: Dyadic  # bound on sup_{x in enclosure} dist(x, A)
     trace: dict
 
 
@@ -381,17 +379,13 @@ def _build_certificate(o: ParamOracle, n: int, hints: Hints | None,
         else:
             encs = _refined_cycle(o, cycle, n, b, ledger)
             trace = {"case": "1a", "period": cls.period}
-        gap = max(e.width() for e in encs)
-        return _Certificate("points", encs, None, gap, trace)
+        return _Certificate("points", encs, trace)
     if cls.variant == "interval-cycle":
         got = _interval_chain(o, cls.period, n + 4, b, ledger)
         if got is None:
             raise ApproximationFailed("interval cycle not localized")
         chain, p = got
-        encs = [t.outer() for t in chain]
-        inners = [t.inner() for t in chain]
-        gap = max(t.endpoint_slack() for t in chain)
-        return _Certificate("intervals", encs, inners, gap,
+        return _Certificate("intervals", [t.outer() for t in chain],
                             {"case": "2", "period": cls.period,
                              "precision": p})
     return _nested_cycle_cover(o, n, cls, b, ledger)
@@ -510,7 +504,7 @@ def _nested_cycle_cover(o: ParamOracle, n: int, cls: AttractorClass,
             else:
                 if fault is not None:
                     break
-                m += 6  # fine steps: deep-ladder oracles double cost per bit
+                m += 6  # fine steps: near c_F, cost doubles every 2.2 bits
         if chain is None:
             limit = ("the precision cap" if fault is None
                      else f"the oracle's limit ({fault})")
@@ -520,7 +514,7 @@ def _nested_cycle_cover(o: ParamOracle, n: int, cls: AttractorClass,
         diam = max(k.width() for k in comps)
         if diam < target:
             return _Certificate(
-                "intervals", comps, None, diam,
+                "intervals", comps,
                 {"case": "3", "period": P, "precision": p,
                  "diameter": float(diam)})
         last_err = (f"components at period {P} have diameter "
@@ -568,29 +562,6 @@ def _sorted_dyadics(pts) -> tuple:
 # ---------------------------------------------------------------------------
 # Pixel queries and rendering
 
-def _dist_bounds(cert: _Certificate, x: Dyadic):
-    """(lower, upper) certified bounds on dist(x, A)."""
-    lower = upper = None
-    for i, enc in enumerate(cert.enclosures):
-        if enc.contains(x):
-            lo = ZERO
-        else:
-            lo = enc.lo - x if x < enc.lo else x - enc.hi
-        lower = lo if lower is None else dy_min(lower, lo)
-        if cert.kind == "points":
-            up = lo + enc.width()
-        elif cert.inners is not None and cert.inners[i] is not None:
-            inner = cert.inners[i]
-            if inner.contains(x):
-                up = ZERO
-            else:
-                up = inner.lo - x if x < inner.lo else x - inner.hi
-        else:
-            up = lo + enc.width() + cert.gap
-        upper = up if upper is None else dy_min(upper, up)
-    return lower, upper
-
-
 def _cached_certificate(o: ParamOracle, n: int, hints, budget,
                         ledger) -> _Certificate:
     """The certificate for (n, hints, budget), built once per oracle.
@@ -623,13 +594,11 @@ def pixel_query(o: ParamOracle, n: int, x: Dyadic,
     if not x.in_grid(n):
         raise ValueError(f"pixel center {x} is not in D_{n}")
     cert = _cached_certificate(o, n, hints, budget, ledger)
-    near, far = Dyadic(1, -n), Dyadic(1, 1 - n)
-    lower, upper = _dist_bounds(cert, x)
-    if upper <= near:
-        return 1
-    if lower >= far:
-        return 0
-    return 1
+    far = Dyadic(1, 1 - n)
+    for enc in cert.enclosures:  # A lies in their union
+        if (enc.lo - x if x < enc.lo else x - enc.hi) < far:
+            return 1
+    return 0
 
 
 def render(o: ParamOracle, n: int, viewport: Interval,

@@ -8,6 +8,7 @@ remain valid under adversarial oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .dyadic import (DOWN, ONE, TWO, UP, ZERO, Dyadic, Interval, dy_max,
                      dy_min, iv_deriv_enclosure, iv_orbit, iv_quad_step)
@@ -61,7 +62,12 @@ def critical_orbit(o: ParamOracle, n_steps: int, p: int,
 
 
 def _critical_enclosures(c: Interval, n: int, p: int) -> list:
-    """[0, P(0), ..., P^n(0)] over the bracket c by outward steps at p.
+    """[0, P(0), ..., P^n(0)] over c: the first n + 1 of _critical_steps."""
+    return list(islice(_critical_steps(c, p), n + 1))
+
+
+def _critical_steps(c: Interval, p: int):
+    """Yield 0, P(0), P^2(0), ... over the bracket c by outward steps at p.
 
     For c in [-2, 1/4] the critical orbit stays in [c, c^2 + c], inside
     [-2, 2].  A bracket not certified outside that range is taken to be in
@@ -72,14 +78,14 @@ def _critical_enclosures(c: Interval, n: int, p: int) -> list:
     the orbit and its mantissas grow without bound.
     """
     clamp = None if PARAM_RANGE.disjoint(c) else Interval(NEG_TWO, TWO)
-    steps = [Interval.point(ZERO)]
-    for _ in range(n):
-        x = iv_quad_step(steps[-1], c, p)
+    x = Interval.point(ZERO)
+    while True:
+        yield x
         if x.lo > TWO or x.hi < NEG_TWO:
-            steps.append(x)
-            break
-        steps.append(x.intersect(clamp) if clamp else x)
-    return steps
+            return
+        x = iv_quad_step(x, c, p)
+        if clamp:
+            x = x.intersect(clamp) or x  # an escape stays unclamped
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +119,6 @@ class TrackedInterval:
     def outer(self) -> Interval:
         """Guaranteed superset with exact endpoints."""
         return Interval(self.lo.lo, self.hi.hi)
-
-    def inner(self) -> Interval | None:
-        """Guaranteed subset, or None if none is certified."""
-        if self.lo.hi <= self.hi.lo:
-            return Interval(self.lo.hi, self.hi.lo)
-        return None
 
     def endpoint_slack(self) -> Dyadic:
         return dy_max(self.lo.width(), self.hi.width())

@@ -10,13 +10,15 @@ certified by interval Newton or certified sign bisection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .dyadic import ONE, UP, ZERO, Dyadic, Interval
 from .dynamics import (PARAM_RANGE, _critical_enclosures,
                        certify_attracting_cycle)
-from .oracle import (IntervalNewtonOracle, OracleFault, ParamOracle,
-                     QueryLedger)
-from .renorm import CombinatorialType, _certify_renorm_period, principal_nest
+from .oracle import (BisectOracle, IntervalNewtonOracle, OracleFault,
+                     ParamOracle, QueryLedger)
+from .renorm import (CombinatorialType, _certify_renorm_period,
+                     feigenbaum_order, feigenbaum_word, principal_nest)
 from .solver import float_newton, interval_newton, iv_sign, ladder, sign_bisect
 
 
@@ -60,21 +62,20 @@ def _q_float_d(c: float, n: int) -> tuple:
     return x, d
 
 
-def _contract_root(guess: float, n: int, radius: float,
-                   box_radius: float | None = None) -> Interval | None:
+def _contract_root(guess: float, n: int, radius: float) -> Interval | None:
     """Certified enclosure of a simple root of Q_n near guess, or None.
 
     Interval Newton around the float seed; success requires a step strictly
     inside the previous box (existence and uniqueness).  radius bounds how
-    far the polished seed may drift from guess; box_radius (default radius)
-    sizes the Newton box and must exclude neighboring roots.
+    far the polished seed may drift from guess and sizes the Newton box,
+    which must exclude neighboring roots.
     """
     seed = float_newton(lambda c: _q_float_d(c, n), guess)
     if seed is None or abs(seed - guess) > radius:
         return None
     min_w = Dyadic(1, -45)
     for p in ladder():
-        r = Dyadic.from_float(box_radius or radius).round(min(p, 128), UP)
+        r = Dyadic.from_float(radius).round(min(p, 128), UP)
         mid = Dyadic.from_float(seed).round(min(p, 128))
         box = Interval(mid - r, mid + r).intersect(PARAM_RANGE)
         # Long compositions wrap the derivative over wide boxes; shrink
@@ -287,22 +288,24 @@ def _parabolic_float(n: int, c: float, w: float, mult: int,
     return None
 
 
-def _left_endpoint(n: int, guess: float, target_exp: int) -> Interval | None:
-    """Certified bracket of the root of Q_{3n}(c) - Q_{2n}(c) near guess."""
+def _left_endpoint(n: int, guess: float, radius: float,
+                   target_exp: int) -> Interval | None:
+    """Certified bracket of a root of Q_{3n}(c) - Q_{2n}(c) at guess, from
+    guess +- radius; None when no certified sign change is found.  That it
+    is the root next to the centre rests on _left_guess's float hunt."""
 
     def h_float(c: float) -> float:
         return _q_float(c, 3 * n) - _q_float(c, 2 * n)
 
-    a, b = guess - 1e-3, guess + 1e-3
+    a, b = guess - radius, guess + radius
     va, vb = h_float(a), h_float(b)
-    if va * vb > 0.0:  # widen until the seed brackets
-        for _ in range(20):
-            a, b = a - 2e-3, b + 2e-3
-            va, vb = h_float(a), h_float(b)
-            if va * vb < 0.0:
-                break
-        else:
-            return None
+    for _ in range(20):  # other roots may lie just outside the window
+        if va * vb < 0.0:
+            break
+        a = guess - (guess - a) / 4  # move the outer side in
+        va = h_float(a)
+    if va * vb >= 0.0:
+        return None
 
     def h_sign(x: Dyadic, pr: int) -> int:
         v3, _ = critical_value_eval(Interval.point(x), 3 * n, pr)
@@ -345,7 +348,9 @@ def _window_at(n: int, center: ParamOracle, width_exp: int = 34,
     if right is None:
         raise OracleFault(f"right endpoint of period {n} did not certify")
     guess = _left_guess(n, c_star, float(right.lo))
-    left = _left_endpoint(n, guess, width_exp)
+    # windows near -2 are narrower than 1e-3 (from period 6 on)
+    left = _left_endpoint(n, guess, min(1e-3, (c_star - guess) / 2),
+                          width_exp)
     if left is None:
         raise OracleFault(f"left endpoint of period {n} did not certify")
     if not (left.hi < right.lo and float(left.hi) < c_star < float(right.lo)):
@@ -381,10 +386,9 @@ def _right_endpoint(n: int, c_star: float, width_exp: int) -> Interval | None:
 def _left_guess(n: int, center: float, right: float) -> float:
     """Float hunt for the window's left endpoint below the center."""
     h = lambda c: _q_float(c, 3 * n) - _q_float(c, 2 * n)
-    width0 = max(right - center, 1e-4)
-    prev_c = center - 1e-9
+    step = (right - center) / 64.0  # the left end lies a few widths out
+    prev_c = center - min(1e-9, step)
     prev_v = h(prev_c)
-    step = width0 / 64.0
     c = prev_c
     for _ in range(100000):
         c -= step
@@ -489,72 +493,40 @@ def window_endpoint_oracle(period: int, side: str) -> ParamOracle:
 # ---------------------------------------------------------------------------
 # Period-doubling limit
 
-class FeigenbaumOracle(ParamOracle):
-    """Oracle for the period-doubling limit via center agreement.
+class FeigenbaumOracle(BisectOracle):
+    """Bisection for the period-doubling limit c_F on its kneading order."""
 
-    Answers at precision m from the superstable period-2^k center once the
-    k-th and (k+1)-th centers agree within 2^-(m+3); the Feigenbaum
-    contraction delta ~ 4.669 makes the center-to-limit distance about
-    1.27x the successive-center gap, so agreement at m+3 meets the
-    contract with margin.
-    """
-
-    def __init__(self, depth_cap: int = 14):
-        super().__init__()
-        if depth_cap < 2:
-            raise ValueError("depth cap must be >= 2")
-        self.depth_cap = depth_cap
-        self.spec = "feigenbaum"
-        self._centers: list = []  # certified enclosures of a_k, k = 1, 2, ...
-
-    def _extend(self):
-        k = len(self._centers) + 1
-        if k > self.depth_cap:
-            raise OracleFault("feigenbaum depth cap reached")
-        if k == 1:
-            self._centers.append(Interval.point(Dyadic(-1)))
-            return
-        if k == 2:
-            enc = _contract_root(-1.3107026, 4, 1e-3)
-        else:
-            prev = float(self._centers[-1].mid())
-            p2 = float(self._centers[-2].mid())
-            delta = 4.669201609
-            if k > 3:  # the empirical Feigenbaum ratio
-                p3 = float(self._centers[-3].mid())
-                delta = abs((p3 - p2) / (p2 - prev))
-            gap = abs(prev - p2) / delta  # predicted next center gap
-            guess = prev - gap if p2 > prev else prev + gap
-            for shrink in (1.0, 0.4, 0.15, 0.05):
-                # 0.25 gap of extrapolation slack; the box excludes neighbors
-                enc = _contract_root(guess, 1 << k, 0.25 * gap,
-                                     box_radius=0.05 * gap * shrink)
-                if enc is not None:
-                    break
-        if enc is None:
-            raise OracleFault(f"period 2^{k} center did not certify")
-        self._centers.append(enc)
+    def __init__(self, depth: int):
+        if depth < 6:  # -1.40 follows W_5 whole
+            raise ValueError("depth cap must be >= 6 to sign the bracket ends")
+        word = feigenbaum_word(depth)
+        bracket = Interval(Dyadic.from_fraction_rounded(Fraction("-1.41"), 64),
+                           Dyadic.from_fraction_rounded(Fraction("-1.40"), 64))
+        super().__init__(lambda x, p: feigenbaum_order(x, word, p), bracket,
+                         spec="feigenbaum")
+        self.depth = depth
 
     def _answer(self, m: int) -> Dyadic:
-        # ladder cost doubles per level; refuse plainly-infeasible queries
-        # up front instead of walking the whole ladder first
-        predicted = int((m + 5) / 2.22) + 1  # log2(delta) = 2.2234
-        if predicted - 2 > self.depth_cap:
-            raise OracleFault(
-                f"precision {m} needs about depth {predicted}, "
-                f"beyond the depth cap {self.depth_cap}")
-        need = Dyadic(1, -(m + 3))
-        while True:
-            while len(self._centers) < 2:
-                self._extend()
-            a, b = self._centers[-2], self._centers[-1]
-            gap = abs(a.mid() - b.mid()) + a.width() + b.width()
-            if gap < need:
-                return b.mid().round(m)
-            self._extend()
+        # bisecting to 2^-m follows about 2^(m/2.22 + 3.4) symbols of the
+        # word; measured for m <= 35, depth <= 19: none accepted runs out
+        if 100 * m > 222 * self.depth - 755:
+            raise OracleFault(f"precision {m} needs more of the Feigenbaum "
+                              f"word than the depth cap {self.depth} gives")
+        return super()._answer(m)
 
 
-def feigenbaum_limit(depth: int = 14) -> ParamOracle:
+def feigenbaum_limit(depth: int = 17) -> ParamOracle:
+    """Oracle for the Feigenbaum point c_F, the period-doubling limit.
+
+    Certificate: kneading sequences of x^2 + c are monotone in c, and that
+    of c_F begins with W_depth, the itinerary of the period-2^depth doubling
+    centre.  The first symbol s at which the certified itinerary of a
+    dyadic x leaves W_depth gives sign(x - c_F) = s * (-1)^(number of L
+    before s) (renorm.feigenbaum_order); bisection on that sign over
+    [-1.41, -1.40] gives the answers.  A query whose probes would follow
+    the whole word raises OracleFault, naming the depth cap, before it
+    bisects.
+    """
     return FeigenbaumOracle(depth)
 
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 from .dyadic import ZERO, Dyadic, Interval
 from .dynamics import (PARAM_RANGE, ParameterRangeError, TrackedInterval,
-                       _critical_enclosures, _merge_boxes, check_param,
-                       isolate_periodic_points, iter_eval)
-from .oracle import ParamOracle, QueryLedger
+                       _critical_enclosures, _critical_steps, _merge_boxes,
+                       check_param, isolate_periodic_points, iter_eval)
+from .oracle import OracleFault, ParamOracle, QueryLedger
 from .solver import PRECISION_CAP, iv_sign, ladder
 
 
@@ -64,6 +64,36 @@ def kneading(o: ParamOracle, length: int,
             best = s
     cert = best.index("?") if "?" in best else length
     return KneadingSequence(best, cert)
+
+
+def feigenbaum_word(depth: int) -> str:
+    """W_depth, the itinerary of P(0), ..., P^(2^depth - 1)(0) at the
+    period-2^depth doubling centre: W_1 = L, W_{k+1} = W_k s_k W_k with
+    s_k = R, L, R, L, ...; each is a prefix of the kneading of c_F."""
+    w = "L"
+    for k in range(1, depth):
+        w = w + "RL"[(k - 1) % 2] + w
+    return w
+
+
+def feigenbaum_order(x: Dyadic, word: str, p: int) -> int:
+    """sign(x - c_F) from the kneading order at working precision p.
+
+    Kneading sequences are monotone in c (Milnor-Thurston): the first
+    certified symbol s of the orbit of x that leaves the word gives
+    s * (-1)^(number of L before it), R = +1, L = -1.  0 when an enclosure
+    straddles 0 first; OracleFault when the orbit follows the whole word.
+    """
+    parity = 1  # the product of the symbols so far: (-1)^(number of L)
+    steps = _critical_steps(Interval.point(x), p)
+    next(steps)  # the C of P^0(0) = 0 comes before the word
+    for w, y in zip(word, steps):
+        s = iv_sign(y)
+        if s == 0 or _SYMBOL[s] != w:
+            return s * parity
+        parity *= s
+    raise OracleFault(f"the itinerary of {x} follows the whole Feigenbaum "
+                      f"word of the depth cap {len(word).bit_length()}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 
@@ -12,7 +13,8 @@ from qal.oracle import OracleFault, WorstCaseOracle, oracle_exact
 from qal.params import (epsilon_family, feigenbaum_limit, superstable_center,
                         window_endpoint_oracle, window_endpoints,
                         window_locate)
-from qal.renorm import CombinatorialType
+from qal.renorm import CombinatorialType, feigenbaum_order, feigenbaum_word
+from qal.solver import ladder
 
 NEG_7_4 = Dyadic(-7, -2)
 
@@ -37,6 +39,21 @@ def q_sign(c: Fraction, q: int) -> int:
     for _ in range(q):
         x = x * x + c
     return (x > 0) - (x < 0)
+
+
+def q_difference_sign(c: Fraction, a: int, b: int, bits: int = 256) -> int:
+    """Sign of Q_a(c) - Q_b(c), a > b, from Fraction boxes of the orbit
+    rounded outward to the 2^-bits grid each step; 0 when undecided."""
+    grid = Fraction(1, 1 << bits)
+    boxes = [(Fraction(0), Fraction(0))]
+    for _ in range(a):
+        lo, hi = boxes[-1]
+        top = max(lo * lo, hi * hi)
+        bottom = 0 if lo <= 0 <= hi else min(lo * lo, hi * hi)
+        boxes.append((floor((bottom + c) / grid) * grid,
+                      ceil((top + c) / grid) * grid))
+    (a_lo, a_hi), (b_lo, b_hi) = boxes[a], boxes[b]
+    return (a_lo - b_hi > 0) - (a_hi - b_lo < 0)
 
 
 def close(ans: Dyadic, ref: float, m: int) -> bool:
@@ -136,6 +153,21 @@ class TestWindowEndpoints:
         assert win.left.width() < Dyadic(1, -47)
         assert win.right.width() < Dyadic(1, -47)
 
+    @pytest.mark.parametrize("n,index", [(6, 0), (8, 0), (8, 13)])
+    def test_left_endpoint_is_the_root_next_to_the_centre(self, n, index):
+        # Q_3n - Q_2n vanishes at the centre and the window's left end and
+        # nowhere between; the period-6 windows near -2 are narrower than
+        # 1e-5, 8:0 is 3e-9 wide, and other roots lie just outside them
+        win = window_endpoints(n, index, with_tau=False)
+        centre = superstable_center(n, index).query(53).as_fraction()
+        lo, hi = win.left.lo.as_fraction(), win.left.hi.as_fraction()
+        assert hi < centre < win.right.lo.as_fraction()
+        signs = [q_difference_sign(end, 3 * n, 2 * n) for end in (lo, hi)]
+        assert sorted(signs) == [-1, 1]
+        between = {q_difference_sign(hi + (centre - hi) * k / 64, 3 * n, 2 * n)
+                   for k in range(1, 64)}
+        assert between == {signs[1]}
+
     def test_validation(self):
         with pytest.raises(ValueError):
             window_endpoints(1)
@@ -208,3 +240,41 @@ class TestFeigenbaumLimit:
     def test_depth_cap_validation(self):
         with pytest.raises(ValueError):
             feigenbaum_limit(1)
+
+
+class TestFeigenbaumKneadingOrder:
+    C_F = Fraction("-1.4011551890920506")
+
+    def test_order_signs_around_the_limit(self):
+        word = feigenbaum_word(17)
+        for k in range(3, 25):
+            for side in (1, -1):
+                x = Dyadic.from_fraction_rounded(
+                    self.C_F + side * Fraction(1, 1 << k), 64)
+                signs = (feigenbaum_order(x, word, p) for p in ladder())
+                assert next(s for s in signs if s != 0) == side, (k, side)
+
+    def test_precision_thirty_answers(self):
+        ans = feigenbaum_limit().query(30)
+        assert abs(ans.as_fraction() - self.C_F) < Fraction(1, 1 << 29)
+
+    def test_every_accepted_precision_answers(self):
+        # the refusal comes before the word runs out: at a small depth,
+        # each precision up to the first refused one answers
+        o = feigenbaum_limit(10)
+        m = 1
+        while True:
+            try:
+                ans = o.query(m)
+            except OracleFault as exc:
+                assert "needs more of the Feigenbaum word" in str(exc)
+                break
+            assert abs(ans.as_fraction() - self.C_F) < Fraction(2, 1 << m)
+            m += 1
+        assert m > 10
+
+    def test_word_too_short_for_the_bracket_is_an_invalid_depth(self):
+        # W_5 cannot sign -1.40, so depth 5 is refused as an argument
+        with pytest.raises(ValueError, match=">= 6"):
+            feigenbaum_limit(5)
+        assert feigenbaum_limit(6).query(4) is not None

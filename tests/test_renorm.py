@@ -3,13 +3,14 @@
 import pytest
 from test_params import time_limit
 
-from qal.dyadic import Dyadic
+from qal.dyadic import Dyadic, Interval
 from qal.dynamics import ParameterRangeError
 from qal.oracle import oracle_exact
 from qal.params import epsilon_family, superstable_center
 from qal.renorm import (CombinatorialType, detect_renormalization,
-                        essential_structure, essentially_equivalent, kneading,
-                        principal_nest, recheck_renormalization)
+                        essential_structure, essentially_equivalent,
+                        feigenbaum_word, kneading, principal_nest,
+                        recheck_renormalization)
 
 HALF_NEG = Dyadic(-1, -1)
 
@@ -48,6 +49,22 @@ class TestKneading:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             kneading(oracle_exact(Dyadic(0)), 0)
+
+
+class TestFeigenbaumWord:
+    def test_doubling_rule(self):
+        assert feigenbaum_word(1) == "L"
+        assert feigenbaum_word(2) == "LRL"
+        assert feigenbaum_word(3) == "LRLLLRL"
+        assert len(feigenbaum_word(10)) == 1023
+
+    def test_words_are_the_doubling_centres_itineraries(self):
+        c8 = Interval(Dyadic.from_float(-1.38155), Dyadic.from_float(-1.38154))
+        for k, centre in ((2, superstable_center(4, 1)),
+                          (3, superstable_center(8, c8))):
+            word = feigenbaum_word(k)
+            ks = kneading(centre, 2 * len(word) + 3)
+            assert ks.symbols == ("C" + word) * 2 + "C"
 
 
 class TestCombinatorialType:
