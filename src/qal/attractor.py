@@ -247,14 +247,13 @@ def _interval_chain(o: ParamOracle, q: int, slack_exp: int, b: Budget,
 _WINDOW_CACHE: dict = {}
 
 
-def _certified_window(period: int, enc: Interval, with_tau: bool):
+def _certified_window(period: int, enc: Interval):
     """The window of a certified center enclosure, memoized (oracle-free)."""
-    key = (period, enc.lo, enc.hi, with_tau)
+    key = (period, enc.lo, enc.hi)
     if key not in _WINDOW_CACHE:
         try:
             center = _center_oracle(enc, period, f"superstable:{period}")
-            _WINDOW_CACHE[key] = _window_at(period, center,
-                                            with_tau=with_tau)
+            _WINDOW_CACHE[key] = _window_at(period, center)
         except OracleFault:
             _WINDOW_CACHE[key] = None
     return _WINDOW_CACHE[key]
@@ -296,15 +295,13 @@ def _window_tower(o: ParamOracle, b: Budget,
                 cands.append(enc)
             cands.sort(key=lambda e: abs(float(e.mid()) - c_mid))
             for enc in cands:
-                # candidates are tested tau-free; the combinatorial type is
-                # only computed for the window that actually wins
-                win = _certified_window(p_abs, enc, False)
+                win = _certified_window(p_abs, enc)
                 if win is None:
                     continue
                 while True:
                     if (win.left.hi < bracket.lo
                             and bracket.hi < win.right.lo):
-                        found = (win, q, enc)
+                        found = (win, q)
                         break
                     if (bracket.hi < win.left.lo
                             or bracket.lo > win.right.hi):
@@ -322,15 +319,11 @@ def _window_tower(o: ParamOracle, b: Budget,
                 break
         if found is None:
             break
-        win, q, enc = found
-        if q == 2:
-            rel = CombinatorialType(2, (2, 1))
+        win, q = found
+        if level == 0 and win.tau is not None:
+            rel = win.tau
         else:
-            full = _certified_window(period * q, enc, True) if level == 0 else None
-            if full is not None and full.tau is not None:
-                rel = full.tau
-            else:
-                rel = CombinatorialType(q, ())
+            rel = CombinatorialType(q, (2, 1) if q == 2 else ())
         prefix.append(rel)
         cur, period = win, period * q
     return prefix or None

@@ -37,20 +37,21 @@ ESCAPE_HEADER = ["epsilon", "N", "N_sqrt_eps"]
 def parse_oracle(spec: str) -> ParamOracle:
     """Build an oracle from the --c grammar.
 
-    exact:<dyadic> | superstable:<period>[:index] | window-left:<period> |
-    window-right:<period> | eps-family:<n> | feigenbaum
+    exact:<dyadic> | superstable:<period>[:index] |
+    window-left:<period>[:index] | window-right:<period>[:index] |
+    eps-family:<n> | feigenbaum
     """
     head, _, rest = spec.partition(":")
     try:
         if head == "exact":
             return oracle_exact(Dyadic.parse(rest))
-        if head == "superstable":
+        if head in ("superstable", "window-left", "window-right"):
             parts = rest.split(":")
             period = int(parts[0])
             index = int(parts[1]) if len(parts) > 1 else None
-            return superstable_center(period, index)
-        if head in ("window-left", "window-right"):
-            return window_endpoint_oracle(int(rest), head[len("window-"):])
+            if head == "superstable":
+                return superstable_center(period, index)
+            return window_endpoint_oracle(period, head[len("window-"):], index)
         if head == "eps-family":
             return epsilon_family(int(rest))
         if head == "feigenbaum" and not rest:

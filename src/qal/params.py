@@ -12,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import ONE, UP, ZERO, Dyadic, Interval
-from .dynamics import (PARAM_RANGE, _critical_enclosures,
+from .dyadic import ONE, TWO, UP, ZERO, Dyadic, Interval
+from .dynamics import (PARAM_RANGE, TrackedInterval, _critical_enclosures,
                        certify_attracting_cycle)
 from .oracle import (BisectOracle, IntervalNewtonOracle, OracleFault,
-                     ParamOracle, QueryLedger)
-from .renorm import (CombinatorialType, _certify_renorm_period,
-                     feigenbaum_order, feigenbaum_word, principal_nest)
-from .solver import float_newton, interval_newton, iv_sign, ladder, sign_bisect
+                     ParamOracle, QueryLedger, RefinerOracle)
+from .renorm import (CombinatorialType, _cycle_type, feigenbaum_word, kneading,
+                     kneading_order, principal_nest, window_left_word)
+from .solver import float_newton, interval_newton, ladder
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +192,9 @@ def _float_bisect(h, a: float, b: float, va: float) -> float:
 
 @dataclass
 class RenormWindow:
+    """Ends and type of a window: left certified next to the centre by the
+    kneading order, tau the real order of the centre's cycle (or None)."""
+
     period: int
     left: Interval
     right: Interval
@@ -288,117 +291,90 @@ def _parabolic_float(n: int, c: float, w: float, mult: int,
     return None
 
 
-def _left_endpoint(n: int, guess: float, radius: float,
-                   target_exp: int) -> Interval | None:
-    """Certified bracket of a root of Q_{3n}(c) - Q_{2n}(c) at guess, from
-    guess +- radius; None when no certified sign change is found.  That it
-    is the root next to the centre rests on _left_guess's float hunt."""
+def window_endpoints(n: int, center_hint=None,
+                     width_exp: int = 34) -> RenormWindow:
+    """Certified ends and type of the period-n window around its center.
 
-    def h_float(c: float) -> float:
-        return _q_float(c, 3 * n) - _q_float(c, 2 * n)
-
-    a, b = guess - radius, guess + radius
-    va, vb = h_float(a), h_float(b)
-    for _ in range(20):  # other roots may lie just outside the window
-        if va * vb < 0.0:
-            break
-        a = guess - (guess - a) / 4  # move the outer side in
-        va = h_float(a)
-    if va * vb >= 0.0:
-        return None
-
-    def h_sign(x: Dyadic, pr: int) -> int:
-        v3, _ = critical_value_eval(Interval.point(x), 3 * n, pr)
-        v2, _ = critical_value_eval(Interval.point(x), 2 * n, pr)
-        return iv_sign(v3 - v2)
-
-    bracket = Interval(Dyadic.from_float(a), Dyadic.from_float(b))
-    for p in ladder():
-        sa, sb = h_sign(bracket.lo, p), h_sign(bracket.hi, p)
-        if sa != 0 and sb != 0 and sa != sb:
-            got = sign_bisect(lambda x: h_sign(x, p), bracket, sa,
-                              Dyadic(1, -target_exp))
-            if got is not None:
-                return got
-    return None
-
-
-def window_endpoints(n: int, center_hint=None, width_exp: int = 34,
-                     with_tau: bool = True) -> RenormWindow:
-    """Certified endpoint enclosures of the period-n renormalization window.
-
-    Left endpoint from Eq. (left) P^{2n}(0) = P^{3n}(0) by certified sign
-    bisection; right endpoint from the parabolic system P^n(w) = w,
-    (P^n)'(w) = 1 by two-variable interval Newton.  n = 2 is degenerate
-    (the parabolic point is a triple root, the window cusp coincides with
-    the fixed point's doubling), so its right endpoint is the exact -3/4
-    from the closed-form 2-cycle multiplier 4(c+1) = 1.
+    Left end: bisection on the kneading order against the left end's word,
+    read off the centre's itinerary, so it is the end next to the centre.
+    Right end: a parabolic point by two-variable interval Newton
+    (_RightEndOracle).  Type: the real order of the centre's cycle.
     """
     if n < 2:
         raise ValueError("windows have period >= 2")
-    return _window_at(n, superstable_center(n, center_hint), width_exp,
-                      with_tau)
+    return _window_at(n, superstable_center(n, center_hint), width_exp)
 
 
-def _window_at(n: int, center: ParamOracle, width_exp: int = 34,
-               with_tau: bool = True) -> RenormWindow:
+def _window_at(n: int, center: ParamOracle,
+               width_exp: int = 34) -> RenormWindow:
     """window_endpoints around the period-n center that center delivers."""
-    c_star = float(center.query(53))
-    right = _right_endpoint(n, c_star, width_exp)
-    if right is None:
-        raise OracleFault(f"right endpoint of period {n} did not certify")
-    guess = _left_guess(n, c_star, float(right.lo))
-    # windows near -2 are narrower than 1e-3 (from period 6 on)
-    left = _left_endpoint(n, guess, min(1e-3, (c_star - guess) / 2),
-                          width_exp)
-    if left is None:
-        raise OracleFault(f"left endpoint of period {n} did not certify")
-    if not (left.hi < right.lo and float(left.hi) < c_star < float(right.lo)):
+    right = _RightEndOracle(n, center, f"window-right:{n}")
+    left = _left_end_oracle(n, center, f"window-left:{n}")
+    for end in (right, left):
+        end._refine_to(width_exp)
+    if not left.bracket.hi < right.bracket.lo:
         raise OracleFault("window endpoints out of order")
-    tau = None
-    if with_tau:
-        cert = _certify_renorm_period(center, n, None)
-        tau = cert.tau if cert is not None else None
-    return RenormWindow(n, left, right, tau)
+    return RenormWindow(n, left.bracket, right.bracket, _centre_type(n, center))
 
 
-def _right_endpoint(n: int, c_star: float, width_exp: int) -> Interval | None:
-    """Certified right-endpoint enclosure of the period-n window at c_star.
+def _left_end_oracle(n: int, center: ParamOracle, spec: str) -> BisectOracle:
+    """Bisection on the kneading order over [-2, center): the sign is -1 at
+    -2 and +1 next to the centre, whose itinerary there is (A t)^oo."""
+    A = kneading(center, n).symbols[1:]
+    return BisectOracle(lambda x, p: kneading_order(x, window_left_word(A), p),
+                        Interval(-TWO, center.enclosure(64).lo), spec=spec)
 
-    A primitive window ends in a saddle-node of the n-cycle: multiplier +1.
-    A period-doubling window (n even, nested in a period-n/2 window) ends
-    where the parent n/2-cycle has multiplier -1; there the n-cycle system
-    is a triple root and the saddle-node solve is singular, so the parent
-    system is used instead.  Seeds are the superstable cycle points.
-    """
-    seeds = [_q_float(c_star, k) for k in range(n)]
-    for q, mult in ((n, 1),) + (((n // 2, -1),) if n % 2 == 0 else ()):
-        for w0 in seeds:
-            sol = _parabolic_refine(q, c_star, w0, width_exp, mult=mult)
-            if sol is None:
-                continue
-            r = float(sol[0].lo)
-            if c_star < r <= 0.25 and r - c_star < 1.0:
-                return sol[0]
+
+def _centre_type(n: int, center: ParamOracle) -> CombinatorialType | None:
+    """Real order of the centre's cycle P^0(0), ..., P^(n-1)(0) (None at the
+    cap): the window's type, as P^i(0) lies in J_i, and the J_i are disjoint."""
+    for p in ladder():
+        orbit = _critical_enclosures(center.enclosure(p), n - 1, p)
+        tau = _cycle_type([TrackedInterval(x, x) for x in orbit])
+        if tau is not None:
+            return tau
     return None
 
 
-def _left_guess(n: int, center: float, right: float) -> float:
-    """Float hunt for the window's left endpoint below the center."""
-    h = lambda c: _q_float(c, 3 * n) - _q_float(c, 2 * n)
-    step = (right - center) / 64.0  # the left end lies a few widths out
-    prev_c = center - min(1e-9, step)
-    prev_v = h(prev_c)
-    c = prev_c
-    for _ in range(100000):
-        c -= step
-        if c < -2.0:
-            break
-        v = h(c)
-        if v == 0.0 or v * prev_v < 0.0:
-            return _float_bisect(h, c, prev_c, v)
-        prev_c, prev_v = c, v
-    raise OracleFault(f"no left endpoint seed for period {n}")
+class _RightEndOracle(RefinerOracle):
+    """The right end of the period-n window around center, refined on demand.
+
+    A primitive window ends in a saddle-node of the n-cycle: multiplier +1.
+    A period-doubling window (n even, nested in a period-n/2 window) ends
+    where the parent n/2-cycle has multiplier -1, as the n-cycle system is a
+    triple root there.  Seeds are the superstable cycle points."""
+
+    def __init__(self, n: int, center: ParamOracle, spec: str):
+        super().__init__()
+        self.n, self.center, self.spec = n, center, spec
+
+    def _refine_to(self, width_exp: int):
+        if self.bracket and self.bracket.width() < Dyadic(1, -width_exp):
+            return
+        n, c_star = self.n, float(self.center.query(53))
+        for q, mult in ((n, 1),) + (((n // 2, -1),) if n % 2 == 0 else ()):
+            for k in range(n):
+                sol = _parabolic_refine(q, c_star, _q_float(c_star, k),
+                                        width_exp, mult=mult)
+                if sol is None:
+                    continue
+                r = float(sol[0].lo)
+                if c_star < r <= 0.25 and r - c_star < 1.0:
+                    self.bracket = sol[0]
+                    return
+        raise OracleFault(f"right endpoint of period {n} did not certify")
+
+
+def window_endpoint_oracle(period: int, side: str,
+                           index: int | None = None) -> ParamOracle:
+    """One end of the window around superstable_center(period, index)."""
+    ends = {"left": _left_end_oracle, "right": _RightEndOracle}
+    if side not in ends:
+        raise ValueError("side must be left or right")
+    if period < 2:
+        raise ValueError("windows have period >= 2")
+    spec = f"window-{side}:{period}" + ("" if index is None else f":{index}")
+    return ends[side](period, superstable_center(period, index), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -466,30 +442,6 @@ def _check_epsilon_itinerary(o: ParamOracle, n: int):
         raise OracleFault(f"eps-family: f^{3 * n}(0) not certified in I^1_1")
 
 
-class _WindowEndpointOracle(ParamOracle):
-    """Oracle for one endpoint of a renormalization window, refined on demand."""
-
-    def __init__(self, period: int, side: str):
-        super().__init__()
-        if side not in ("left", "right"):
-            raise ValueError("side must be left or right")
-        self.period = period
-        self.side = side
-        self.spec = f"window-{side}:{period}"
-        self._enc: Interval | None = None
-
-    def _answer(self, m: int) -> Dyadic:
-        if self._enc is None or self._enc.width() > Dyadic(1, -(m + 2)):
-            win = window_endpoints(self.period, width_exp=m + 2,
-                                   with_tau=False)
-            self._enc = win.left if self.side == "left" else win.right
-        return self._enc.mid().round(m)
-
-
-def window_endpoint_oracle(period: int, side: str) -> ParamOracle:
-    return _WindowEndpointOracle(period, side)
-
-
 # ---------------------------------------------------------------------------
 # Period-doubling limit
 
@@ -502,7 +454,7 @@ class FeigenbaumOracle(BisectOracle):
         word = feigenbaum_word(depth)
         bracket = Interval(Dyadic.from_fraction_rounded(Fraction("-1.41"), 64),
                            Dyadic.from_fraction_rounded(Fraction("-1.40"), 64))
-        super().__init__(lambda x, p: feigenbaum_order(x, word, p), bracket,
+        super().__init__(lambda x, p: kneading_order(x, word, p), bracket,
                          spec="feigenbaum")
         self.depth = depth
 
@@ -522,7 +474,7 @@ def feigenbaum_limit(depth: int = 17) -> ParamOracle:
     of c_F begins with W_depth, the itinerary of the period-2^depth doubling
     centre.  The first symbol s at which the certified itinerary of a
     dyadic x leaves W_depth gives sign(x - c_F) = s * (-1)^(number of L
-    before s) (renorm.feigenbaum_order); bisection on that sign over
+    before s) (renorm.kneading_order); bisection on that sign over
     [-1.41, -1.40] gives the answers.  A query whose probes would follow
     the whole word raises OracleFault, naming the depth cap, before it
     bisects.

@@ -10,6 +10,7 @@ anything the current precision cannot decide surfaces as an explicit unknown
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, cycle
 
 from .dyadic import ZERO, Dyadic, Interval
 from .dynamics import (PARAM_RANGE, ParameterRangeError, TrackedInterval,
@@ -76,14 +77,14 @@ def feigenbaum_word(depth: int) -> str:
     return w
 
 
-def feigenbaum_order(x: Dyadic, word: str, p: int) -> int:
-    """sign(x - c_F) from the kneading order at working precision p.
+def kneading_order(x: Dyadic, word, p: int) -> int:
+    """sign(x - c) for the c whose kneading sequence begins with word, an
+    iterable of the symbols of P(0), P^2(0), ..., at working precision p.
 
-    Kneading sequences are monotone in c (Milnor-Thurston): the first
-    certified symbol s of the orbit of x that leaves the word gives
-    s * (-1)^(number of L before it), R = +1, L = -1.  0 when an enclosure
-    straddles 0 first; OracleFault when the orbit follows the whole word.
-    """
+    Kneading is monotone in c (Milnor-Thurston): the first certified symbol
+    s of the orbit of x that leaves the word gives s * (-1)^(number of L
+    before it), R = +1, L = -1.  0 when an enclosure straddles 0 first;
+    OracleFault when the orbit follows the whole word."""
     parity = 1  # the product of the symbols so far: (-1)^(number of L)
     steps = _critical_steps(Interval.point(x), p)
     next(steps)  # the C of P^0(0) = 0 comes before the word
@@ -92,8 +93,17 @@ def feigenbaum_order(x: Dyadic, word: str, p: int) -> int:
         if s == 0 or _SYMBOL[s] != w:
             return s * parity
         parity *= s
-    raise OracleFault(f"the itinerary of {x} follows the whole Feigenbaum "
-                      f"word of the depth cap {len(word).bit_length()}")
+    raise OracleFault(f"the itinerary of {x} follows the whole kneading word")
+
+
+def window_left_word(A: str):
+    """Iterator over A t (A t')^oo, the left end's kneading of the window
+    whose centre has the itinerary A of P(0), ..., P^(n-1)(0); t = R when A
+    holds an odd number of L, else L, and t' is the other symbol."""
+    if "?" in A:
+        raise OracleFault(f"centre itinerary {A} is not certified")
+    t, t_bar = ("R", "L") if A.count("L") % 2 else ("L", "R")
+    return chain(A, t, cycle(A + t_bar))
 
 
 # ---------------------------------------------------------------------------

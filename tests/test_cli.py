@@ -37,6 +37,11 @@ class TestOracleGrammar:
         assert parse_oracle("eps-family:2").spec == "eps-family:2"
         assert parse_oracle("feigenbaum").spec == "feigenbaum"
 
+    def test_window_end_takes_a_centre_index(self):
+        o = parse_oracle("window-left:4:1")
+        assert o.spec == "window-left:4:1"
+        assert abs(float(o.query(24)) + 1.4303576324) < 2.0 ** -23
+
     @pytest.mark.parametrize("bad", ["exact:0.1", "exact:", "superstable:x",
                                      "feigenbaum:3", "mystery:1", "exact"])
     def test_malformed_specs_rejected(self, bad):

@@ -3,6 +3,7 @@
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import islice
 from math import ceil, floor
 
 import pytest
@@ -13,7 +14,8 @@ from qal.oracle import OracleFault, WorstCaseOracle, oracle_exact
 from qal.params import (epsilon_family, feigenbaum_limit, superstable_center,
                         window_endpoint_oracle, window_endpoints,
                         window_locate)
-from qal.renorm import CombinatorialType, feigenbaum_order, feigenbaum_word
+from qal.renorm import (CombinatorialType, detect_renormalization,
+                        feigenbaum_word, kneading_order, window_left_word)
 from qal.solver import ladder
 
 NEG_7_4 = Dyadic(-7, -2)
@@ -41,17 +43,24 @@ def q_sign(c: Fraction, q: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def q_difference_sign(c: Fraction, a: int, b: int, bits: int = 256) -> int:
-    """Sign of Q_a(c) - Q_b(c), a > b, from Fraction boxes of the orbit
-    rounded outward to the 2^-bits grid each step; 0 when undecided."""
+def orbit_boxes(c: Fraction, steps: int, bits: int = 256) -> list:
+    """Fraction boxes of P_c^0(0), ..., P_c^steps(0), rounded outward to
+    the 2^-bits grid each step."""
     grid = Fraction(1, 1 << bits)
     boxes = [(Fraction(0), Fraction(0))]
-    for _ in range(a):
+    for _ in range(steps):
         lo, hi = boxes[-1]
         top = max(lo * lo, hi * hi)
         bottom = 0 if lo <= 0 <= hi else min(lo * lo, hi * hi)
         boxes.append((floor((bottom + c) / grid) * grid,
                       ceil((top + c) / grid) * grid))
+    return boxes
+
+
+def q_difference_sign(c: Fraction, a: int, b: int, bits: int = 256) -> int:
+    """Sign of Q_a(c) - Q_b(c), a > b, from Fraction boxes of the orbit
+    rounded outward to the 2^-bits grid each step; 0 when undecided."""
+    boxes = orbit_boxes(c, a, bits)
     (a_lo, a_hi), (b_lo, b_hi) = boxes[a], boxes[b]
     return (a_lo - b_hi > 0) - (a_hi - b_lo < 0)
 
@@ -137,7 +146,7 @@ class TestWindowEndpoints:
         assert window_endpoints(4, 1).tau == CombinatorialType(4, (3, 4, 2, 1))
 
     def test_period_three_left_endpoint(self):
-        win = window_endpoints(3, with_tau=False)
+        win = window_endpoints(3)
         assert win.left.hi < win.right.lo
         assert abs(float(win.left.mid()) + 1.7903274919) < 1e-9
 
@@ -149,16 +158,17 @@ class TestWindowEndpoints:
         assert abs(float(win.left.mid()) + 1.5436890126920764) < 1e-9
 
     def test_requested_width_is_honored(self):
-        win = window_endpoints(3, width_exp=48, with_tau=False)
+        win = window_endpoints(3, width_exp=48)
         assert win.left.width() < Dyadic(1, -47)
         assert win.right.width() < Dyadic(1, -47)
 
-    @pytest.mark.parametrize("n,index", [(6, 0), (8, 0), (8, 13)])
+    @pytest.mark.parametrize("n,index", [(2, 0), (4, 1), (6, 0), (7, 0),
+                                         (7, 8), (8, 0), (8, 13)])
     def test_left_endpoint_is_the_root_next_to_the_centre(self, n, index):
         # Q_3n - Q_2n vanishes at the centre and the window's left end and
         # nowhere between; the period-6 windows near -2 are narrower than
         # 1e-5, 8:0 is 3e-9 wide, and other roots lie just outside them
-        win = window_endpoints(n, index, with_tau=False)
+        win = window_endpoints(n, index)
         centre = superstable_center(n, index).query(53).as_fraction()
         lo, hi = win.left.lo.as_fraction(), win.left.hi.as_fraction()
         assert hi < centre < win.right.lo.as_fraction()
@@ -168,9 +178,34 @@ class TestWindowEndpoints:
                    for k in range(1, 64)}
         assert between == {signs[1]}
 
+    @pytest.mark.parametrize("n,index", [(3, None), (4, 0), (5, 2)])
+    def test_type_is_the_renormalization_type(self, n, index):
+        # the centre's cycle order against the certified search
+        cert = detect_renormalization(superstable_center(n, index), n)
+        assert window_endpoints(n, index).tau == cert.tau
+
     def test_validation(self):
         with pytest.raises(ValueError):
             window_endpoints(1)
+
+
+class TestWindowLeftWord:
+    @pytest.mark.parametrize("n,A,prefix", [(2, "L", "LRLLLLLL"),
+                                            (3, "LR", "LRRLRLLR")])
+    def test_word_is_the_itinerary_at_the_left_end(self, n, A, prefix):
+        # A t (A t')^oo against the exact itinerary of both ends of the
+        # certified enclosure, which follow the end's orbit for ~50 steps
+        word = "".join(islice(window_left_word(A), 24))
+        assert word.startswith(prefix)
+        win = window_endpoints(n)
+        for end in (win.left.lo, win.left.hi):
+            boxes = orbit_boxes(end.as_fraction(), 24)[1:]
+            assert "".join("R" if lo > 0 else "L" if hi < 0 else "?"
+                           for lo, hi in boxes) == word
+
+    def test_uncertified_itinerary_is_refused(self):
+        with pytest.raises(OracleFault):
+            window_left_word("L?")
 
 
 class TestWindowLocate:
@@ -251,7 +286,7 @@ class TestFeigenbaumKneadingOrder:
             for side in (1, -1):
                 x = Dyadic.from_fraction_rounded(
                     self.C_F + side * Fraction(1, 1 << k), 64)
-                signs = (feigenbaum_order(x, word, p) for p in ladder())
+                signs = (kneading_order(x, word, p) for p in ladder())
                 assert next(s for s in signs if s != 0) == side, (k, side)
 
     def test_precision_thirty_answers(self):
