@@ -32,6 +32,8 @@ PROFILE_HEADER = ["parameter", "n", "wall_nanos", "oracle_units",
                   "max_precision", "outcome"]
 WINDOWS_HEADER = ["period", "l_lo", "l_hi", "r_lo", "r_hi", "tau"]
 ESCAPE_HEADER = ["epsilon", "N", "N_sqrt_eps"]
+# what a profile run reports as a failed row instead of ending the sweep
+_FAULTS = (OracleFault, ParameterRangeError, ValueError)
 
 
 def parse_oracle(spec: str) -> ParamOracle:
@@ -189,11 +191,15 @@ def profile_row(spec: str, n: int, hints: Hints, budget: Budget) -> list:
     """One ProfileRow: the full approximate() call, median wall of 3 runs.
 
     Oracle units are deterministic (a fresh oracle per run replays the same
-    query schedule); wall time is the only nondeterministic field.
+    query schedule); wall time is the only nondeterministic field.  A spec
+    whose oracle cannot be built gets a failed row with zero cost.
     """
     walls, units, max_p, outcome = [], 0, 0, "ok"
     for _ in range(3):
-        o = parse_oracle(spec)
+        try:
+            o = parse_oracle(spec)
+        except _FAULTS:
+            return [spec, n, 0, 0, 0, "failed"]
         ledger = QueryLedger()
         t0 = time.perf_counter_ns()
         try:
@@ -201,7 +207,7 @@ def profile_row(spec: str, n: int, hints: Hints, budget: Budget) -> list:
             outcome = "ok"
         except ApproximationFailed:
             outcome = "undecided"
-        except (OracleFault, ParameterRangeError, ValueError):
+        except _FAULTS:
             outcome = "failed"
         walls.append(time.perf_counter_ns() - t0)
         units, max_p = ledger.total_units, ledger.max_precision
@@ -211,9 +217,13 @@ def profile_row(spec: str, n: int, hints: Hints, budget: Budget) -> list:
 def _pixel_max_row(spec: str, n: int, hints: Hints, budget: Budget,
                    seed: int) -> list:
     """Max single-pixel cost over a 64-pixel sample, labeled '#pixel-max'."""
+    label = f"{spec}#pixel-max"
+    try:
+        o = parse_oracle(spec)
+    except _FAULTS:
+        return [label, n, 0, 0, 0, "failed"]
     rng = random.Random(seed)
     worst, max_p, outcome = 0, 0, "ok"
-    o = parse_oracle(spec)
     t0 = time.perf_counter_ns()
     for _ in range(64):
         x = Dyadic(rng.randint(-(2 << n), 2 << n), -n)
@@ -223,10 +233,13 @@ def _pixel_max_row(spec: str, n: int, hints: Hints, budget: Budget,
         except ApproximationFailed:
             outcome = "undecided"
             break
+        except _FAULTS:
+            outcome = "failed"
+            break
         worst = max(worst, ledger.total_units)
         max_p = max(max_p, ledger.max_precision)
     wall = time.perf_counter_ns() - t0
-    return [f"{spec}#pixel-max", n, wall, worst, max_p, outcome]
+    return [label, n, wall, worst, max_p, outcome]
 
 
 def cmd_profile(args) -> int:

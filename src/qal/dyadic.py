@@ -94,7 +94,13 @@ class Dyadic:
         return Dyadic((a.man << (a.exp - e)) + (b.man << (b.exp - e)), e)
 
     def __sub__(self, other: "Dyadic") -> "Dyadic":
-        return self + (-other)
+        a, b = self, other
+        if b.man == 0:
+            return a
+        if a.man == 0:
+            return Dyadic(-b.man, b.exp)
+        e = min(a.exp, b.exp)
+        return Dyadic((a.man << (a.exp - e)) - (b.man << (b.exp - e)), e)
 
     def __neg__(self) -> "Dyadic":
         return Dyadic(-self.man, self.exp)
@@ -115,8 +121,14 @@ class Dyadic:
     # -- comparison (exact) ------------------------------------------------
 
     def _cmp(self, other: "Dyadic") -> int:
-        d = self - other
-        return (d.man > 0) - (d.man < 0)
+        # align the mantissas on the smaller exponent; no Dyadic is built
+        a, b = self.man, other.man
+        k = self.exp - other.exp
+        if k > 0:
+            a <<= k
+        elif k < 0:
+            b <<= -k
+        return (a > b) - (a < b)
 
     def __lt__(self, o):
         return self._cmp(o) < 0
@@ -176,7 +188,9 @@ class Dyadic:
         return self.man >> -self.exp
 
     def ceil_int(self) -> int:
-        return -(-self).floor_int()
+        if self.exp >= 0:
+            return self.man << self.exp
+        return -(-self.man >> -self.exp)
 
     # -- conversion / rendering --------------------------------------------
 
@@ -287,7 +301,7 @@ class Interval:
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
     def __sub__(self, other: "Interval") -> "Interval":
-        return self + (-other)
+        return Interval(self.lo - other.hi, self.hi - other.lo)
 
     def __mul__(self, other: "Interval") -> "Interval":
         cands = [self.lo * other.lo, self.lo * other.hi,
@@ -353,9 +367,59 @@ def _dy_div(a: Dyadic, b: Dyadic, m: int) -> tuple[Dyadic, Dyadic]:
     return lo, hi
 
 
-def iv_quad_step(x: Interval, c: Interval, p) -> Interval:
-    """Outward enclosure of {v^2 + w : v in x, w in c} at precision p."""
-    return (x.square() + c).round_out(p)
+def _aligned(x: Interval) -> tuple[int, int, int]:
+    """(lo, hi, e): the endpoints of x are lo * 2^e and hi * 2^e."""
+    a, b = x.lo, x.hi
+    e = min(a.exp, b.exp)
+    return a.man << (a.exp - e), b.man << (b.exp - e), e
+
+
+def _round_out_scaled(lo: int, hi: int, e: int, p: int) -> Interval:
+    """[lo * 2^e, hi * 2^e] rounded outward to D_p by a floor and a ceil
+    shift: one Dyadic per endpoint."""
+    s = -p - e
+    if s > 0:
+        lo >>= s
+        hi = -(-hi >> s)
+        e = -p
+    return Interval(Dyadic(lo, e), Dyadic(hi, e))
+
+
+def iv_quad_step(x: Interval, c: Interval, p: int) -> Interval:
+    """Outward enclosure of {v^2 + w : v in x, w in c} at precision p.
+
+    Exact up to the one outward rounding: the endpoints are squared and
+    added as integers at their common scale (fixed point, as in Arb).
+    """
+    xl, xh, ex = _aligned(x)
+    cl, ch, ec = _aligned(c)
+    if xl >= 0:
+        sl, sh = xl * xl, xh * xh
+    elif xh <= 0:
+        sl, sh = xh * xh, xl * xl
+    else:
+        sl, sh = 0, max(xl * xl, xh * xh)
+    e = min(2 * ex, ec)
+    k, j = 2 * ex - e, ec - e
+    return _round_out_scaled((sl << k) + (cl << j), (sh << k) + (ch << j), e, p)
+
+
+def iv_deriv_step(d: Interval, x: Interval, p: int, add: int = 0) -> Interval:
+    """Outward enclosure of {2 v w + add : v in d, w in x} at precision p.
+
+    One step d' = P'(x) d + add of a derivative recurrence of P = x^2 + c,
+    on ints at the endpoints' common scale as in iv_quad_step.
+    """
+    dl, dh, ed = _aligned(d)
+    xl, xh, ex = _aligned(x)
+    prods = (dl * xl, dl * xh, dh * xl, dh * xh)
+    lo, hi, e = min(prods), max(prods), ed + ex + 1
+    if add:
+        if e > 0:
+            lo, hi, e = lo << e, hi << e, 0
+        lo += add << -e
+        hi += add << -e
+    return _round_out_scaled(lo, hi, e, p)
 
 
 def iv_orbit(x0: Interval, c: Interval, n: int, p) -> list:

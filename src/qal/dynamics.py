@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .dyadic import (DOWN, ONE, TWO, UP, ZERO, Dyadic, Interval, dy_max,
-                     dy_min, iv_deriv_enclosure, iv_orbit, iv_quad_step)
+                     dy_min, iv_deriv_enclosure, iv_deriv_step, iv_orbit,
+                     iv_quad_step)
 from .oracle import ParamOracle, QueryLedger
 from .solver import PRECISION_CAP, float_newton, interval_newton, ladder
 
@@ -125,8 +126,8 @@ class TrackedInterval:
 
     def image(self, c: Interval, p: int) -> "TrackedInterval":
         """Set image under x^2 + c (even map: exact endpoint bookkeeping)."""
-        lo_img = (self.lo.square() + c).round_out(p)
-        hi_img = (self.hi.square() + c).round_out(p)
+        lo_img = iv_quad_step(self.lo, c, p)
+        hi_img = iv_quad_step(self.hi, c, p)
         c_img = c.round_out(p)
         if self.hi.hi <= ZERO:  # certified nonpositive: decreasing branch
             return TrackedInterval(hi_img, lo_img)
@@ -273,7 +274,7 @@ def _polish_cycle(n: int, j: Interval, c: Interval, p: int) -> CertifiedCycle:
             return _polish_cycle(d, j, c, p)
     mult = Interval.point(ONE)
     for e in encs:
-        mult = (mult * iv_deriv_enclosure(e)).round_out(p)
+        mult = iv_deriv_step(mult, e, p)
     kind = classify_cycle(encs, mult)
     return CertifiedCycle(n, encs, mult, kind)
 
@@ -307,7 +308,7 @@ def iter_eval(x: Interval, c: Interval, k: int, p: int):
     t = x
     deriv = Interval.point(ONE)
     for _ in range(k):
-        deriv = (deriv * iv_deriv_enclosure(t)).round_out(p)
+        deriv = iv_deriv_step(deriv, t, p)
         t = iv_quad_step(t, c, p)
     if not x.is_point():
         mid = x.mid()

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import ONE, TWO, UP, ZERO, Dyadic, Interval
+from .dyadic import (ONE, TWO, UP, ZERO, Dyadic, Interval, iv_deriv_step,
+                     iv_quad_step)
 from .dynamics import (PARAM_RANGE, TrackedInterval, _critical_enclosures,
                        certify_attracting_cycle)
 from .oracle import (BisectOracle, IntervalNewtonOracle, OracleFault,
@@ -34,13 +35,13 @@ def critical_value_eval(c: Interval, n: int, p: int):
     x = Interval.point(ZERO)
     d = Interval.point(ZERO)
     for _ in range(n):
-        d = (d * x.scale2(1) + Interval.point(ONE)).round_out(p)
-        x = (x.square() + c).round_out(p)
+        d = iv_deriv_step(d, x, p, 1)
+        x = iv_quad_step(x, c, p)
     if not c.is_point():
         mid = Interval.point(c.mid())
         xm = Interval.point(ZERO)
         for _ in range(n):
-            xm = (xm.square() + mid).round_out(p)
+            xm = iv_quad_step(xm, mid, p)
         centered = xm + d * (c - mid)
         x = x.intersect(centered) or x
     return x, d
@@ -208,13 +209,12 @@ def _system_eval(c: Interval, w: Interval, n: int, p: int):
     v = Interval.point(ZERO)  # dx/dc
     uw = Interval.point(ZERO)  # du/dw
     uc = Interval.point(ZERO)  # du/dc
-    one = Interval.point(ONE)
     for _ in range(n):
         uw = ((u * u + x * uw).scale2(1)).round_out(p)
         uc = ((u * v + x * uc).scale2(1)).round_out(p)
-        u = (x * u).scale2(1).round_out(p)
-        v = ((x * v).scale2(1) + one).round_out(p)
-        x = (x.square() + c).round_out(p)
+        u = iv_deriv_step(u, x, p)
+        v = iv_deriv_step(v, x, p, 1)
+        x = iv_quad_step(x, c, p)
     return x, u, v, uw, uc
 
 

@@ -191,6 +191,16 @@ class TestProfileCsv:
         assert [r[0] for r in rows[1:]] == ["exact:-1", "exact:-1#pixel-max"]
         assert int(rows[2][3]) > 0
 
+    def test_unbuildable_spec_fails_its_row_only(self, tmp_path):
+        # superstable:4 is ambiguous (two real centres): its oracle cannot
+        # be built, and the sweep goes on to exact:-1
+        code, rows = run_csv(tmp_path, "profile", "--c", "superstable:4",
+                             "--c", "exact:-1", "--n", "4", "--seed", "3")
+        assert code == EXIT_OK
+        assert [(r[0], r[5]) for r in rows[1:]] == [
+            ("superstable:4", "failed"), ("superstable:4#pixel-max", "failed"),
+            ("exact:-1", "ok"), ("exact:-1#pixel-max", "ok")]
+
     def test_n_range_sweep(self, tmp_path):
         code, rows = run_csv(tmp_path, "profile", "--c", "exact:0",
                              "--n-range", "4..6")

@@ -1,13 +1,14 @@
 """Dyadic and interval arithmetic: exactness, rounding, soundness."""
 
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qal.dyadic import (DOWN, NEAREST, UP, Dyadic, Interval,
-                        iv_deriv_enclosure, iv_quad_step)
+                        iv_deriv_enclosure, iv_deriv_step, iv_quad_step)
 
 dyadics = st.builds(Dyadic,
                     st.integers(min_value=-(1 << 40), max_value=1 << 40),
@@ -20,6 +21,23 @@ def iv(a: Dyadic, b: Dyadic) -> Interval:
 
 
 intervals = st.builds(iv, dyadics, dyadics)
+# exponents far apart and mantissas past 2^64: the aligning shifts of _cmp
+# and __sub__ run to hundreds of bits
+wide = st.builds(Dyadic,
+                 st.integers(min_value=-(1 << 100), max_value=1 << 100),
+                 st.integers(min_value=-600, max_value=600))
+# interval ends that are zero as often as not, and grids either side of p
+ends = st.one_of(st.just(Dyadic(0)), dyadics)
+kernel_intervals = st.builds(iv, ends, ends)
+kernel_precisions = st.integers(min_value=-30, max_value=120)
+
+
+def tightest_out(lo: Fraction, hi: Fraction, p: int) -> Interval:
+    """The smallest interval of D_p containing [lo, hi], from Fractions."""
+    g = Fraction(2) ** -p
+    a, b = floor(lo / g) * g, ceil(hi / g) * g
+    return Interval(Dyadic.from_fraction_rounded(a, p),
+                    Dyadic.from_fraction_rounded(b, p))
 
 
 class TestDyadicRing:
@@ -46,6 +64,22 @@ class TestDyadicRing:
         assert (-a).as_fraction() == -a.as_fraction()
         assert abs(a).as_fraction() == abs(a.as_fraction())
         assert a.half().as_fraction() == a.as_fraction() / 2
+
+    @given(wide, wide)
+    def test_wide_comparison_and_sub_match_fractions(self, a, b):
+        fa, fb = a.as_fraction(), b.as_fraction()
+        assert a._cmp(b) == (fa > fb) - (fa < fb)
+        assert (a <= b, a >= b) == (fa <= fb, fa >= fb)
+        assert (a - b).as_fraction() == fa - fb
+
+    @given(wide, st.integers(min_value=1, max_value=1200),
+           st.sampled_from([-1, 1]))
+    def test_wide_neighbours_compare_and_sub(self, a, k, sign):
+        # b differs from a by one unit 2^k places below a's last bit
+        b = a + Dyadic(sign, a.exp - k)
+        assert a._cmp(b) == -sign and b._cmp(a) == sign
+        assert (b - a) == Dyadic(sign, a.exp - k)
+        assert (a - a) == Dyadic(0)
 
     def test_equality_is_structural_and_hashable(self):
         assert Dyadic(4, -1) == Dyadic(1, 1) == Dyadic(2)
@@ -138,6 +172,27 @@ class TestInterval:
         for v in (x.lo, x.mid(), x.hi):
             for w in (c.lo, c.hi):
                 assert out.lo <= v * v + w <= out.hi
+
+    @given(kernel_intervals, kernel_intervals, kernel_precisions)
+    @example(iv(Dyadic(-3, -2), Dyadic(5, -3)), iv(Dyadic(1, -70), Dyadic(3, -70)), 8)
+    @example(iv(Dyadic(0), Dyadic(0)), iv(Dyadic(-7, -2), Dyadic(-7, -2)), 64)
+    @example(iv(Dyadic(-5, -40), Dyadic(0)), iv(Dyadic(-1, 3), Dyadic(1, 3)), -6)
+    def test_quad_step_is_tightest_outward(self, x, c, p):
+        lo, hi = x.lo.as_fraction(), x.hi.as_fraction()
+        sq = sorted((lo * lo, hi * hi))
+        if lo <= 0 <= hi:
+            sq[0] = Fraction(0)
+        exact = (sq[0] + c.lo.as_fraction(), sq[1] + c.hi.as_fraction())
+        assert iv_quad_step(x, c, p) == tightest_out(*exact, p)
+
+    @given(kernel_intervals, kernel_intervals, kernel_precisions,
+           st.sampled_from([0, 1]))
+    @example(iv(Dyadic(-3, -2), Dyadic(5, -3)), iv(Dyadic(1, 4), Dyadic(3, 5)), 2, 1)
+    def test_deriv_step_is_tightest_outward(self, d, x, p, add):
+        prods = [2 * a.as_fraction() * b.as_fraction()
+                 for a in (d.lo, d.hi) for b in (x.lo, x.hi)]
+        exact = (min(prods) + add, max(prods) + add)
+        assert iv_deriv_step(d, x, p, add) == tightest_out(*exact, p)
 
     @given(intervals)
     def test_deriv_enclosure(self, x):
