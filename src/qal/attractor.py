@@ -18,8 +18,7 @@ from .dynamics import (CertifiedCycle, TrackedInterval, _critical_enclosures,
                        _return_map_eval, certify_attracting_cycle,
                        check_param, isolate_periodic_points)
 from .oracle import ExactOracle, OracleFault, ParamOracle, QueryLedger
-from .params import (_center_oracle, _contract_root, _float_roots,
-                     _is_primitive, _q_float, _window_at)
+from .params import _q_float, _window_tower
 from .renorm import CombinatorialType
 from .solver import PRECISION_CAP, interval_newton, ladder
 
@@ -49,8 +48,14 @@ class Budget:
     steps: int = 200_000
     depth: int = 5  # window-tower levels for case 3
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None and value < 1:  # None: the default cap
+                raise ValueError(f"budget {name} must be >= 1")
+
     def p_cap(self) -> int:
-        return self.max_precision or PRECISION_CAP
+        return (PRECISION_CAP if self.max_precision is None
+                else self.max_precision)
 
 
 @dataclass(frozen=True)
@@ -124,9 +129,10 @@ def _classify(o: ParamOracle, h: Hints, b: Budget,
             return AttractorClass("limit-cycle", "parabolic", h.period), None
         if _interval_chain(o, h.period, 10, b, ledger) is not None:
             return AttractorClass("interval-cycle", None, h.period), None
-    prefix = _window_tower(o, b, ledger)
-    if prefix:
-        return AttractorClass("feigenbaum-like", prefix=tuple(prefix)), None
+    tower = _window_tower(o, b.depth, b.max_period, b.p_cap(), ledger)
+    if tower:
+        return AttractorClass("feigenbaum-like",
+                              prefix=_tower_types(tower)), None
     return None, None
 
 
@@ -244,89 +250,15 @@ def _interval_chain(o: ParamOracle, q: int, slack_exp: int, b: Budget,
     return None
 
 
-_WINDOW_CACHE: dict = {}
-
-
-def _certified_window(period: int, enc: Interval):
-    """The window of a certified center enclosure, memoized (oracle-free)."""
-    key = (period, enc.lo, enc.hi)
-    if key not in _WINDOW_CACHE:
-        try:
-            center = _center_oracle(enc, period, f"superstable:{period}")
-            _WINDOW_CACHE[key] = _window_at(period, center)
-        except OracleFault:
-            _WINDOW_CACHE[key] = None
-    return _WINDOW_CACHE[key]
-
-
-def _window_tower(o: ParamOracle, b: Budget,
-                  ledger: QueryLedger | None) -> list | None:
-    """Case 3: certified renormalization windows of increasing period.
-
-    Level by level, searches for a window of period (current period) * q
-    whose certified endpoint enclosures strictly bracket the oracle's c
-    bracket, escalating oracle precision while the bracket straddles an
-    endpoint.  Returns the list of per-level combinatorial types found
-    within the depth budget.
-    """
-    m = 8
-    m_cap = min(b.p_cap(), 4096)
-    bracket = o.enclosure(m, ledger)
-    prefix: list = []
-    cur = None
-    period = 1
-    for level in range(b.depth):
-        found = None
-        for q in range(2, 9):
-            p_abs = period * q
-            if p_abs > max(b.max_period, 64):
-                break
-            if cur is None:
-                lo = max(float(bracket.lo) - 1.0, -2.0)
-                hi = min(float(bracket.hi) + 1.0, 0.25)
-            else:
-                lo, hi = float(cur.left.lo), float(cur.right.hi)
-            c_mid = float(bracket.mid())
-            cands = []
-            for seed in _float_roots(p_abs, lo, hi, grid=2048):
-                enc = _contract_root(seed, p_abs, 1e-5)
-                if enc is None or not _is_primitive(enc, p_abs, 64):
-                    continue
-                cands.append(enc)
-            cands.sort(key=lambda e: abs(float(e.mid()) - c_mid))
-            for enc in cands:
-                win = _certified_window(p_abs, enc)
-                if win is None:
-                    continue
-                while True:
-                    if (win.left.hi < bracket.lo
-                            and bracket.hi < win.right.lo):
-                        found = (win, q)
-                        break
-                    if (bracket.hi < win.left.lo
-                            or bracket.lo > win.right.hi):
-                        break
-                    if m >= m_cap:
-                        return prefix or None  # undecidable at the budget
-                    m *= 2
-                    try:
-                        bracket = o.enclosure(m, ledger)
-                    except OracleFault:
-                        return prefix or None
-                if found:
-                    break
-            if found:
-                break
-        if found is None:
-            break
-        win, q = found
-        if level == 0 and win.tau is not None:
-            rel = win.tau
-        else:
-            rel = CombinatorialType(q, (2, 1) if q == 2 else ())
-        prefix.append(rel)
-        cur, period = win, period * q
-    return prefix or None
+def _tower_types(tower: list) -> tuple:
+    """Per-level CombinatorialType of a window tower: level 0 the window's
+    own type, later levels the period relative to the level above."""
+    periods = [1] + [win.period for win in tower]
+    types = [CombinatorialType(b // a, (2, 1) if b == 2 * a else ())
+             for a, b in zip(periods, periods[1:])]
+    if tower[0].tau is not None:
+        types[0] = tower[0].tau
+    return tuple(types)
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +487,9 @@ def _sorted_dyadics(pts) -> tuple:
 # ---------------------------------------------------------------------------
 # Pixel queries and rendering
 
-def _cached_certificate(o: ParamOracle, n: int, hints, budget,
-                        ledger) -> _Certificate:
-    """The certificate for (n, hints, budget), built once per oracle.
+def _cached_bands(o: ParamOracle, n: int, hints, budget, ledger) -> list:
+    """Pixel bands (lo - 2^(1-n), hi + 2^(1-n)) of the certificate's
+    enclosures for (n, hints, budget), built once per oracle.
 
     A hit charges the ledger what the build was charged (units, queries,
     max precision), as the cost model charges replays like first runs.
@@ -569,12 +501,15 @@ def _cached_certificate(o: ParamOracle, n: int, hints, budget,
     cost = QueryLedger()
     try:
         if key not in cache:
-            cache[key] = _build_certificate(o, n, hints, budget, cost), cost
-        cert, cost = cache[key]
+            cert = _build_certificate(o, n, hints, budget, cost)
+            far = Dyadic(1, 1 - n)
+            cache[key] = [(e.lo - far, e.hi + far)
+                          for e in cert.enclosures], cost
+        bands, cost = cache[key]
     finally:  # a failed build is charged too
         if ledger is not None:
             ledger.add(cost)
-    return cert
+    return bands
 
 
 def pixel_query(o: ParamOracle, n: int, x: Dyadic,
@@ -586,10 +521,8 @@ def pixel_query(o: ParamOracle, n: int, x: Dyadic,
     """
     if not x.in_grid(n):
         raise ValueError(f"pixel center {x} is not in D_{n}")
-    cert = _cached_certificate(o, n, hints, budget, ledger)
-    far = Dyadic(1, 1 - n)
-    for enc in cert.enclosures:  # A lies in their union
-        if (enc.lo - x if x < enc.lo else x - enc.hi) < far:
+    for lo, hi in _cached_bands(o, n, hints, budget, ledger):
+        if lo < x < hi:  # dist(x, enclosure) < 2^(1-n); A lies in their union
             return 1
     return 0
 

@@ -307,10 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.max_precision is None and "QAL_MAX_PRECISION" in os.environ:
-        args.max_precision = int(os.environ["QAL_MAX_PRECISION"])
     single = {"classify", "approx", "render", "essperiod"}
     try:
+        if args.max_precision is None and "QAL_MAX_PRECISION" in os.environ:
+            args.max_precision = int(os.environ["QAL_MAX_PRECISION"])
         if args.command in single:
             if not args.c or len(args.c) != 1:
                 raise ValueError(f"{args.command} needs exactly one --c")

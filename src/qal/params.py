@@ -15,7 +15,7 @@ from fractions import Fraction
 from .dyadic import (ONE, TWO, UP, ZERO, Dyadic, Interval, iv_deriv_step,
                      iv_quad_step)
 from .dynamics import (PARAM_RANGE, TrackedInterval, _critical_enclosures,
-                       certify_attracting_cycle)
+                       certify_attracting_cycle, iter_eval)
 from .oracle import (BisectOracle, IntervalNewtonOracle, OracleFault,
                      ParamOracle, QueryLedger, RefinerOracle)
 from .renorm import (CombinatorialType, _cycle_type, feigenbaum_word, kneading,
@@ -155,14 +155,14 @@ def _center_oracle(enc: Interval, n: int, spec: str) -> ParamOracle:
     return o
 
 
-def _float_roots(n: int, lo: float, hi: float, grid: int = 4096) -> list:
+def _float_roots(n: int, lo: float, hi: float) -> list:
     """Float sign-scan seeds for roots of Q_n on [lo, hi]."""
     if n == 1:
         return [0.0] if lo <= 0.0 <= hi else []
     out = []
-    step = (hi - lo) / grid
+    step = (hi - lo) / 4096
     prev_c, prev_v = lo, _q_float(lo, n)
-    for i in range(1, grid + 1):
+    for i in range(1, 4097):
         c = lo + i * step
         v = _q_float(c, n)
         if prev_v == 0.0:
@@ -342,7 +342,8 @@ class _RightEndOracle(RefinerOracle):
     A primitive window ends in a saddle-node of the n-cycle: multiplier +1.
     A period-doubling window (n even, nested in a period-n/2 window) ends
     where the parent n/2-cycle has multiplier -1, as the n-cycle system is a
-    triple root there.  Seeds are the superstable cycle points."""
+    triple root there.  Seeds are the superstable cycle points; a solution
+    not certified to have no smaller period is skipped."""
 
     def __init__(self, n: int, center: ParamOracle, spec: str):
         super().__init__()
@@ -356,13 +357,22 @@ class _RightEndOracle(RefinerOracle):
             for k in range(n):
                 sol = _parabolic_refine(q, c_star, _q_float(c_star, k),
                                         width_exp, mult=mult)
-                if sol is None:
+                if sol is None or _divisor_cycle(q, *sol, 4 * width_exp):
                     continue
                 r = float(sol[0].lo)
                 if c_star < r <= 0.25 and r - c_star < 1.0:
                     self.bracket = sol[0]
                     return
         raise OracleFault(f"right endpoint of period {n} did not certify")
+
+
+def _divisor_cycle(q: int, c: Interval, w: Interval, p: int) -> bool:
+    """False when P^d(w) is certified apart from w for every proper d | q.
+
+    Newton can land on a parabolic cycle of a proper divisor period d,
+    whose P^q-multiplier is the d-cycle's to the power q/d."""
+    return any(iter_eval(w, c, d, p)[0].intersect(w) is not None
+               for d in range(1, q) if q % d == 0)
 
 
 def window_endpoint_oracle(period: int, side: str,
@@ -483,11 +493,65 @@ def feigenbaum_limit(depth: int = 17) -> ParamOracle:
 
 
 # ---------------------------------------------------------------------------
-# Window location for an oracle parameter
+# Window search for an oracle parameter
+
+_WINDOW_CACHE: dict = {}
+
+
+def _centre_window(period: int, enc: Interval) -> RenormWindow | None:
+    """The window of a certified center enclosure, memoized (oracle-free)."""
+    key = (period, enc.lo, enc.hi)
+    if key not in _WINDOW_CACHE:
+        try:
+            center = _center_oracle(enc, period, f"superstable:{period}")
+            _WINDOW_CACHE[key] = _window_at(period, center)
+        except OracleFault:
+            _WINDOW_CACHE[key] = None
+    return _WINDOW_CACHE[key]
+
+
+class _OracleBracket:
+    """The oracle's enclosure of c at query precision m, which refine()
+    doubles while m is below cap."""
+
+    def __init__(self, o: ParamOracle, m: int, cap: int, ledger):
+        self.o, self.m, self.cap, self.ledger = o, m, cap, ledger
+        self.iv = o.enclosure(m, ledger)
+
+    def refine(self, period: int):
+        if self.m >= self.cap:
+            raise OracleFault(
+                f"parameter undecidably close to the period-{period} "
+                f"window boundary at precision cap")
+        self.m *= 2
+        self.iv = self.o.enclosure(self.m, self.ledger)
+
+
+def _near(iv: Interval) -> tuple:
+    """Seed range [c - 1, c + 1] clipped to the parameter range."""
+    return max(float(iv.lo) - 1.0, -2.0), min(float(iv.hi) + 1.0, 0.25)
+
+
+def _window_search(c: _OracleBracket, periods, lo: float,
+                   hi: float) -> RenormWindow | None:
+    """First window whose certified ends strictly bracket c: periods in
+    order, each period's primitive centres seeded in [lo, hi] nearest c
+    first.  Refines c while its bracket straddles a window end; OracleFault
+    at the cap."""
+    for period in periods:
+        mid = float(c.iv.mid())
+        encs = sorted(_primitive_centers(period, lo, hi, 64),
+                      key=lambda e: abs(float(e.mid()) - mid))
+        for win in filter(None, (_centre_window(period, e) for e in encs)):
+            while not (c.iv.hi < win.left.lo or c.iv.lo > win.right.hi):
+                if win.left.hi < c.iv.lo and c.iv.hi < win.right.lo:
+                    return win
+                c.refine(period)
+    return None
+
 
 def window_locate(o: ParamOracle, max_period: int,
-                  ledger: QueryLedger | None = None,
-                  m_cap: int = 256) -> RenormWindow | None:
+                  ledger: QueryLedger | None = None) -> RenormWindow | None:
     """Smallest-period window (period <= max_period) certified to contain c.
 
     Containment and exclusion are decided by refining the oracle bracket
@@ -495,45 +559,44 @@ def window_locate(o: ParamOracle, max_period: int,
     budget raises OracleFault (reported distinctly from a certified none).
     A certified attracting cycle of period q restricts candidate window
     periods to divisors of q (an attracting fixed point settles none
-    immediately).
+    immediately); an oracle that faults at that test's precision is
+    searched over every period.
     """
     periods = range(2, max_period + 1)
-    cert = certify_attracting_cycle(o, max_period, ledger=ledger)
+    try:
+        cert = certify_attracting_cycle(o, max_period, ledger=ledger)
+    except OracleFault:
+        cert = None  # the oracle cannot reach the filter's precision
     if cert is not None and cert.kind in ("attracting", "superattracting"):
-        periods = [d for d in range(2, max_period + 1)
-                   if cert.period % d == 0]
+        periods = [d for d in periods if cert.period % d == 0]
         if not periods:
             return None
-    m = 16
-    bracket = o.enclosure(m, ledger)
-    for period in periods:
-        for win in _windows_near(period, bracket):
-            while True:
-                if win.left.hi < bracket.lo and bracket.hi < win.right.lo:
-                    return win
-                outside = bracket.hi < win.left.lo or bracket.lo > win.right.hi
-                if outside:
-                    break
-                if m >= m_cap:
-                    raise OracleFault(
-                        f"parameter undecidably close to the period-{period} "
-                        f"window boundary at precision cap")
-                m *= 2
-                bracket = o.enclosure(m, ledger)
-    return None
+    c = _OracleBracket(o, 16, 256, ledger)
+    return _window_search(c, periods, *_near(c.iv))
 
 
-def _windows_near(period: int, bracket: Interval) -> list:
-    """Windows of the given period whose center lies near the bracket."""
-    lo = max(float(bracket.lo) - 1.0, -2.0)
-    hi = min(float(bracket.hi) + 1.0, 0.25)
-    out = []
-    for enc in _primitive_centers(period, lo, hi, 64):
-        try:
-            win = _window_at(period, _center_oracle(enc, period,
-                                                    f"superstable:{period}"))
-        except OracleFault:
-            continue
-        out.append(win)
-    out.sort(key=lambda w: float(w.left.lo))
-    return out
+def _window_tower(o: ParamOracle, depth: int, max_period: int, p_cap: int,
+                  ledger: QueryLedger | None = None) -> list:
+    """Case 3: up to depth certified windows around c, each inside the last.
+
+    Each level searches relative periods 2..8 over its parent's period (up
+    to max(max_period, 64)), seeding centres near c at level 0 and inside
+    the last window found after.  Stops at a level with none found or at
+    OracleFault, and returns the windows certified so far.
+    """
+    tower, period = [], 1
+    try:
+        c = _OracleBracket(o, 8, min(p_cap, 4096), ledger)
+        seeds = _near(c.iv)
+        for _ in range(depth):
+            win = _window_search(c, [period * q for q in range(2, 9)
+                                     if period * q <= max(max_period, 64)],
+                                 *seeds)
+            if win is None:
+                break
+            tower.append(win)
+            period = win.period
+            seeds = float(win.left.lo), float(win.right.hi)
+    except OracleFault:
+        pass
+    return tower

@@ -1,6 +1,11 @@
 """Classification, certified approximation, pixel queries, rendering."""
 
+import contextlib
+import io
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,9 +13,11 @@ import pytest
 import qal.attractor
 from qal.attractor import (ApproximationFailed, Budget, Hints, approximate,
                            classify, pixel_query, render)
+from qal.cli import parse_oracle
 from qal.dyadic import Dyadic, Interval
 from qal.oracle import (OracleFault, ParamOracle, QueryLedger, WorstCaseOracle,
                         oracle_exact)
+from qal.params import window_locate
 
 NEG_ONE = Dyadic(-1)
 QUARTER = Dyadic(1, -2)
@@ -61,6 +68,12 @@ class TestClassify:
             Hints(case="4")
         with pytest.raises(ValueError):
             classify(oracle_exact(QUARTER), Hints(case="1c"))
+
+    @pytest.mark.parametrize("field", ["max_period", "steps", "depth",
+                                       "max_precision"])
+    def test_budget_validation(self, field):
+        with pytest.raises(ValueError, match=field):
+            Budget(**{field: 0})
 
     def test_starved_budget_returns_none(self):
         cls = classify(oracle_exact(Dyadic(-7, -2)), Hints(3, "1c"),
@@ -229,6 +242,9 @@ class TestCaseOneA:
         assert [str(p) for p in got.points] == points
 
 
+C_F62 = Dyadic.from_fraction_rounded(Fraction("-1.401155189092050426"), 62)
+
+
 class _CappedOracle(ParamOracle):
     """Answers like inner up to precision m_max and faults above it."""
 
@@ -246,10 +262,42 @@ def test_failure_names_the_oracle_limit_that_stopped_it():
     # a Feigenbaum-like parameter whose oracle stops answering above 16
     # bits: the case-3 cover is clamped to what the oracle answers, so the
     # failure is the oracle's, not the precision cap's
-    c_f = Dyadic.from_fraction_rounded(Fraction("-1.401155189092050426"), 62)
     with pytest.raises(ApproximationFailed) as exc:
-        approximate(_CappedOracle(oracle_exact(c_f), 16), 20)
+        approximate(_CappedOracle(oracle_exact(C_F62), 16), 20)
     text = str(exc.value)
     assert "below the precision cap" not in text
     assert text.endswith("trap not certified below the oracle's limit "
                          "(precision 30 is past this oracle's cap)")
+
+
+class TestWindowTower:
+    @pytest.mark.parametrize("spec", ["exact:-1", "superstable:3",
+                                      "feigenbaum"])
+    def test_level_zero_is_the_located_window(self, spec):
+        want = window_locate(parse_oracle(spec), 8).period
+        cls = classify(parse_oracle(spec), Hints(case="3"), Budget(depth=1))
+        assert cls.prefix[0].period == want
+
+    def test_window_memo_changes_no_answer_or_charge(self):
+        # the window memo is process-wide; a case-3 run must give the same
+        # answer and charge in a fresh process and after unrelated runs
+        run = ("from fractions import Fraction\n"
+               "from qal import Budget, Dyadic, QueryLedger, classify, "
+               "oracle_exact\n"
+               "c = Dyadic.from_fraction_rounded("
+               "Fraction('-1.401155189092050426'), 62)\n"
+               "ledger = QueryLedger()\n"
+               "cls = classify(oracle_exact(c), budget=Budget(depth=3), "
+               "ledger=ledger)\n"
+               "print(cls.describe(), ledger.total_units)\n")
+        src = os.path.dirname(os.path.dirname(qal.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        fresh = subprocess.run([sys.executable, "-c", run], env=env,
+                               capture_output=True, text=True, check=True)
+        for spec in ("feigenbaum", "exact:-1.375", "superstable:3"):
+            classify(parse_oracle(spec), Hints(case="3"), Budget(depth=2))
+        warm = io.StringIO()
+        with contextlib.redirect_stdout(warm):
+            exec(run, {})
+        assert warm.getvalue() == fresh.stdout
+        assert fresh.stdout.startswith("FeigenbaumLike depth=3 ")

@@ -79,6 +79,17 @@ class TestExitCodes:
         assert code == EXIT_ERROR
         assert "error:" in err
 
+    @pytest.mark.parametrize("flag,value", [("--max-precision", "0"),
+                                            ("--max-precision", "-3"),
+                                            ("--max-period", "0")])
+    def test_budget_it_cannot_honour_is_an_error(self, capsys, flag, value):
+        # a cap of 0 once meant no cap at all: -21/16 answered at 0 bits
+        # and was undecided at 1
+        code, out, err = run(capsys, "approx", "--c", "exact:-21*2^-4",
+                             "--n", "8", flag, value)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("error: budget ")
+
 
 class TestApproxOutput:
     def test_point_list_serialization(self, capsys):
@@ -222,6 +233,12 @@ class TestEnvPrecisionCap:
                            "--max-precision", "128")
         assert code == EXIT_OK
         assert out.strip() == "LimitCycle parabolic period=3"
+
+    def test_malformed_variable_is_an_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("QAL_MAX_PRECISION", "abc")
+        code, out, err = run(capsys, "classify", "--c", "exact:-1")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err.startswith("error: ")
 
     def test_library_calls_ignore_the_variable(self, capsys, monkeypatch):
         # the variable only sets the budget of the budgeted subcommands

@@ -162,6 +162,16 @@ class TestWindowEndpoints:
         assert win.left.width() < Dyadic(1, -47)
         assert win.right.width() < Dyadic(1, -47)
 
+    @pytest.mark.parametrize("n,index,right,tol", [(6, 3, -1.768529152, 1e-9),
+                                                   (8, 7, -1.941538, 1e-6)])
+    def test_right_end_is_not_a_cycle_of_smaller_period(self, n, index,
+                                                        right, tol):
+        # the 2x2 Newton also lands on parabolic cycles of a divisor period:
+        # the 3-cycle saddle-node -7/4 for 6:3 (its window ends at the 3->6
+        # doubling), the 4-cycle saddle-node for 8:7
+        win = window_endpoints(n, index)
+        assert abs(float(win.right.mid()) - right) < tol
+
     @pytest.mark.parametrize("n,index", [(2, 0), (4, 1), (6, 0), (7, 0),
                                          (7, 8), (8, 0), (8, 13)])
     def test_left_endpoint_is_the_root_next_to_the_centre(self, n, index):
