@@ -367,67 +367,81 @@ def _dy_div(a: Dyadic, b: Dyadic, m: int) -> tuple[Dyadic, Dyadic]:
     return lo, hi
 
 
-def _aligned(x: Interval) -> tuple[int, int, int]:
-    """(lo, hi, e): the endpoints of x are lo * 2^e and hi * 2^e."""
-    a, b = x.lo, x.hi
-    e = min(a.exp, b.exp)
-    return a.man << (a.exp - e), b.man << (b.exp - e), e
+# ---------------------------------------------------------------------------
+# Fixed point, as in Arb: intervals as int pairs at one scale 2^-q through an
+# orbit loop.  Floor and ceil at 2^-p, p <= q, of an image ignore its boxing.
+
+def fixed_read(p: int, *xs: Interval) -> tuple:
+    """(q, each of xs as an int pair at 2^-q), q the least >= max(p, 0) fitting all."""
+    q = max(p, 0)
+    for x in xs:
+        q = max(q, -x.lo.exp, -x.hi.exp)
+    return q, *[(x.lo.man << (x.lo.exp + q), x.hi.man << (x.hi.exp + q))
+                for x in xs]
 
 
-def _round_out_scaled(lo: int, hi: int, e: int, p: int) -> Interval:
-    """[lo * 2^e, hi * 2^e] rounded outward to D_p by a floor and a ceil
-    shift: one Dyadic per endpoint."""
-    s = -p - e
-    if s > 0:
-        lo >>= s
-        hi = -(-hi >> s)
-        e = -p
-    return Interval(Dyadic(lo, e), Dyadic(hi, e))
+def fixed_box(p: int, box: Interval, *xs: Interval) -> tuple:
+    """fixed_read, one bit finer if need be, with the midpoint of box next."""
+    q, b, *rest = fixed_read(p, box, *xs)
+    if (b[0] ^ b[1]) & 1:
+        q, b, *rest = fixed_read(q + 1, box, *xs)
+    return q, b, (b[0] + b[1]) >> 1, *rest
+
+
+def from_fixed(lo: int, hi: int, q: int) -> Interval:
+    return Interval(Dyadic(lo, -q), Dyadic(hi, -q))
+
+
+def fixed_orbit(x: tuple, c: tuple, n: int, q: int, p: int,
+                d: tuple | None = None, add: int = 0):
+    """Yield (lo, hi, d) for x and n steps of x' = x^2 + c, and of d' = 2 x d
+    + add (add 0 or 1) if d is given: int pairs at 2^-q, q >= max(p, 0), each
+    step the tightest outward enclosure in D_p of the last one's image."""
+    xl, xh = x
+    cl, ch = c[0] << q, c[1] << q  # exact images are at the scale 2^-2q
+    a, s, up = add << 2 * q, 2 * q - p, q - p
+    yield xl, xh, d
+    for _ in range(n):
+        if d:
+            m = (d[0] * xl, d[0] * xh, d[1] * xl, d[1] * xh)
+            d = ((2 * min(m) + a) >> s) << up, -((-2 * max(m) - a) >> s) << up
+        a2, b2 = xl * xl, xh * xh
+        sl, sh = (a2, b2) if xl >= 0 else (b2, a2) if xh <= 0 else (0, max(a2, b2))
+        xl, xh = ((sl + cl) >> s) << up, -((-sh - ch) >> s) << up
+        yield xl, xh, d
+
+
+def fixed_centred(t: tuple, tm: tuple, d: tuple, r: int, q: int) -> Interval:
+    """t meet the mean-value form tm + d [-r, r] (exact at 2^-2q), or t."""
+    w = r * max(-d[0], d[1])  # the sup of |d| [-r, r]
+    lo = max(t[0] << q, (tm[0] << q) - w)
+    hi = min(t[1] << q, (tm[1] << q) + w)
+    return from_fixed(t[0], t[1], q) if lo > hi else from_fixed(lo, hi, 2 * q)
 
 
 def iv_quad_step(x: Interval, c: Interval, p: int) -> Interval:
-    """Outward enclosure of {v^2 + w : v in x, w in c} at precision p.
-
-    Exact up to the one outward rounding: the endpoints are squared and
-    added as integers at their common scale (fixed point, as in Arb).
-    """
-    xl, xh, ex = _aligned(x)
-    cl, ch, ec = _aligned(c)
-    if xl >= 0:
-        sl, sh = xl * xl, xh * xh
-    elif xh <= 0:
-        sl, sh = xh * xh, xl * xl
-    else:
-        sl, sh = 0, max(xl * xl, xh * xh)
-    e = min(2 * ex, ec)
-    k, j = 2 * ex - e, ec - e
-    return _round_out_scaled((sl << k) + (cl << j), (sh << k) + (ch << j), e, p)
+    """Outward enclosure of {v^2 + w : v in x, w in c} at precision p."""
+    return iv_iterate(x, c, 1, p)
 
 
 def iv_deriv_step(d: Interval, x: Interval, p: int, add: int = 0) -> Interval:
-    """Outward enclosure of {2 v w + add : v in d, w in x} at precision p.
-
-    One step d' = P'(x) d + add of a derivative recurrence of P = x^2 + c,
-    on ints at the endpoints' common scale as in iv_quad_step.
-    """
-    dl, dh, ed = _aligned(d)
-    xl, xh, ex = _aligned(x)
-    prods = (dl * xl, dl * xh, dh * xl, dh * xh)
-    lo, hi, e = min(prods), max(prods), ed + ex + 1
-    if add:
-        if e > 0:
-            lo, hi, e = lo << e, hi << e, 0
-        lo += add << -e
-        hi += add << -e
-    return _round_out_scaled(lo, hi, e, p)
+    """Outward enclosure of {2 v w + add : v in d, w in x} at precision p."""
+    q, xf, df = fixed_read(p, x, d)
+    *_, (_, _, e) = fixed_orbit(xf, (0, 0), 1, q, p, df, add)
+    return from_fixed(*e, q)
 
 
-def iv_orbit(x0: Interval, c: Interval, n: int, p) -> list:
-    """[x0, P(x0), ..., P^n(x0)] by n outward steps of iv_quad_step."""
-    xs = [x0]
-    for _ in range(n):
-        xs.append(iv_quad_step(xs[-1], c, p))
-    return xs
+def iv_iterate(x0: Interval, c: Interval, n: int, p: int) -> Interval:
+    """P^n(x0) by n outward steps of fixed_orbit."""
+    q, x, cf = fixed_read(p, x0, c)
+    *_, (lo, hi, _) = fixed_orbit(x, cf, n, q, p)
+    return from_fixed(lo, hi, q)
+
+
+def iv_orbit(x0: Interval, c: Interval, n: int, p: int) -> list:
+    """[x0, P(x0), ..., P^n(x0)] by n outward steps of fixed_orbit."""
+    q, x, cf = fixed_read(p, x0, c)
+    return [from_fixed(lo, hi, q) for lo, hi, _ in fixed_orbit(x, cf, n, q, p)]
 
 
 def iv_deriv_enclosure(x: Interval) -> Interval:

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .dyadic import (DOWN, ONE, TWO, UP, ZERO, Dyadic, Interval, dy_max,
-                     dy_min, iv_deriv_enclosure, iv_deriv_step, iv_orbit,
+                     dy_min, fixed_box, fixed_centred, fixed_orbit, fixed_read,
+                     from_fixed, iv_deriv_enclosure, iv_iterate, iv_orbit,
                      iv_quad_step)
 from .oracle import ParamOracle, QueryLedger
 from .solver import PRECISION_CAP, float_newton, interval_newton, ladder
@@ -78,15 +79,15 @@ def _critical_steps(c: Interval, p: int):
     certified outside stops at a certified escape (past |x| = 2), from where
     the orbit and its mantissas grow without bound.
     """
-    clamp = None if PARAM_RANGE.disjoint(c) else Interval(NEG_TWO, TWO)
-    x = Interval.point(ZERO)
+    clamp, (q, cf) = not PARAM_RANGE.disjoint(c), fixed_read(p, c)
+    two, lo, hi = 2 << q, 0, 0
     while True:
-        yield x
-        if x.lo > TWO or x.hi < NEG_TWO:
+        yield from_fixed(lo, hi, q)
+        if lo > two or hi < -two:
             return
-        x = iv_quad_step(x, c, p)
-        if clamp:
-            x = x.intersect(clamp) or x  # an escape stays unclamped
+        *_, (lo, hi, _) = fixed_orbit((lo, hi), cf, 1, q, p)
+        if clamp and lo <= two and hi >= -two:  # an escape stays unclamped
+            lo, hi = max(lo, -two), min(hi, two)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +195,24 @@ def classify_cycle(point_enclosures: list, multiplier: Interval) -> str:
 
 
 def _float_cycle_candidate(c: float, max_period: int, transient: int = 4096):
-    """Heuristic (period, point) candidate from plain float iteration."""
-    x = 0.0
-    for _ in range(transient):
-        x = x * x + c
-        if abs(x) > 4.0:
+    """Heuristic (period, point) candidate from plain float iteration.  The
+    transient ends early where its next 2 max_period steps, read every 64
+    steps, repeat with a period n: on the phase it would end on mod n."""
+    x, t, ahead = 0.0, 0, 2 * max_period
+    while t < transient:
+        ys = [x]
+        for _ in range(min(64 + ahead, transient - t)):
+            x = x * x + c
+            ys.append(x)
+        if abs(x) > 4.0:  # past 4 the orbit of 0 only grows
             return None
+        t, ys = t + len(ys) - 1, ys[-ahead - 1:]
+        n = len(ys) > ahead and next(
+            (n for n in range(1, max_period + 1) if abs(ys[n] - ys[0]) < 1e-9
+             and all(abs(a - b) < 1e-9 for a, b in zip(ys[n:], ys))), None)
+        if n:
+            x = ys[-1 - (t - transient) % n]
+            break
     tail = [x]
     for _ in range(4 * max_period):
         x = x * x + c
@@ -257,24 +270,23 @@ def certify_attracting_cycle(o: ParamOracle, max_period: int = 64,
 
 def _polish_cycle(n: int, j: Interval, c: Interval, p: int) -> CertifiedCycle:
     """Iterate P^n on a certified trap J until the enclosure stabilizes."""
-    y = j
-    prev_width = y.width()
+    q, y, cf = fixed_read(p, j, c)
     for _ in range(4 * p):
-        z = iv_orbit(y, c, n, p)[-1]
-        z = z.intersect(y) or z  # cycle point lies in both
-        if z.width() >= prev_width:
+        *_, (lo, hi, _) = fixed_orbit(y, cf, n, q, p)
+        if lo <= y[1] and y[0] <= hi:  # cycle point lies in both
+            lo, hi = max(lo, y[0]), min(hi, y[1])
+        if hi - lo >= y[1] - y[0]:
             break
-        y, prev_width = z, z.width()
-    # enclosures of the full cycle
-    encs = iv_orbit(y, c, n - 1, p)
+        y = lo, hi
+    # enclosures of the full cycle, and the multiplier along them
+    steps = list(fixed_orbit(y, cf, n, q, p, (1 << q, 1 << q)))
+    encs = [from_fixed(lo, hi, q) for lo, hi, _ in steps[:-1]]
     # reduce to the true period if images meet earlier
     for d in range(1, n):
         if (n % d == 0 and not encs[d].disjoint(encs[0])
-                and j.strictly_contains(iv_orbit(j, c, d, p)[-1])):
+                and j.strictly_contains(iv_iterate(j, c, d, p))):
             return _polish_cycle(d, j, c, p)
-    mult = Interval.point(ONE)
-    for e in encs:
-        mult = iv_deriv_step(mult, e, p)
+    mult = from_fixed(*steps[-1][2], q)
     kind = classify_cycle(encs, mult)
     return CertifiedCycle(n, encs, mult, kind)
 
@@ -285,7 +297,7 @@ def recheck_cycle(cycle: CertifiedCycle, o: ParamOracle, p: int) -> bool:
     j = cycle.point_enclosures[0]
     pad = Dyadic(1, -(p // 4))
     j = Interval(j.lo - pad, j.hi + pad)
-    return j.strictly_contains(iv_orbit(j, c, cycle.period, p)[-1])
+    return j.strictly_contains(iv_iterate(j, c, cycle.period, p))
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +317,13 @@ def iter_eval(x: Interval, c: Interval, k: int, p: int):
     like sqrt(width) near roots; intersecting with the mean-value form
     P^k(mid) + (P^k)'(x) * (x - mid) restores linear scaling.
     """
-    t = x
-    deriv = Interval.point(ONE)
-    for _ in range(k):
-        deriv = iv_deriv_step(deriv, t, p)
-        t = iv_quad_step(t, c, p)
-    if not x.is_point():
-        mid = x.mid()
-        tm = Interval.point(mid)
-        for _ in range(k):
-            tm = iv_quad_step(tm, c, p)
-        centered = tm + deriv * Interval(x.lo - mid, x.hi - mid)
-        t = t.intersect(centered) or t
-    return t, deriv
+    q, (xl, xh), m, cf = fixed_box(p, x, c)
+    *_, t = fixed_orbit((xl, xh), cf, k, q, p, (1 << q, 1 << q))
+    deriv = from_fixed(*t[2], q)
+    if xl == xh:
+        return from_fixed(t[0], t[1], q), deriv
+    *_, tm = fixed_orbit((m, m), cf, k, q, p)
+    return fixed_centred(t, tm, t[2], xh - m, q), deriv
 
 
 def _return_map_eval(x: Interval, c: Interval, n: int, p: int):
@@ -333,7 +339,7 @@ def _return_map_eval(x: Interval, c: Interval, n: int, p: int):
     f = t - x
     if not x.is_point():
         mid = x.mid()
-        tm, _ = iter_eval(Interval.point(mid), c, n, p)
+        tm = iv_iterate(Interval.point(mid), c, n, p)
         centered = (tm - Interval.point(mid)) + dg * Interval(x.lo - mid,
                                                               x.hi - mid)
         f = f.intersect(centered) or f

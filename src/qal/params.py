@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import (ONE, TWO, UP, ZERO, Dyadic, Interval, iv_deriv_step,
-                     iv_quad_step)
+from .dyadic import (ONE, TWO, UP, ZERO, Dyadic, Interval, fixed_box,
+                     fixed_centred, fixed_orbit, fixed_read, from_fixed)
 from .dynamics import (PARAM_RANGE, TrackedInterval, _critical_enclosures,
                        certify_attracting_cycle, iter_eval)
 from .oracle import (BisectOracle, IntervalNewtonOracle, OracleFault,
@@ -32,19 +32,13 @@ def critical_value_eval(c: Interval, n: int, p: int):
     Recursion x' = x^2 + c, d' = 2 x d + 1, sharpened by the mean-value form
     Q_n(mid) + dQ_n(c) * (c - mid).
     """
-    x = Interval.point(ZERO)
-    d = Interval.point(ZERO)
-    for _ in range(n):
-        d = iv_deriv_step(d, x, p, 1)
-        x = iv_quad_step(x, c, p)
-    if not c.is_point():
-        mid = Interval.point(c.mid())
-        xm = Interval.point(ZERO)
-        for _ in range(n):
-            xm = iv_quad_step(xm, mid, p)
-        centered = xm + d * (c - mid)
-        x = x.intersect(centered) or x
-    return x, d
+    q, (cl, ch), m = fixed_box(p, c)
+    *_, x = fixed_orbit((0, 0), (cl, ch), n, q, p, (0, 0), 1)
+    d = from_fixed(*x[2], q)
+    if cl == ch:
+        return from_fixed(x[0], x[1], q), d
+    *_, xm = fixed_orbit((0, 0), (m, m), n, q, p)
+    return fixed_centred(x, xm, x[2], ch - m, q), d
 
 
 def _q_float(c: float, n: int) -> float:
@@ -204,18 +198,20 @@ class RenormWindow:
 
 def _system_eval(c: Interval, w: Interval, n: int, p: int):
     """Over a (c, w) box: (P^n(w), dP^n/dw, dP^n/dc, d2/dwdw, d2/dwdc)."""
-    x = w
-    u = Interval.point(ONE)   # dx/dw
-    v = Interval.point(ZERO)  # dx/dc
-    uw = Interval.point(ZERO)  # du/dw
-    uc = Interval.point(ZERO)  # du/dc
-    for _ in range(n):
-        uw = ((u * u + x * uw).scale2(1)).round_out(p)
-        uc = ((u * v + x * uc).scale2(1)).round_out(p)
-        u = iv_deriv_step(u, x, p)
-        v = iv_deriv_step(v, x, p, 1)
-        x = iv_quad_step(x, c, p)
-    return x, u, v, uw, uc
+    q, cf, x = fixed_read(p, c, w)
+    s, up, uw, uc = 2 * q - p, q - p, (0, 0), (0, 0)  # uw, uc: du/dw, du/dc
+
+    def line(x, a, b, e):  # 2 (a b + x e), rounded out to D_p
+        m, k = [i * j for i in a for j in b], [i * j for i in x for j in e]
+        return (2 * (min(m) + min(k)) >> s) << up, -(-2 * (max(m) + max(k)) >> s) << up
+
+    # x with dx/dw (from 1) and dx/dc (from 0, add 1)
+    steps = list(zip(fixed_orbit(x, cf, n, q, p, (1 << q, 1 << q)),
+                     fixed_orbit(x, cf, n, q, p, (0, 0), 1)))
+    for (*x, u), (*_, v) in steps[:-1]:
+        uw, uc = line(x, u, u, uw), line(x, u, v, uc)
+    (*x, u), (*_, v) = steps[-1]
+    return tuple(from_fixed(*y, q) for y in (x, u, v, uw, uc))
 
 
 def _parabolic_refine(n: int, c0: float, w0: float, target_exp: int,

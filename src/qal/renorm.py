@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, cycle
 
-from .dyadic import ZERO, Dyadic, Interval
+from .dyadic import ZERO, Dyadic, Interval, iv_iterate
 from .dynamics import (PARAM_RANGE, ParameterRangeError, TrackedInterval,
                        _critical_enclosures, _critical_steps, _merge_boxes,
                        check_param, isolate_periodic_points, iter_eval)
@@ -281,8 +281,7 @@ def _smallest_root(c: Interval, k: int, beta: Interval, domain: Interval,
     merged = _merge_boxes(boxes)
 
     def sign_at(x: Dyadic) -> int:
-        v, _ = iter_eval(Interval.point(x), c, k, p)
-        return iv_sign(v - beta)
+        return iv_sign(iv_iterate(Interval.point(x), c, k, p) - beta)
 
     cur = sign_at(domain.lo)
     if cur == 0:

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qal.dyadic import (DOWN, NEAREST, UP, Dyadic, Interval,
-                        iv_deriv_enclosure, iv_deriv_step, iv_quad_step)
+from qal.dyadic import (DOWN, NEAREST, UP, Dyadic, Interval, fixed_orbit,
+                        fixed_read, from_fixed, iv_deriv_enclosure,
+                        iv_deriv_step, iv_iterate, iv_orbit, iv_quad_step)
 
 dyadics = st.builds(Dyadic,
                     st.integers(min_value=-(1 << 40), max_value=1 << 40),
@@ -30,6 +31,13 @@ wide = st.builds(Dyadic,
 ends = st.one_of(st.just(Dyadic(0)), dyadics)
 kernel_intervals = st.builds(iv, ends, ends)
 kernel_precisions = st.integers(min_value=-30, max_value=120)
+# orbit ends stay small enough for a few exact squarings
+orbit_ends = st.one_of(st.just(Dyadic(0)),
+                       st.builds(Dyadic,
+                                 st.integers(min_value=-(1 << 12),
+                                             max_value=1 << 12),
+                                 st.integers(min_value=-40, max_value=1)))
+orbit_intervals = st.builds(iv, orbit_ends, orbit_ends)
 
 
 def tightest_out(lo: Fraction, hi: Fraction, p: int) -> Interval:
@@ -38,6 +46,26 @@ def tightest_out(lo: Fraction, hi: Fraction, p: int) -> Interval:
     a, b = floor(lo / g) * g, ceil(hi / g) * g
     return Interval(Dyadic.from_fraction_rounded(a, p),
                     Dyadic.from_fraction_rounded(b, p))
+
+
+def orbit_fold(x0: Interval, c: Interval, n: int, p: int, d0=None, add=0):
+    """[(x_k, d_k)] for k = 0..n of x' = x^2 + c, d' = 2 x d + add, each
+    step the tightest outward D_p box of the exact image of the last one."""
+    x, d = x0, d0
+    out = [(x, d)]
+    for _ in range(n):
+        lo, hi = x.lo.as_fraction(), x.hi.as_fraction()
+        if d is not None:
+            prods = [2 * a.as_fraction() * b for a in (d.lo, d.hi)
+                     for b in (lo, hi)]
+            d = tightest_out(min(prods) + add, max(prods) + add, p)
+        sq = sorted((lo * lo, hi * hi))
+        if lo <= 0 <= hi:
+            sq[0] = Fraction(0)
+        x = tightest_out(sq[0] + c.lo.as_fraction(),
+                         sq[1] + c.hi.as_fraction(), p)
+        out.append((x, d))
+    return out
 
 
 class TestDyadicRing:
@@ -193,6 +221,34 @@ class TestInterval:
                  for a in (d.lo, d.hi) for b in (x.lo, x.hi)]
         exact = (min(prods) + add, max(prods) + add)
         assert iv_deriv_step(d, x, p, add) == tightest_out(*exact, p)
+
+    @given(orbit_intervals, orbit_intervals, st.integers(0, 5),
+           st.integers(-4, 80), st.one_of(st.none(), orbit_intervals),
+           st.sampled_from([0, 1]))
+    # c coarser than 2^-p: every step exact
+    @example(iv(Dyadic(0), Dyadic(0)), iv(Dyadic(-1), Dyadic(-1)), 5, 8,
+             iv(Dyadic(0), Dyadic(0)), 1)
+    # x0 the point 0 under a bracket of c finer than 2^-p
+    @example(iv(Dyadic(0), Dyadic(0)),
+             iv(Dyadic(-7, -2) - Dyadic(1, -70), Dyadic(-7, -2) + Dyadic(1, -70)),
+             5, 30, iv(Dyadic(0), Dyadic(0)), 1)
+    # boxes that straddle 0
+    @example(iv(Dyadic(-3, -2), Dyadic(5, -3)), iv(Dyadic(-1), Dyadic(-1023, -10)),
+             4, 12, iv(Dyadic(-1, -3), Dyadic(3, -1)), 0)
+    # x0 finer than 2^-p
+    @example(iv(Dyadic(1, -60), Dyadic(3, -60)), iv(Dyadic(-3, -1), Dyadic(-3, -1)),
+             4, 20, iv(Dyadic(1), Dyadic(1)), 0)
+    @example(iv(Dyadic(1, -60), Dyadic(3, -60)), iv(Dyadic(-3, -1), Dyadic(-3, -1)),
+             0, 20, iv(Dyadic(1), Dyadic(1)), 1)
+    def test_orbit_kernel_is_the_exact_fold(self, x0, c, n, p, d0, add):
+        q, x, cf, *d = fixed_read(p, x0, c, *([d0] if d0 else []))
+        steps = fixed_orbit(x, cf, n, q, p, d[0] if d else None, add)
+        got = [(from_fixed(lo, hi, q), d and from_fixed(*d, q))
+               for lo, hi, d in steps]
+        fold = orbit_fold(x0, c, n, p, d0, add)
+        assert got == fold
+        assert iv_orbit(x0, c, n, p) == [x for x, _ in fold]
+        assert iv_iterate(x0, c, n, p) == fold[-1][0]
 
     @given(intervals)
     def test_deriv_enclosure(self, x):
