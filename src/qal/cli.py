@@ -159,7 +159,7 @@ def cmd_windows(args) -> int:
         raise ValueError("windows needs --period")
     if n < 2:
         raise ValueError("windows have period >= 2")
-    centers = _primitive_centers(n, -2.0, 0.25, 64)
+    centers = list(_primitive_centers(n, -2.0, 0.25, 64))
     if not centers:
         print(f"undecided: no primitive period-{n} center", file=sys.stderr)
         return EXIT_UNDECIDED

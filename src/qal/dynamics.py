@@ -317,13 +317,18 @@ def iter_eval(x: Interval, c: Interval, k: int, p: int):
     like sqrt(width) near roots; intersecting with the mean-value form
     P^k(mid) + (P^k)'(x) * (x - mid) restores linear scaling.
     """
+    return _iter_mid(x, c, k, p)[:2]
+
+
+def _iter_mid(x: Interval, c: Interval, k: int, p: int):
+    """iter_eval's pair and P^k(mid) from one run (None when x is a point)."""
     q, (xl, xh), m, cf = fixed_box(p, x, c)
     *_, t = fixed_orbit((xl, xh), cf, k, q, p, (1 << q, 1 << q))
     deriv = from_fixed(*t[2], q)
     if xl == xh:
-        return from_fixed(t[0], t[1], q), deriv
+        return from_fixed(t[0], t[1], q), deriv, None
     *_, tm = fixed_orbit((m, m), cf, k, q, p)
-    return fixed_centred(t, tm, t[2], xh - m, q), deriv
+    return fixed_centred(t, tm, t[2], xh - m, q), deriv, from_fixed(*tm[:2], q)
 
 
 def _return_map_eval(x: Interval, c: Interval, n: int, p: int):
@@ -334,12 +339,11 @@ def _return_map_eval(x: Interval, c: Interval, n: int, p: int):
     dependency slop that makes exclusion near double roots scale like
     sqrt(width) instead of linearly.
     """
-    t, deriv = iter_eval(x, c, n, p)
+    t, deriv, tm = _iter_mid(x, c, n, p)
     dg = deriv - Interval.point(ONE)
     f = t - x
-    if not x.is_point():
+    if tm is not None:
         mid = x.mid()
-        tm = iv_iterate(Interval.point(mid), c, n, p)
         centered = (tm - Interval.point(mid)) + dg * Interval(x.lo - mid,
                                                               x.hi - mid)
         f = f.intersect(centered) or f

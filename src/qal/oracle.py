@@ -105,15 +105,19 @@ def oracle_exact(d: Dyadic) -> ParamOracle:
     return ExactOracle(d)
 
 
-def _exact_critical_period(c: Dyadic, max_steps: int = 64,
-                           max_bits: int = 1 << 14) -> int | None:
-    """Exact-arithmetic check for P_c^k(0) = 0; only possible for dyadic c."""
+def _exact_critical_period(c: Dyadic, max_steps: int = 64) -> int | None:
+    """The least k <= max_steps with P_c^k(0) = 0, or None.  A Dyadic keeps
+    an odd mantissa, so c.exp < 0 means v2(c) < 0; then by induction
+    v2(P_c^k(0)) = 2^(k-1) v2(c) is finite and P_c^k(0) is never 0.  An
+    integer orbit that leaves [-2, 2] grows without bound."""
+    if c.exp < 0:
+        return None
     x = ZERO
     for k in range(1, max_steps + 1):
         x = x * x + c
         if x == ZERO:
             return k
-        if abs(x.man).bit_length() > max_bits or abs(x) > TWO:
+        if abs(x) > TWO:
             return None
     return None
 

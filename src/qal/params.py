@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .dyadic import (ONE, TWO, UP, ZERO, Dyadic, Interval, fixed_box,
                      fixed_centred, fixed_orbit, fixed_read, from_fixed)
@@ -113,7 +114,8 @@ def superstable_center(n: int, selector=None, p: int = 64) -> ParamOracle:
         lo, hi = float(selector.lo) - 1e-7, float(selector.hi) + 1e-7
     else:
         lo, hi = -2.0, 0.25
-    enclosures = _primitive_centers(n, lo, hi, p)
+    stop = selector + 1 if isinstance(selector, int) and selector >= 0 else None
+    enclosures = list(islice(_primitive_centers(n, lo, hi, p), stop))
     if not enclosures:
         raise OracleFault(f"no primitive period-{n} center in [{lo}, {hi}]")
     idx = selector if isinstance(selector, int) else 0
@@ -127,15 +129,13 @@ def superstable_center(n: int, selector=None, p: int = 64) -> ParamOracle:
                           f"superstable:{n}" + (f":{idx}" if isinstance(selector, int) else ""))
 
 
-def _primitive_centers(n: int, lo: float, hi: float, p: int) -> list:
-    """Certified enclosures of the primitive period-n centers seeded in
-    [lo, hi], ascending."""
-    out = []
+def _primitive_centers(n: int, lo: float, hi: float, p: int):
+    """Yield certified enclosures of the primitive period-n centers seeded
+    in [lo, hi], ascending, each as soon as it is certified."""
     for seed in _float_roots(n, lo, hi):
         enc = _contract_root(seed, n, 1e-6 + 1e-3 / n)
         if enc is not None and _is_primitive(enc, n, p):
-            out.append(enc)
-    return out
+            yield enc
 
 
 def _center_oracle(enc: Interval, n: int, spec: str) -> ParamOracle:
@@ -149,22 +149,22 @@ def _center_oracle(enc: Interval, n: int, spec: str) -> ParamOracle:
     return o
 
 
-def _float_roots(n: int, lo: float, hi: float) -> list:
-    """Float sign-scan seeds for roots of Q_n on [lo, hi]."""
+def _float_roots(n: int, lo: float, hi: float):
+    """Yield float sign-scan seeds for roots of Q_n on [lo, hi], ascending."""
     if n == 1:
-        return [0.0] if lo <= 0.0 <= hi else []
-    out = []
+        if lo <= 0.0 <= hi:
+            yield 0.0
+        return
     step = (hi - lo) / 4096
     prev_c, prev_v = lo, _q_float(lo, n)
     for i in range(1, 4097):
         c = lo + i * step
         v = _q_float(c, n)
         if prev_v == 0.0:
-            out.append(prev_c)
+            yield prev_c
         elif v * prev_v < 0.0:
-            out.append(_float_bisect(lambda x: _q_float(x, n), prev_c, c, prev_v))
+            yield _float_bisect(lambda x: _q_float(x, n), prev_c, c, prev_v)
         prev_c, prev_v = c, v
-    return out
 
 
 def _float_bisect(h, a: float, b: float, va: float) -> float:

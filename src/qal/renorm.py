@@ -373,30 +373,41 @@ def principal_nest(o: ParamOracle, max_depth: int,
 
 def _nest_at_precision(o: ParamOracle, max_depth: int, p: int, ledger,
                        max_return: int = 256) -> NestRecord:
+    """The nest at working precision p, to max_depth levels.  The oracle
+    keeps each (p, max_return) build: a deeper call resumes it, a shallower
+    one gets its prefix, and every call charges a fresh build's queries."""
     c = o.enclosure(p, ledger)
-    alpha = None
-    for pp in isolate_periodic_points(o, 1, p, ledger):
-        if pp.enclosure.hi < ZERO:
-            alpha = pp.enclosure
-    if alpha is None:
-        return NestRecord([], [None], [], False, False, p, c)
-    i0 = TrackedInterval(alpha, Interval(-alpha.hi, -alpha.lo))
-    levels, returns, noncentral = [i0], [None], []
-    orbit = _critical_enclosures(c, max_return, p)
-    closed = False
-    for m in range(1, max_depth + 1):
+    nests = vars(o).setdefault("_qal_nests", {})
+    if (p, max_return) in nests:
+        o.enclosure(p, ledger)  # the query isolate_periodic_points charges
+    else:
+        alpha = None
+        for pp in isolate_periodic_points(o, 1, p, ledger):
+            if pp.enclosure.hi < ZERO:
+                alpha = pp.enclosure
+        if alpha is None:
+            return NestRecord([], [None], [], False, False, p, c)
+        i0 = TrackedInterval(alpha, Interval(-alpha.hi, -alpha.lo))
+        nests[p, max_return] = [  # the levels so far, the orbit, ended
+            NestRecord([i0], [None], [], False, False, p, c),
+            _critical_enclosures(c, max_return, p), False]
+    nest, orbit, _ = entry = nests[p, max_return]
+    while not entry[2] and nest.depth < max_depth:
         try:
-            t, level, central, closed = _build_level(
-                o, c, p, levels[-1], orbit, max_return)
+            t, level, central, nest.closed = _build_level(
+                o, c, p, nest.levels[-1], orbit, max_return)
         except _NestStop:
+            entry[2] = True
             break
-        levels.append(level)
-        returns.append(t)
+        nest.levels.append(level)
+        nest.return_iterates.append(t)
         if not central:
-            noncentral.append(m)
-        if closed:
-            break
-    return NestRecord(levels, returns, noncentral, closed, False, p, c)
+            nest.noncentral_levels.append(nest.depth)
+        entry[2] = nest.closed
+    d = min(max(max_depth, 0), nest.depth)
+    return NestRecord(nest.levels[:d + 1], nest.return_iterates[:d + 1],
+                      [m for m in nest.noncentral_levels if m <= d],
+                      nest.closed and d == nest.depth, False, p, c)
 
 
 # ---------------------------------------------------------------------------

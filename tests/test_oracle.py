@@ -1,5 +1,6 @@
 """Oracle contract, cost accounting, and refiner correctness."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from qal.dyadic import Dyadic, Interval
 from qal.oracle import (OracleFault, QueryLedger, WorstCaseOracle,
-                        ledger_report, oracle_bisect, oracle_exact,
-                        oracle_newton)
+                        _exact_critical_period, ledger_report, oracle_bisect,
+                        oracle_exact, oracle_newton)
 
 dyadic_params = st.builds(Dyadic,
                           st.integers(min_value=-(2 << 53), max_value=1 << 51),
@@ -103,3 +104,33 @@ class TestRefiners:
             return 1
         with pytest.raises(OracleFault):
             oracle_bisect(pred, Interval(Dyadic(0), Dyadic(1)))
+
+
+def squaring_critical_period(c: Dyadic, max_steps: int = 64,
+                             max_bits: int = 1 << 14):
+    """P_c^k(0) = 0 checked by squaring the exact orbit, stopping once a
+    mantissa passes max_bits or the orbit leaves [-2, 2]."""
+    x = Dyadic(0)
+    for k in range(1, max_steps + 1):
+        x = x * x + c
+        if x == Dyadic(0):
+            return k
+        if abs(x.man).bit_length() > max_bits or abs(x) > Dyadic(2):
+            return None
+    return None
+
+
+_GRID = random.Random(12)
+GRID_32 = [Dyadic(_GRID.randrange(-2 << 32, 1 << 30), -32) for _ in range(20)]
+
+
+class TestExactCriticalPeriod:
+    @pytest.mark.parametrize("c", [
+        Dyadic(0), Dyadic(-1), Dyadic(-2), Dyadic(1, -2), Dyadic(-1, -1),
+        Dyadic(-7, -2), Dyadic(-21, -4)] + GRID_32, ids=str)
+    def test_agrees_with_the_squaring_loop(self, c):
+        assert _exact_critical_period(c) == squaring_critical_period(c)
+
+    def test_integer_periods(self):
+        assert [_exact_critical_period(Dyadic(k)) for k in (0, -1, -2, 1)] \
+            == [1, 2, None, None]

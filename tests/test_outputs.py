@@ -11,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from qal import (Dyadic, Hints, Interval, QueryLedger, approximate,
-                 epsilon_family, oracle_exact, render, superstable_center)
+from qal import (Dyadic, Hints, Interval, OracleFault, QueryLedger,
+                 approximate, epsilon_family, essential_period, oracle_exact,
+                 principal_nest, render, superstable_center)
 
 # Inner parts of the hyperbolic windows of periods 1-4, as in the benchmark's
 # `certify` workload; eight c per window, one at the middle of each eighth,
@@ -49,6 +50,18 @@ RENDER = {
         "ea66ac7e026d33b488b80dfb4b2c3604b1edad7dadffd7ee79328e0c2cd388e2"),
 }
 
+# The parameter-space answers of the benchmark's `solve` workload: the eps_n
+# answers with their essential periods, every centre of periods 3-6, and the
+# principal nest of eps_3.
+SOLVE = {
+    "eps":
+        "3e689ff80146bf3e0b413210fe13de6f42439e3260db8c09e50b456a66cf3202",
+    "centres":
+        "0f68979a41cbbe62f56d2be4d3b7705a47632a81a1dd1482901eaa3756e9ad65",
+    "nest":
+        "5d90e38bd15e14c18cca10c3808af12a9a983adac8bb29b5a7abc6f7c2352df4",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -77,3 +90,39 @@ def test_render_rows_and_units(key):
     row = render(make(), 12, Interval(Dyadic(-2), Dyadic(2)), hints,
                  ledger=ledger)
     assert _sha256(row + f"\n{ledger.total_units}".encode()) == digest
+
+
+def test_epsilon_family_answers_and_units():
+    rows = []
+    for n in range(1, 6):
+        ledger = QueryLedger()
+        o = epsilon_family(n)
+        a = o.query(64, ledger)
+        rows.append(f"{n} {a} {essential_period(o, ledger)} "
+                    f"{ledger.total_units} {ledger.query_count}")
+    assert _sha256("\n".join(rows).encode()) == SOLVE["eps"]
+
+
+def test_centre_enclosures():
+    rows = []
+    for q in range(3, 7):
+        i = 0
+        while True:
+            try:
+                o = superstable_center(q, i)
+            except OracleFault as exc:
+                rows.append(str(exc))
+                break
+            rows.append(f"{q}:{i} {o.enclosure(64)}")
+            i += 1
+    assert _sha256("\n".join(rows).encode()) == SOLVE["centres"]
+
+
+def test_principal_nest_of_eps_3():
+    ledger = QueryLedger()
+    nest = principal_nest(epsilon_family(3), 64, ledger)
+    rows = [f"{t.lo} {t.hi} {r}"
+            for t, r in zip(nest.levels, nest.return_iterates)]
+    rows.append(f"{nest.noncentral_levels} {nest.closed} {nest.truncated} "
+                f"{nest.precision} {nest.param_enclosure} {ledger.total_units}")
+    assert _sha256("\n".join(rows).encode()) == SOLVE["nest"]

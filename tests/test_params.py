@@ -9,9 +9,11 @@ from math import ceil, floor
 import pytest
 
 import qal.oracle
+import qal.params
 from qal.dyadic import Dyadic, Interval
 from qal.oracle import OracleFault, WorstCaseOracle, oracle_exact
-from qal.params import (epsilon_family, feigenbaum_limit, superstable_center,
+from qal.params import (_center_oracle, _primitive_centers, epsilon_family,
+                        feigenbaum_limit, superstable_center,
                         window_endpoint_oracle, window_endpoints,
                         window_locate)
 from qal.renorm import (CombinatorialType, detect_renormalization,
@@ -107,6 +109,35 @@ class TestSuperstableCenters:
             superstable_center(0)
         with pytest.raises(OracleFault):
             superstable_center(3, 7)
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 6])
+    def test_index_selects_the_listed_centre(self, q):
+        full = list(_primitive_centers(q, -2.0, 0.25, 64))
+        for i, enc in enumerate(full):
+            got = superstable_center(q, i)
+            want = _center_oracle(enc, q, f"superstable:{q}:{i}")
+            assert got.bracket == want.bracket
+            assert got.enclosure(64) == want.enclosure(64)
+
+    def test_index_certifies_only_the_centres_it_needs(self, monkeypatch):
+        calls = []
+        real = qal.params._contract_root
+        monkeypatch.setattr(qal.params, "_contract_root",
+                            lambda *a: calls.append(a) or real(*a))
+        list(_primitive_centers(6, -2.0, 0.25, 64))
+        every = len(calls)
+        calls.clear()
+        superstable_center(6, 1)
+        assert 0 < len(calls) < every
+
+    @pytest.mark.parametrize("selector,message", [
+        (5, "center index 5 out of range (5 roots)"),
+        (-1, "center index -1 out of range (5 roots)"),
+        (None, "5 period-6 centers; pass an index or bracket")])
+    def test_fault_messages_count_every_centre(self, selector, message):
+        with pytest.raises(OracleFault) as exc:
+            superstable_center(6, selector)
+        assert str(exc.value) == message
 
 
 class TestWorkingPrecision:

@@ -5,8 +5,9 @@ from test_params import time_limit
 
 from qal.dyadic import Dyadic, Interval
 from qal.dynamics import ParameterRangeError
-from qal.oracle import oracle_exact
-from qal.params import epsilon_family, superstable_center
+from qal.oracle import QueryLedger, oracle_exact
+from qal.params import (_center_oracle, _epsilon_enclosure, epsilon_family,
+                        superstable_center)
 from qal.renorm import (CombinatorialType, detect_renormalization,
                         essential_structure, essentially_equivalent,
                         feigenbaum_word, kneading, principal_nest,
@@ -110,6 +111,47 @@ class TestPrincipalNest:
         assert nest.closed
         for outer, inner in zip(nest.levels, nest.levels[1:]):
             assert inner.certainly_inside(outer) or inner is outer
+
+
+def nest_key(nest) -> tuple:
+    """Everything a NestRecord holds, with its levels as Interval pairs."""
+    return ([(t.lo, t.hi) for t in nest.levels], nest.return_iterates,
+            nest.noncentral_levels, nest.closed, nest.truncated,
+            nest.precision, nest.param_enclosure)
+
+
+def fresh_eps_3():
+    """epsilon_family(3)'s oracle before anything has run on it."""
+    return _center_oracle(_epsilon_enclosure(3, 11), 11, "eps-family:3")
+
+
+class TestNestResumes:
+    def test_resumed_nest_is_a_fresh_build(self):
+        o = epsilon_family(3)  # certifying its itinerary builds level 1
+        shallow = principal_nest(o, 1)
+        resumed_ledger, fresh_ledger = QueryLedger(), QueryLedger()
+        resumed = principal_nest(o, 64, resumed_ledger)
+        fresh = principal_nest(fresh_eps_3(), 64, fresh_ledger)
+        assert shallow.precision == resumed.precision == 64
+        assert resumed.depth > 1
+        assert nest_key(resumed) == nest_key(fresh)
+        assert resumed_ledger == fresh_ledger
+
+    def test_a_shallow_nest_is_a_prefix(self):
+        o = epsilon_family(3)
+        full = principal_nest(o, 64)
+        for d in range(full.depth + 1):
+            ledgers = QueryLedger(), QueryLedger()
+            fresh = principal_nest(fresh_eps_3(), d, ledgers[0])
+            cut = principal_nest(o, d, ledgers[1])
+            assert nest_key(cut) == nest_key(fresh)
+            assert ledgers[0] == ledgers[1]
+            assert nest_key(cut) == (
+                [(t.lo, t.hi) for t in full.levels[:d + 1]],
+                full.return_iterates[:d + 1],
+                [m for m in full.noncentral_levels if m <= d],
+                full.closed and d == full.depth, False, 64,
+                full.param_enclosure)
 
 
 class TestEssentialStructure:
