@@ -2,8 +2,9 @@
 
 The three-way trichotomy (limit cycle / cycle of intervals / Feigenbaum-like
 Cantor attractor) is decided by certificates: contraction traps for cycles,
-interval-chain invariance for interval cycles, and a budgeted tower of
-certified renormalization windows for the Cantor case.  Every output set
+interval-chain invariance for interval cycles, and for the Cantor case a
+budgeted tower of renormalization windows, parsed from one certified
+kneading prefix of c (renorm.window_tower).  Every output set
 carries the Hausdorff contract dist_H(C_n, A) < 2^-n; runs that cannot
 certify return an explicit failure, never a guess.
 """
@@ -18,8 +19,8 @@ from .dynamics import (CertifiedCycle, TrackedInterval, _critical_enclosures,
                        _return_map_eval, certify_attracting_cycle,
                        check_param, isolate_periodic_points)
 from .oracle import ExactOracle, OracleFault, ParamOracle, QueryLedger
-from .params import _q_float, _window_tower
-from .renorm import CombinatorialType
+from .params import _q_float
+from .renorm import itinerary_type, window_tower
 from .solver import PRECISION_CAP, interval_newton, ladder
 
 
@@ -70,9 +71,8 @@ class AttractorClass:
             return f"LimitCycle {self.kind} period={self.period}"
         if self.variant == "interval-cycle":
             return f"IntervalCycle period={self.period}"
-        types = " ".join(
-            f"({t.period}:{','.join(map(str, t.perm)) if t.perm else '?'})"
-            for t in self.prefix)
+        types = " ".join(f"({t.period}:{','.join(map(str, t.perm))})"
+                         for t in self.prefix)
         return f"FeigenbaumLike depth={len(self.prefix)} types={types}"
 
 
@@ -129,10 +129,11 @@ def _classify(o: ParamOracle, h: Hints, b: Budget,
             return AttractorClass("limit-cycle", "parabolic", h.period), None
         if _interval_chain(o, h.period, 10, b, ledger) is not None:
             return AttractorClass("interval-cycle", None, h.period), None
-    tower = _window_tower(o, b.depth, b.max_period, b.p_cap(), ledger)
-    if tower:
+    words, _ = window_tower(o, b.depth, max(b.max_period, 64), 8, ledger,
+                            b.p_cap())
+    if words:
         return AttractorClass("feigenbaum-like",
-                              prefix=_tower_types(tower)), None
+                              prefix=tuple(map(itinerary_type, words))), None
     return None, None
 
 
@@ -248,17 +249,6 @@ def _interval_chain(o: ParamOracle, q: int, slack_exp: int, b: Budget,
         if inflated.contains_interval(wrap.outer()) and slack < tol:
             return chain[:q], p
     return None
-
-
-def _tower_types(tower: list) -> tuple:
-    """Per-level CombinatorialType of a window tower: level 0 the window's
-    own type, later levels the period relative to the level above."""
-    periods = [1] + [win.period for win in tower]
-    types = [CombinatorialType(b // a, (2, 1) if b == 2 * a else ())
-             for a, b in zip(periods, periods[1:])]
-    if tower[0].tau is not None:
-        types[0] = tower[0].tau
-    return tuple(types)
 
 
 # ---------------------------------------------------------------------------

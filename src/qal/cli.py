@@ -170,7 +170,7 @@ def cmd_windows(args) -> int:
         except OracleFault as exc:
             print(f"undecided: window {n}:{i}: {exc}", file=sys.stderr)
             return EXIT_UNDECIDED
-        tau = "" if win.tau is None else f"({','.join(map(str, win.tau.perm))})"
+        tau = f"({','.join(map(str, win.tau.perm))})"
         rows.append([n, win.left.lo, win.left.hi,
                      win.right.lo, win.right.hi, tau])
     _csv(rows, WINDOWS_HEADER, args.out)

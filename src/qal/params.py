@@ -11,16 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import cycle, islice
 
 from .dyadic import (ONE, TWO, UP, ZERO, Dyadic, Interval, fixed_box,
                      fixed_centred, fixed_orbit, fixed_read, from_fixed)
-from .dynamics import (PARAM_RANGE, TrackedInterval, _critical_enclosures,
+from .dynamics import (PARAM_RANGE, _critical_enclosures,
                        certify_attracting_cycle, iter_eval)
 from .oracle import (BisectOracle, IntervalNewtonOracle, OracleFault,
                      ParamOracle, QueryLedger, RefinerOracle)
-from .renorm import (CombinatorialType, _cycle_type, feigenbaum_word, kneading,
-                     kneading_order, principal_nest, window_left_word)
+from .renorm import (CombinatorialType, feigenbaum_word, itinerary_type,
+                     kneading, kneading_order, principal_nest,
+                     window_left_word, window_tower)
 from .solver import float_newton, interval_newton, ladder
 
 
@@ -188,12 +189,12 @@ def _float_bisect(h, a: float, b: float, va: float) -> float:
 @dataclass
 class RenormWindow:
     """Ends and type of a window: left certified next to the centre by the
-    kneading order, tau the real order of the centre's cycle (or None)."""
+    kneading order, tau the real order of the centre's cycle."""
 
     period: int
     left: Interval
     right: Interval
-    tau: CombinatorialType | None
+    tau: CombinatorialType
 
 
 def _system_eval(c: Interval, w: Interval, n: int, p: int):
@@ -304,32 +305,21 @@ def window_endpoints(n: int, center_hint=None,
 def _window_at(n: int, center: ParamOracle,
                width_exp: int = 34) -> RenormWindow:
     """window_endpoints around the period-n center that center delivers."""
+    A = kneading(center, n).symbols[1:]
     right = _RightEndOracle(n, center, f"window-right:{n}")
-    left = _left_end_oracle(n, center, f"window-left:{n}")
+    left = _left_end_oracle(A, center, f"window-left:{n}")
     for end in (right, left):
         end._refine_to(width_exp)
     if not left.bracket.hi < right.bracket.lo:
         raise OracleFault("window endpoints out of order")
-    return RenormWindow(n, left.bracket, right.bracket, _centre_type(n, center))
+    return RenormWindow(n, left.bracket, right.bracket, itinerary_type(A))
 
 
-def _left_end_oracle(n: int, center: ParamOracle, spec: str) -> BisectOracle:
+def _left_end_oracle(A: str, center: ParamOracle, spec: str) -> BisectOracle:
     """Bisection on the kneading order over [-2, center): the sign is -1 at
     -2 and +1 next to the centre, whose itinerary there is (A t)^oo."""
-    A = kneading(center, n).symbols[1:]
     return BisectOracle(lambda x, p: kneading_order(x, window_left_word(A), p),
                         Interval(-TWO, center.enclosure(64).lo), spec=spec)
-
-
-def _centre_type(n: int, center: ParamOracle) -> CombinatorialType | None:
-    """Real order of the centre's cycle P^0(0), ..., P^(n-1)(0) (None at the
-    cap): the window's type, as P^i(0) lies in J_i, and the J_i are disjoint."""
-    for p in ladder():
-        orbit = _critical_enclosures(center.enclosure(p), n - 1, p)
-        tau = _cycle_type([TrackedInterval(x, x) for x in orbit])
-        if tau is not None:
-            return tau
-    return None
 
 
 class _RightEndOracle(RefinerOracle):
@@ -374,13 +364,15 @@ def _divisor_cycle(q: int, c: Interval, w: Interval, p: int) -> bool:
 def window_endpoint_oracle(period: int, side: str,
                            index: int | None = None) -> ParamOracle:
     """One end of the window around superstable_center(period, index)."""
-    ends = {"left": _left_end_oracle, "right": _RightEndOracle}
-    if side not in ends:
+    if side not in ("left", "right"):
         raise ValueError("side must be left or right")
     if period < 2:
         raise ValueError("windows have period >= 2")
     spec = f"window-{side}:{period}" + ("" if index is None else f":{index}")
-    return ends[side](period, superstable_center(period, index), spec)
+    center = superstable_center(period, index)
+    if side == "right":
+        return _RightEndOracle(period, center, spec)
+    return _left_end_oracle(kneading(center, period).symbols[1:], center, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -489,110 +481,38 @@ def feigenbaum_limit(depth: int = 17) -> ParamOracle:
 
 
 # ---------------------------------------------------------------------------
-# Window search for an oracle parameter
-
-_WINDOW_CACHE: dict = {}
-
-
-def _centre_window(period: int, enc: Interval) -> RenormWindow | None:
-    """The window of a certified center enclosure, memoized (oracle-free)."""
-    key = (period, enc.lo, enc.hi)
-    if key not in _WINDOW_CACHE:
-        try:
-            center = _center_oracle(enc, period, f"superstable:{period}")
-            _WINDOW_CACHE[key] = _window_at(period, center)
-        except OracleFault:
-            _WINDOW_CACHE[key] = None
-    return _WINDOW_CACHE[key]
-
-
-class _OracleBracket:
-    """The oracle's enclosure of c at query precision m, which refine()
-    doubles while m is below cap."""
-
-    def __init__(self, o: ParamOracle, m: int, cap: int, ledger):
-        self.o, self.m, self.cap, self.ledger = o, m, cap, ledger
-        self.iv = o.enclosure(m, ledger)
-
-    def refine(self, period: int):
-        if self.m >= self.cap:
-            raise OracleFault(
-                f"parameter undecidably close to the period-{period} "
-                f"window boundary at precision cap")
-        self.m *= 2
-        self.iv = self.o.enclosure(self.m, self.ledger)
-
-
-def _near(iv: Interval) -> tuple:
-    """Seed range [c - 1, c + 1] clipped to the parameter range."""
-    return max(float(iv.lo) - 1.0, -2.0), min(float(iv.hi) + 1.0, 0.25)
-
-
-def _window_search(c: _OracleBracket, periods, lo: float,
-                   hi: float) -> RenormWindow | None:
-    """First window whose certified ends strictly bracket c: periods in
-    order, each period's primitive centres seeded in [lo, hi] nearest c
-    first.  Refines c while its bracket straddles a window end; OracleFault
-    at the cap."""
-    for period in periods:
-        mid = float(c.iv.mid())
-        encs = sorted(_primitive_centers(period, lo, hi, 64),
-                      key=lambda e: abs(float(e.mid()) - mid))
-        for win in filter(None, (_centre_window(period, e) for e in encs)):
-            while not (c.iv.hi < win.left.lo or c.iv.lo > win.right.hi):
-                if win.left.hi < c.iv.lo and c.iv.hi < win.right.lo:
-                    return win
-                c.refine(period)
-    return None
-
+# The window of an oracle parameter
 
 def window_locate(o: ParamOracle, max_period: int,
                   ledger: QueryLedger | None = None) -> RenormWindow | None:
     """Smallest-period window (period <= max_period) certified to contain c.
 
-    Containment and exclusion are decided by refining the oracle bracket
-    against certified endpoint enclosures; undecidable proximity at the
-    budget raises OracleFault (reported distinctly from a certified none).
-    A certified attracting cycle of period q restricts candidate window
-    periods to divisors of q (an attracting fixed point settles none
-    immediately); an oracle that faults at that test's precision is
-    searched over every period.
+    renorm.window_tower finds it; only its ends are built.  A certified
+    attracting cycle of period q (if the oracle reaches that test) limits
+    window periods to divisors of q, and window q holds the cycle's
+    component.  Undecidable proximity to a window end raises OracleFault.
     """
-    periods = range(2, max_period + 1)
     try:
         cert = certify_attracting_cycle(o, max_period, ledger=ledger)
     except OracleFault:
         cert = None  # the oracle cannot reach the filter's precision
+    q = None
     if cert is not None and cert.kind in ("attracting", "superattracting"):
-        periods = [d for d in periods if cert.period % d == 0]
-        if not periods:
-            return None
-    c = _OracleBracket(o, 16, 256, ledger)
-    return _window_search(c, periods, *_near(c.iv))
+        q = cert.period
+    words, decided = window_tower(o, 1, max_period, max_period, ledger,
+                                  cycle_period=q)
+    if words:
+        return _window_at(len(words[0]) + 1, _centre_of(words[0]))
+    if not decided:
+        raise OracleFault("parameter undecidably close to a window end at "
+                          "the precision cap or the oracle's limit")
+    return None
 
 
-def _window_tower(o: ParamOracle, depth: int, max_period: int, p_cap: int,
-                  ledger: QueryLedger | None = None) -> list:
-    """Case 3: up to depth certified windows around c, each inside the last.
-
-    Each level searches relative periods 2..8 over its parent's period (up
-    to max(max_period, 64)), seeding centres near c at level 0 and inside
-    the last window found after.  Stops at a level with none found or at
-    OracleFault, and returns the windows certified so far.
-    """
-    tower, period = [], 1
-    try:
-        c = _OracleBracket(o, 8, min(p_cap, 4096), ledger)
-        seeds = _near(c.iv)
-        for _ in range(depth):
-            win = _window_search(c, [period * q for q in range(2, 9)
-                                     if period * q <= max(max_period, 64)],
-                                 *seeds)
-            if win is None:
-                break
-            tower.append(win)
-            period = win.period
-            seeds = float(win.left.lo), float(win.right.hi)
-    except OracleFault:
-        pass
-    return tower
+def _centre_of(B: str) -> ParamOracle:
+    """The centre whose itinerary is B: bisection on the kneading order
+    against (B C)^oo, which no other parameter follows."""
+    o = BisectOracle(lambda x, p: kneading_order(x, cycle(B + "C"), p),
+                     PARAM_RANGE, spec=f"superstable:{len(B) + 1}")
+    o.known_critical_period = len(B) + 1
+    return o

@@ -10,7 +10,8 @@ anything the current precision cannot decide surfaces as an explicit unknown
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, cycle
+from functools import cmp_to_key
+from itertools import chain, cycle, islice, takewhile
 
 from .dyadic import ZERO, Dyadic, Interval, iv_iterate
 from .dynamics import (PARAM_RANGE, ParameterRangeError, TrackedInterval,
@@ -37,6 +38,7 @@ class KneadingSequence:
 
 
 _SYMBOL = {-1: "L", 0: "?", 1: "R"}
+_VALUE = {"L": -1, "C": 0, "R": 1}  # the order of symbols in _order
 
 
 def kneading(o: ParamOracle, length: int,
@@ -50,15 +52,13 @@ def kneading(o: ParamOracle, length: int,
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    q = o.known_critical_period
     best = "?" * length
     for p in ladder():
         c = o.enclosure(p, ledger)
         if PARAM_RANGE.disjoint(c):
             raise ParameterRangeError(f"parameter bracket {c} outside [-2, 1/4]")
-        orbit = _critical_enclosures(c, length - 1, p)
-        s = "".join("C" if k == 0 or (q is not None and k % q == 0)
-                    else _SYMBOL[iv_sign(x)] for k, x in enumerate(orbit))
+        s = "C" + "".join(islice(_symbols(c, p, o.known_critical_period),
+                                 length - 1))
         if "?" not in s:
             return KneadingSequence(s, length)
         if s.count("?") < best.count("?"):
@@ -77,23 +77,43 @@ def feigenbaum_word(depth: int) -> str:
     return w
 
 
+def _symbols(c: Interval, p: int, q: int | None):
+    """Symbols of P(0), P^2(0), ... over the bracket c at precision p: C at
+    multiples of the known critical period q, else L, R or '?'."""
+    steps = _critical_steps(c, p)
+    next(steps)
+    for k, x in enumerate(steps, 1):
+        yield "C" if q and k % q == 0 else _SYMBOL[iv_sign(x)]
+
+
+def _order(u, v) -> int | None:
+    """sign(x - y) for points with itineraries u, v over L, C, R: at the
+    first a != b, sign(a - b) (L < C < R) times (-1)^(number of L before
+    it), as P is decreasing left of 0.  0 when u meets '?' first, None when
+    either runs out first: a prefix too short to decide is never an answer."""
+    parity = 1
+    for a, b in zip(u, v):
+        if a == "?":
+            return 0
+        if a != b:
+            return parity if _VALUE[a] > _VALUE[b] else -parity
+        parity *= _VALUE[a]
+    return None
+
+
 def kneading_order(x: Dyadic, word, p: int) -> int:
     """sign(x - c) for the c whose kneading sequence begins with word, an
     iterable of the symbols of P(0), P^2(0), ..., at working precision p.
 
     Kneading is monotone in c (Milnor-Thurston): the first certified symbol
-    s of the orbit of x that leaves the word gives s * (-1)^(number of L
-    before it), R = +1, L = -1.  0 when an enclosure straddles 0 first;
-    OracleFault when the orbit follows the whole word."""
-    parity = 1  # the product of the symbols so far: (-1)^(number of L)
-    steps = _critical_steps(Interval.point(x), p)
-    next(steps)  # the C of P^0(0) = 0 comes before the word
-    for w, y in zip(word, steps):
-        s = iv_sign(y)
-        if s == 0 or _SYMBOL[s] != w:
-            return s * parity
-        parity *= s
-    raise OracleFault(f"the itinerary of {x} follows the whole kneading word")
+    of the orbit of x that leaves the word decides, by _order.  0 when an
+    enclosure straddles 0 first; OracleFault when the orbit follows the
+    whole word."""
+    s = _order(_symbols(Interval.point(x), p, None), word)
+    if s is None:
+        raise OracleFault(f"the itinerary of {x} follows the whole "
+                          f"kneading word")
+    return s
 
 
 def window_left_word(A: str):
@@ -102,8 +122,12 @@ def window_left_word(A: str):
     holds an odd number of L, else L, and t' is the other symbol."""
     if "?" in A:
         raise OracleFault(f"centre itinerary {A} is not certified")
-    t, t_bar = ("R", "L") if A.count("L") % 2 else ("L", "R")
+    t, t_bar = _tails(A)
     return chain(A, t, cycle(A + t_bar))
+
+
+def _tails(A: str) -> tuple:  # (t, t'), as in window_left_word
+    return ("R", "L") if A.count("L") % 2 else ("L", "R")
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +171,14 @@ def _cycle_type(tracked: list) -> CombinatorialType | None:
     for a, b in zip(order, order[1:]):
         if not tracked[b].certainly_precedes(tracked[a]):
             return None
-    ranks = [0] * n  # 1-based, descending
-    for r, i in enumerate(order):
-        ranks[i] = r + 1
-    perm = [0] * n
-    for i in range(n):
-        perm[ranks[i] - 1] = ranks[(i + 1) % n]
-    return CombinatorialType(n, tuple(perm))
+    return _order_type(order)
+
+
+def _order_type(order: list) -> CombinatorialType:
+    """Type of the cycle 0 -> 1 -> ... -> 0 with points order, right first."""
+    rank = {i: r + 1 for r, i in enumerate(order)}
+    return CombinatorialType(len(order),
+                             tuple(rank[(i + 1) % len(order)] for i in order))
 
 
 def _certify_renorm_period(o: ParamOracle, n: int,
@@ -224,6 +249,101 @@ def recheck_renormalization(cert: RenormCert, o: ParamOracle) -> bool:
     """Post-hoc verification of the certificate at doubled precision."""
     p = 2 * cert.precision
     return _renorm_images(cert.J, cert.period, o.enclosure(p), p) is not None
+
+
+# ---------------------------------------------------------------------------
+# The window tower, parsed from the kneading sequence
+
+_PREFIX_CAP = 4096  # symbols read off one enclosure of c
+
+
+def _admissible(B: str) -> bool:
+    """True when a centre has the itinerary B: every shift of (B C)^oo lies
+    right of P(0), the minimum of P (Metropolis, Stein & Stein 1973)."""
+    w = (B + "C") * 2
+    return all(_order(w[j:], w) == 1 for j in range(1, len(B) + 1))
+
+
+def itinerary_type(B: str) -> CombinatorialType:
+    """Type of the cycle 0, P(0), ... of the centre with itinerary B: its
+    points have the rotations of C B as itineraries."""
+    its = [("C" + B)[k:] + ("C" + B)[:k] for k in range(len(B) + 1)]
+    return _order_type(sorted(range(len(its)), key=cmp_to_key(
+        lambda i, j: _order(its[j], its[i]))))
+
+
+def _parse(K: str, depth: int, max_period: int, max_relative: int,
+           cycle_period: int | None) -> tuple:
+    """window_tower on the certified kneading prefix K.  Given the period of
+    a certified attracting cycle, window periods divide it, and one that
+    runs out at it is inside: the cycle's hyperbolic component lies in the
+    window of its centre, whose itinerary is the prefix."""
+    words, period = [], 1
+    while len(words) < depth:
+        for q in range(2, min(max_relative, max_period // period) + 1):
+            if cycle_period is not None and cycle_period % (period * q):
+                continue
+            B = K[:q - 1]
+            if "C" in B:  # a centre of smaller period: in no window of q
+                return words, True
+            if len(B) < q - 1:
+                return words, False
+            if not _admissible(B):
+                continue
+            t, t_bar = _tails(B)
+            left = _order(K, window_left_word(B))
+            right = _order(K, cycle(B + t_bar))
+            if left == -1 or right == 1:
+                continue
+            if None in (left, right) and period * q != cycle_period:
+                return words, False
+            break
+        else:
+            return words, True
+        words.append(B)
+        period *= q
+        K = "".join({t: "L", t_bar: "R", "C": "C"}[s] for s in K[q - 1::q])
+    return words, True
+
+
+def window_tower(o: ParamOracle, depth: int, max_period: int,
+                 max_relative: int, ledger: QueryLedger | None = None,
+                 p_cap: int = PRECISION_CAP,
+                 cycle_period: int | None = None) -> tuple:
+    """(words, decided): the relative itineraries of up to depth nested
+    windows around c (relative periods <= max_relative, periods <=
+    max_period), each the smallest, and whether the parse ended certified.
+
+    The window of the centre with itinerary B holds the c with kneading
+    B * X = B x_1' B x_2' ..., x' = t for L, t' for R (Derrida, Gervois &
+    Pomeau 1978), between its ends' B t (B t')^oo and (B t')^oo; kneading
+    is monotone in c (Milnor-Thurston: the trust base of the Feigenbaum
+    point and the left ends too).  For each q the one candidate is
+    B = K(c)[:q-1], if admissible; de-starring by B gives the next level.
+
+    K(c) comes from one query at m = 8, 12, 18, 27, ... (m += m // 2, up to
+    min(p_cap, 4096)), worked at max(64, 4m) bits.  m climbs only when a
+    comparison ran out at an undecided symbol (never read as outside):
+    doubling would jump from 16 to 32, past the m = 30 the Feigenbaum
+    oracle answers, while its depth 5 needs m = 20.  4096 symbols still
+    undecided end the tower: c is in, or too near, a hyperbolic component
+    whose kneading is an end word.  After an oracle fault, the levels
+    certified at the last m it answered stand.
+    """
+    words, decided, m = [], False, 8
+    while m <= min(p_cap, _PREFIX_CAP):
+        try:
+            c = o.enclosure(m, ledger)
+        except OracleFault:
+            break
+        K = "".join(takewhile("?".__ne__, islice(_symbols(
+            c, max(64, 4 * m), o.known_critical_period), _PREFIX_CAP)))
+        words, decided = _parse(K, depth, max_period, max_relative,
+                                cycle_period)
+        if decided or len(K) == _PREFIX_CAP:
+            break
+        m += m // 2
+    return words, decided
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from test_params import time_limit
 
 import qal.attractor
+import qal.params
 from qal.attractor import (ApproximationFailed, Budget, Hints, approximate,
                            classify, pixel_query, render)
 from qal.cli import parse_oracle
@@ -279,8 +281,8 @@ class TestWindowTower:
         assert cls.prefix[0].period == want
 
     def test_window_memo_changes_no_answer_or_charge(self):
-        # the window memo is process-wide; a case-3 run must give the same
-        # answer and charge in a fresh process and after unrelated runs
+        # no state outlives a case-3 run: it must give the same answer and
+        # charge in a fresh process and after unrelated runs
         run = ("from fractions import Fraction\n"
                "from qal import Budget, Dyadic, QueryLedger, classify, "
                "oracle_exact\n"
@@ -301,3 +303,29 @@ class TestWindowTower:
             exec(run, {})
         assert warm.getvalue() == fresh.stdout
         assert fresh.stdout.startswith("FeigenbaumLike depth=3 ")
+
+    def test_levels_are_the_windows_around_c(self):
+        # c has a certified attracting 6-cycle, in the period-3 window inside
+        # the period-2 window; no level of period 36 lies around it
+        cls = classify(parse_oracle("exact:-1511*2^-10"), Hints(case="3"),
+                       Budget(depth=3))
+        want = ("(2:2,1)", "(3:2,3,1)")
+        got = tuple(cls.describe().split("types=")[1].split())
+        assert 1 <= len(got) <= 2 and got == want[:len(got)]
+
+    def test_a_relative_period_three_carries_its_type(self):
+        for spec in ("superstable:6:4", "exact:-1512*2^-10"):
+            cls = classify(parse_oracle(spec), Hints(case="3"),
+                           Budget(depth=3))
+            assert cls.describe() == \
+                "FeigenbaumLike depth=2 types=(2:2,1) (3:2,3,1)"
+
+    def test_the_tower_builds_no_window_end(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the case-3 tower built a window end")
+
+        monkeypatch.setattr(qal.params, "_window_at", refuse)
+        with time_limit(30):
+            cls = classify(parse_oracle("exact:-11*2^-3"), Hints(case="3"),
+                           Budget(depth=5))
+        assert cls.describe() == "FeigenbaumLike depth=2 types=(2:2,1) (2:2,1)"

@@ -261,6 +261,13 @@ class TestWindowLocate:
     def test_fixed_point_basin_is_in_no_window(self):
         assert window_locate(oracle_exact(Dyadic(-1, -1)), 4) is None
 
+    def test_hyperbolic_component_is_in_its_centres_window(self):
+        # c lies between the period-3 centre and -7/4, where the kneading is
+        # the window's right end word: the attracting 3-cycle settles it
+        win = window_locate(oracle_exact(Dyadic(-897, -9)), 4)
+        assert win.period == 3
+        assert close(win.right.mid(), -1.75, 30)
+
 
 class TestEpsilonFamily:
     REFS = {1: -1.6254137251235081, 2: -1.7110794700129195,

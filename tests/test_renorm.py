@@ -1,17 +1,23 @@
 """Kneading data, renormalization certificates, nest, essential period."""
 
+from itertools import islice, product, takewhile
+
 import pytest
 from test_params import time_limit
 
 from qal.dyadic import Dyadic, Interval
-from qal.dynamics import ParameterRangeError
+from qal.dynamics import (ParameterRangeError, TrackedInterval,
+                          _critical_enclosures)
 from qal.oracle import QueryLedger, oracle_exact
-from qal.params import (_center_oracle, _epsilon_enclosure, epsilon_family,
+from qal.params import (_center_oracle, _epsilon_enclosure, _primitive_centers,
+                        _window_at, epsilon_family, feigenbaum_limit,
                         superstable_center)
-from qal.renorm import (CombinatorialType, detect_renormalization,
+from qal.renorm import (CombinatorialType, _admissible, _cycle_type, _order,
+                        _parse, _symbols, detect_renormalization,
                         essential_structure, essentially_equivalent,
-                        feigenbaum_word, kneading, principal_nest,
-                        recheck_renormalization)
+                        feigenbaum_word, itinerary_type, kneading,
+                        principal_nest, recheck_renormalization,
+                        window_left_word, window_tower)
 
 HALF_NEG = Dyadic(-1, -1)
 
@@ -66,6 +72,86 @@ class TestFeigenbaumWord:
             word = feigenbaum_word(k)
             ks = kneading(centre, 2 * len(word) + 3)
             assert ks.symbols == ("C" + word) * 2 + "C"
+
+
+def centres(q: int) -> list:
+    """Oracles for the real period-q centres, ascending (qal windows)."""
+    return [_center_oracle(enc, q, f"superstable:{q}:{i}")
+            for i, enc in enumerate(_primitive_centers(q, -2.0, 0.25, 64))]
+
+
+def star(words: list) -> str:
+    """The centre itinerary of a tower of relative itineraries: A * B is
+    A b_1' A b_2' ... A, with b' = t for L and t' for R, t as for A."""
+    A = words[0]
+    for B in words[1:]:
+        t = "LR"[A.count("L") % 2]
+        A += "".join({"L": t, "R": "RL"[A.count("L") % 2]}[b] + A for b in B)
+    return A
+
+
+class TestKneadingParse:
+    @pytest.mark.parametrize("q", range(2, 9))
+    def test_admissible_itineraries_are_the_centres(self, q):
+        # 1, 1, 2, 3, 5, 9, 16 real centres of period 2..8
+        words = {"".join(w) for w in product("LR", repeat=q - 1)}
+        got = {kneading(o, q).symbols[1:] for o in centres(q)}
+        assert {w for w in words if _admissible(w)} == got
+
+    def test_admissibility_stops_false_levels(self):
+        # -1.375 has an attracting 8-cycle right of its centre: its kneading
+        # is the right end word of the period-8 window, so the parse stops
+        # after the period-2 and period-4 windows; without the check, the
+        # word R passed as a period-2 window and levels went on
+        assert not _admissible("R")
+        assert window_tower(oracle_exact(Dyadic(-11, -3)), 5, 64, 8) \
+            == (["L", "L"], False)
+
+    @pytest.mark.parametrize("q", range(2, 7))
+    def test_parse_matches_the_certified_window_ends(self, q):
+        eps = Dyadic(1, -30)
+        for o in centres(q):
+            B = kneading(o, q).symbols[1:]
+            orbit = _critical_enclosures(o.enclosure(64), q - 1, 64)
+            assert itinerary_type(B) == _cycle_type(
+                [TrackedInterval(x, x) for x in orbit])
+            win = _window_at(q, o)
+            assert win.tau == itinerary_type(B)
+
+            def tower(x, cycle=None):
+                return window_tower(oracle_exact(x), 3, q, q,
+                                    cycle_period=cycle)
+
+            words, _ = tower(win.left.hi + eps)
+            assert star(words) == B
+            for x in (win.left.lo - eps, win.right.hi + eps):
+                words, _ = tower(x)
+                assert not words or star(words) != B
+            # inside the right end, c lies in the period-q hyperbolic
+            # component, whose kneading is the right end word: undecided,
+            # unless the period of its attracting cycle is given
+            x = win.right.lo - eps
+            words, decided = tower(x)
+            assert not decided and (not words or star(words) != B)
+            assert star(tower(x, q)[0]) == B
+
+    def test_a_short_prefix_never_decides(self):
+        # the prefix window_tower reads at m = 27
+        c = feigenbaum_limit().enclosure(27)
+        K = "".join(takewhile("?".__ne__,
+                              islice(_symbols(c, 108, None), 4096)))
+        full = _parse(K, 5, 64, 8, None)
+        assert full == (["L"] * 5, True)
+        for j in range(len(K)):
+            words, decided = _parse(K[:j], 5, 64, 8, None)
+            assert words == full[0][:len(words)]
+            assert not decided or (words, decided) == full
+        for word in (window_left_word("L"), "L" * len(K)):
+            word = "".join(w for w, _ in zip(word, K))
+            first = next(i for i, (a, b) in enumerate(zip(K, word)) if a != b)
+            for j in range(len(K)):
+                got = _order(K[:j], word)
+                assert got == (None if j <= first else _order(K, word))
 
 
 class TestCombinatorialType:
