@@ -4,7 +4,9 @@ The three-way trichotomy (limit cycle / cycle of intervals / Feigenbaum-like
 Cantor attractor) is decided by certificates: contraction traps for cycles,
 interval-chain invariance for interval cycles, and for the Cantor case a
 budgeted tower of renormalization windows, parsed from one certified
-kneading prefix of c (renorm.window_tower).  Every output set
+kneading prefix of c (renorm.window_tower).  A finite tower does not make c
+infinitely renormalizable, so it is labelled Feigenbaum-like only under the
+case-3 hint or an oracle's declared tower.  Every output set
 carries the Hausdorff contract dist_H(C_n, A) < 2^-n; runs that cannot
 certify return an explicit failure, never a guess.
 """
@@ -95,25 +97,32 @@ def classify(o: ParamOracle, hints: Hints | None = None,
 
 def _classify(o: ParamOracle, h: Hints, b: Budget,
               ledger: QueryLedger | None) -> tuple:
-    """(class or None, the cycle certificate when case 1a decided it)."""
+    """(class or None, the cycle certificate when case 1a decided it, the
+    types of the certified window tower when it ran).
+
+    k nested windows make c k times renormalizable, not infinitely: the
+    tower is labelled feigenbaum-like only under Hints(case="3") or when
+    the oracle declares its tower (known_tower) and the levels agree.
+    """
     check_param(o, ledger)
     if h.case in (None, "1b") and o.known_critical_period:
         return AttractorClass("limit-cycle", "superattracting",
-                              o.known_critical_period), None
+                              o.known_critical_period), None, ()
     if h.case == "1b":
-        return None, None
+        return None, None, ()
     if h.case == "1c":
         if h.period is None:
             raise ValueError("case 1c needs a period hint")
         if _parabolic_points(o, h.period, b, ledger) is not None:
-            return AttractorClass("limit-cycle", "parabolic", h.period), None
-        return None, None
+            return AttractorClass("limit-cycle", "parabolic", h.period), \
+                None, ()
+        return None, None, ()
     if h.case == "2":
         if h.period is None:
             raise ValueError("case 2 needs a period hint")
         if _interval_chain(o, h.period, 10, b, ledger) is not None:
-            return AttractorClass("interval-cycle", None, h.period), None
-        return None, None
+            return AttractorClass("interval-cycle", None, h.period), None, ()
+        return None, None, ()
     if h.case in (None, "1a"):
         try:
             cert = certify_attracting_cycle(o, b.max_period, b.steps, ledger,
@@ -121,20 +130,22 @@ def _classify(o: ParamOracle, h: Hints, b: Budget,
         except OracleFault:
             cert = None  # oracle cannot reach the precision; try deeper cases
         if cert is not None and cert.kind in ("attracting", "superattracting"):
-            return AttractorClass("limit-cycle", cert.kind, cert.period), cert
+            return AttractorClass("limit-cycle", cert.kind, cert.period), \
+                cert, ()
         if h.case == "1a":
-            return None, None
+            return None, None, ()
     if h.period is not None:
         if _parabolic_points(o, h.period, b, ledger) is not None:
-            return AttractorClass("limit-cycle", "parabolic", h.period), None
+            return AttractorClass("limit-cycle", "parabolic", h.period), \
+                None, ()
         if _interval_chain(o, h.period, 10, b, ledger) is not None:
-            return AttractorClass("interval-cycle", None, h.period), None
+            return AttractorClass("interval-cycle", None, h.period), None, ()
     words, _ = window_tower(o, b.depth, max(b.max_period, 64), 8, ledger,
                             b.p_cap())
-    if words:
-        return AttractorClass("feigenbaum-like",
-                              prefix=tuple(map(itinerary_type, words))), None
-    return None, None
+    prefix = tuple(map(itinerary_type, words))
+    if words and (h.case == "3" or set(words) == {o.known_tower}):
+        return AttractorClass("feigenbaum-like", prefix=prefix), None, prefix
+    return None, None, prefix
 
 
 def _parabolic_points(o: ParamOracle, q: int, b: Budget,
@@ -274,9 +285,12 @@ def _build_certificate(o: ParamOracle, n: int, hints: Hints | None,
                        ledger: QueryLedger | None) -> _Certificate:
     h = hints or Hints()
     b = budget or Budget()
-    cls, cycle = _classify(o, h, b, ledger)
-    if cls is None:
+    cls, cycle, prefix = _classify(o, h, b, ledger)
+    if cls is None and not prefix:
         raise ApproximationFailed("classification undecided at the budget")
+    if cls is None or cls.variant == "feigenbaum-like":
+        # the case-3 cover certifies A whatever the label
+        return _nested_cycle_cover(o, n, prefix, b, ledger)
     if cls.variant == "limit-cycle":
         if cls.kind == "parabolic":
             pts = _parabolic_points(o, cls.period, b, ledger,
@@ -295,15 +309,12 @@ def _build_certificate(o: ParamOracle, n: int, hints: Hints | None,
             encs = _refined_cycle(o, cycle, n, b, ledger)
             trace = {"case": "1a", "period": cls.period}
         return _Certificate("points", encs, trace)
-    if cls.variant == "interval-cycle":
-        got = _interval_chain(o, cls.period, n + 4, b, ledger)
-        if got is None:
-            raise ApproximationFailed("interval cycle not localized")
-        chain, p = got
-        return _Certificate("intervals", [t.outer() for t in chain],
-                            {"case": "2", "period": cls.period,
-                             "precision": p})
-    return _nested_cycle_cover(o, n, cls, b, ledger)
+    got = _interval_chain(o, cls.period, n + 4, b, ledger)
+    if got is None:
+        raise ApproximationFailed("interval cycle not localized")
+    chain, p = got
+    return _Certificate("intervals", [t.outer() for t in chain],
+                        {"case": "2", "period": cls.period, "precision": p})
 
 
 def _exact_cycle(o: ParamOracle, q: int, n: int, b: Budget,
@@ -369,8 +380,8 @@ def _trap_chain(c: Interval, bval: float, period: int, p: int):
     return chain if k0.strictly_contains(chain[period]) else None
 
 
-def _nested_cycle_cover(o: ParamOracle, n: int, cls: AttractorClass,
-                        b: Budget, ledger: QueryLedger | None) -> _Certificate:
+def _nested_cycle_cover(o: ParamOracle, n: int, prefix: tuple, b: Budget,
+                        ledger: QueryLedger | None) -> _Certificate:
     """Case 3: descend invariant interval cycles until diameters collapse.
 
     For period P the cover is a symmetric K_0 = [-b, b] around the critical
@@ -381,7 +392,7 @@ def _nested_cycle_cover(o: ParamOracle, n: int, cls: AttractorClass,
     until every component is narrower than 2^-(n+2).
     """
     target = Dyadic(1, -(n + 2))
-    rel = [t.period for t in cls.prefix] or [2]
+    rel = [t.period for t in prefix] or [2]
     periods, acc = [], 1
     for q in rel:
         acc *= q

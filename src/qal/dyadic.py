@@ -411,12 +411,13 @@ def fixed_orbit(x: tuple, c: tuple, n: int, q: int, p: int,
         yield xl, xh, d
 
 
-def fixed_centred(t: tuple, tm: tuple, d: tuple, r: int, q: int) -> Interval:
-    """t meet the mean-value form tm + d [-r, r] (exact at 2^-2q), or t."""
+def fixed_centred(t: tuple, tm: tuple, d: tuple, r: int, q: int) -> tuple:
+    """(lo, hi, s): t meet the mean-value form tm + d [-r, r], an int pair
+    at 2^-s (s = 2q, where it is exact), or t itself (s = q) if they miss."""
     w = r * max(-d[0], d[1])  # the sup of |d| [-r, r]
     lo = max(t[0] << q, (tm[0] << q) - w)
     hi = min(t[1] << q, (tm[1] << q) + w)
-    return from_fixed(t[0], t[1], q) if lo > hi else from_fixed(lo, hi, 2 * q)
+    return (t[0], t[1], q) if lo > hi else (lo, hi, 2 * q)
 
 
 def iv_quad_step(x: Interval, c: Interval, p: int) -> Interval:

@@ -328,7 +328,8 @@ def _iter_mid(x: Interval, c: Interval, k: int, p: int):
     if xl == xh:
         return from_fixed(t[0], t[1], q), deriv, None
     *_, tm = fixed_orbit((m, m), cf, k, q, p)
-    return fixed_centred(t, tm, t[2], xh - m, q), deriv, from_fixed(*tm[:2], q)
+    return (from_fixed(*fixed_centred(t, tm, t[2], xh - m, q)), deriv,
+            from_fixed(*tm[:2], q))
 
 
 def _return_map_eval(x: Interval, c: Interval, n: int, p: int):

@@ -60,10 +60,14 @@ class ParamOracle:
     Subclasses implement _answer(m) -> element of D_m within 2^-(m-1) of c.
     known_critical_period, when set by a construction that guarantees
     P_c^n(0) = 0, lets combinatorial code emit exact 'C' symbols.
+    known_tower, when set by a construction that guarantees c lies in
+    infinitely many nested windows, each of relative itinerary
+    known_tower, lets classify call c feigenbaum-like without a hint.
     """
 
     spec: str = "?"
     known_critical_period: int | None = None
+    known_tower: str | None = None
 
     def __init__(self):
         self._cache: dict[int, Dyadic] = {}
@@ -239,6 +243,7 @@ class WorstCaseOracle(ParamOracle):
         self.inner = inner
         self.spec = f"worst({inner.spec})"
         self.known_critical_period = inner.known_critical_period
+        self.known_tower = inner.known_tower
 
     def _answer(self, m: int) -> Dyadic:
         near = self.inner.query(m + 2)

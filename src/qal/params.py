@@ -40,7 +40,7 @@ def critical_value_eval(c: Interval, n: int, p: int):
     if cl == ch:
         return from_fixed(x[0], x[1], q), d
     *_, xm = fixed_orbit((0, 0), (m, m), n, q, p)
-    return fixed_centred(x, xm, x[2], ch - m, q), d
+    return from_fixed(*fixed_centred(x, xm, x[2], ch - m, q)), d
 
 
 def _q_float(c: float, n: int) -> float:
@@ -77,11 +77,12 @@ def _contract_root(guess: float, n: int, radius: float) -> Interval | None:
         box = Interval(mid - r, mid + r).intersect(PARAM_RANGE)
         # Long compositions wrap the derivative over wide boxes; shrink
         # toward the seed (accurate to ~2^-45 easily) before spending
-        # precision.
+        # precision.  The seed is the box's centre unless the box was cut
+        # at -2, where it may lie in the box's left quarter.
         while (box.width() > min_w
                and critical_value_eval(box, n, p)[1].contains_zero()):
-            c0, q = box.mid(), box.width().scale2(-3)
-            box = Interval(c0 - q, c0 + q)
+            q = box.width().scale2(-3)
+            box = Interval(mid - q, mid + q).intersect(PARAM_RANGE)
         got = interval_newton(lambda x, pr: critical_value_eval(x, n, pr),
                               box, p)
         if got is None:
@@ -151,15 +152,34 @@ def _center_oracle(enc: Interval, n: int, spec: str) -> ParamOracle:
 
 
 def _float_roots(n: int, lo: float, hi: float):
-    """Yield float sign-scan seeds for roots of Q_n on [lo, hi], ascending."""
+    """Yield float sign-scan seeds for roots of Q_n on [lo, hi], ascending.
+
+    Real centres crowd at -2, evenly in sqrt(c + 2) (there Q_n(c) is near
+    2 cos(2^(n-1) (pi - sqrt(c + 2)))): two or more can share the first of
+    the 4,096 cells, as the two period-9 centres nearest -2 do.  So a first
+    cell at -2 is scanned again on 64 points even in sqrt(c + 2), and when
+    that finds two roots or more, they stand for the cell's seed.
+    """
     if n == 1:
         if lo <= 0.0 <= hi:
             yield 0.0
         return
-    step = (hi - lo) / 4096
-    prev_c, prev_v = lo, _q_float(lo, n)
-    for i in range(1, 4097):
-        c = lo + i * step
+    step, first = (hi - lo) / 4096, 0
+    if lo == -2.0:
+        crowd = list(_sign_scan(n, (lo + step * (j / 64) ** 2
+                                    for j in range(65))))
+        if len(crowd) > 1:
+            yield from crowd
+            first = 1
+    yield from _sign_scan(n, (lo + i * step for i in range(first, 4097)))
+
+
+def _sign_scan(n: int, grid):
+    """Seeds for the sign changes and zeros of Q_n on an ascending grid."""
+    grid = iter(grid)
+    prev_c = next(grid)
+    prev_v = _q_float(prev_c, n)
+    for c in grid:
         v = _q_float(c, n)
         if prev_v == 0.0:
             yield prev_c
@@ -444,7 +464,10 @@ def _check_epsilon_itinerary(o: ParamOracle, n: int):
 # Period-doubling limit
 
 class FeigenbaumOracle(BisectOracle):
-    """Bisection for the period-doubling limit c_F on its kneading order."""
+    """Bisection for the period-doubling limit c_F on its kneading order.
+    c_F lies in every period-2^k doubling window: its tower is L, L, ..."""
+
+    known_tower = "L"
 
     def __init__(self, depth: int):
         if depth < 6:  # -1.40 follows W_5 whole

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 from functools import cmp_to_key
 from itertools import chain, cycle, islice, takewhile
 
-from .dyadic import ZERO, Dyadic, Interval, iv_iterate
+from .dyadic import (ZERO, Dyadic, Interval, fixed_box, fixed_centred,
+                     fixed_orbit, fixed_read)
 from .dynamics import (PARAM_RANGE, ParameterRangeError, TrackedInterval,
-                       _critical_enclosures, _critical_steps, _merge_boxes,
-                       check_param, isolate_periodic_points, iter_eval)
+                       _critical_enclosures, _critical_steps, check_param,
+                       isolate_periodic_points)
 from .oracle import OracleFault, ParamOracle, QueryLedger
 from .solver import PRECISION_CAP, iv_sign, ladder
 
@@ -373,50 +374,131 @@ def _membership(enc: Interval, t: TrackedInterval) -> int:
     return 0
 
 
-def _smallest_root(c: Interval, k: int, beta: Interval, domain: Interval,
-                   p: int):
-    """Leftmost solution of P^k(x) = beta on domain, with a clean-ness flag.
+class _LevelRuns:
+    """Kernel states of the boxes that bisect one nest level's domain.
+
+    The level's 2t root searches (k = 1..t, both ends of the last level)
+    bisect the same domain, so they meet the same boxes, and k only rises
+    across them.  Each box keeps one state, its last: the step j, the box
+    run with its derivative, the midpoint run, and r, q, cf from fixed_box;
+    a later search runs it on from step j to step k.  Boxes are nodes of the
+    bisection tree (the domain is 1, the halves of node i are 2i and
+    2i + 1); 0 and -1 are the domain's ends as points.
+    """
+
+    def __init__(self, c: Interval, domain: Interval, p: int):
+        self.c, self.domain, self.p, self.states = c, domain, p, {}
+        # the nodes from self.leaf on are at most 2^-max(16, p/2) wide
+        w, min_width, depth = domain.width(), Dyadic(1, -max(16, p // 2)), 0
+        while w > min_width:
+            w, depth = w.half(), depth + 1
+        self.leaf = 1 << depth
+
+    def image(self, node: int, x: Interval, k: int) -> tuple:
+        """iter_eval's enclosure of P^k over the box x of node, as
+        fixed_centred's (lo, hi, s); a point's run is exact at s = q.  A
+        step below the stored one raises: its state is gone."""
+        state = self.states.get(node)
+        if state is None:
+            q, (xl, xh), m, cf = fixed_box(self.p, x, self.c)
+            state = self.states[node] = (
+                [0, q, cf, 0, (xl, xh, None), None] if xl == xh else
+                [0, q, cf, xh - m, (xl, xh, (1 << q, 1 << q)), (m, m, None)])
+        j, q, cf, r, t, tm = state
+        if k < j:
+            raise ValueError(f"step {k} asked of a box run on to step {j}")
+        if k > j:
+            *_, t = fixed_orbit(t[:2], cf, k - j, q, self.p, t[2])
+            if tm is not None:
+                *_, tm = fixed_orbit(tm[:2], cf, k - j, q, self.p)
+            state[0], state[4], state[5] = k, t, tm
+        return (t[0], t[1], q) if tm is None else fixed_centred(t, tm, t[2],
+                                                                 r, q)
+
+
+def _sign_minus(enc: tuple, b: tuple) -> int:
+    """iv_sign(enc - beta) for int pairs enc = (lo, hi, s) at 2^-s and
+    b = (g, (bl, bh)) = fixed_read(0, beta) at 2^-g: interval subtraction
+    is exact, so it compares endpoints at the finer scale."""
+    lo, hi, s = enc
+    g, (bl, bh) = b
+    if g > s:
+        lo, hi = lo << (g - s), hi << (g - s)
+    else:
+        bl, bh = bl << (s - g), bh << (s - g)
+    return (lo > bh) - (hi < bl)
+
+
+def _root_clusters(runs: _LevelRuns, k: int, b: tuple):
+    """Yield (cluster, s) left to right: each cluster a hull of touching
+    leaf boxes where h = P^k - beta may vanish (b as for _sign_minus), s
+    the sign of h right of it.  That is h's certified sign over the box
+    that closes the cluster, which is its sign at the box's midpoint (the
+    centred form holds the midpoint run), or the point sign at the domain's
+    right end."""
+    stack, cluster = [(1, runs.domain)], None
+    while stack:
+        node, x = stack.pop()
+        s = _sign_minus(runs.image(node, x, k), b)
+        if s == 0 and node < runs.leaf:
+            mid = x.mid()  # the left half is popped first
+            stack += (2 * node + 1, Interval(mid, x.hi)), \
+                (2 * node, Interval(x.lo, mid))
+        elif s == 0:
+            cluster = x if cluster is None else Interval(cluster.lo, x.hi)
+        elif cluster is not None:
+            yield cluster, s
+            cluster = None
+    if cluster is not None:
+        hi = runs.domain.hi
+        yield cluster, _sign_minus(runs.image(-1, Interval.point(hi), k), b)
+
+
+def _smallest_root(runs: _LevelRuns, k: int, beta: Interval):
+    """Leftmost solution of P^k(x) = beta on runs.domain, with a clean-ness
+    flag.
 
     Returns (enclosure, clean) where clean means: a certified sign change
     brackets the enclosure and no surviving box lies to its left (so it
     really is the smallest root).  (None, True) means certified no root.
+    The search stops at the first cluster across which h changes sign.
     """
-    min_width = Dyadic(1, -max(16, p // 2))
-    queue = [domain]
-    boxes = []
-    while queue:
-        x = queue.pop()
-        v, _ = iter_eval(x, c, k, p)
-        h = v - beta
-        if not h.contains_zero():
-            continue
-        if x.width() <= min_width:
-            boxes.append(x)
-            continue
-        mid = x.mid()
-        queue.append(Interval(x.lo, mid))
-        queue.append(Interval(mid, x.hi))
-    if not boxes:
-        return None, True
-    merged = _merge_boxes(boxes)
-
-    def sign_at(x: Dyadic) -> int:
-        return iv_sign(iv_iterate(Interval.point(x), c, k, p) - beta)
-
-    cur = sign_at(domain.lo)
-    if cur == 0:
-        return merged[0], False
-    for idx, box in enumerate(merged):
-        probe = box.hi if idx + 1 == len(merged) else \
-            (box.hi + merged[idx + 1].lo).half()
-        s = sign_at(probe)
-        if s == 0:
+    b = fixed_read(0, beta)
+    first = cur = None
+    for box, s in _root_clusters(runs, k, b):
+        if first is None:
+            first = box
+            lo = runs.domain.lo
+            cur = _sign_minus(runs.image(0, Interval.point(lo), k), b)
+        if cur == 0 or s == 0:
             return box, False
         if s != cur:
-            return box, idx == 0
+            return box, box is first
         # no crossing through this box: a root here could only be tangential
+    if first is None:
+        return None, True
     # only tangential candidates: report the leftmost, uncertified
-    return merged[0], False
+    return first, False
+
+
+def _leftmost_root(c: Interval, p: int, prev: TrackedInterval, t: int):
+    """Leftmost root in [0, prev's right end] of P^k = either end of prev
+    over k = 1..t, and whether it is certified; None when there is none.
+    The kernel states die with this call, before _build_level can raise."""
+    runs = _LevelRuns(c, Interval(ZERO, prev.hi.hi), p)
+    root = None
+    clean = True
+    for k in range(1, t + 1):
+        for beta in (prev.lo, prev.hi):
+            enc, ok = _smallest_root(runs, k, beta)
+            if enc is None:
+                continue
+            if root is None or enc.hi < root.lo:
+                root, clean = enc, ok
+            elif not enc.disjoint(root):
+                root = root.hull(enc)
+                clean = clean and ok
+    return root, clean
 
 
 class _NestStop(Exception):
@@ -436,21 +518,7 @@ def _build_level(o: ParamOracle, c: Interval, p: int, prev: TrackedInterval,
             raise _Undecided(f"return membership at step {k}")
     if t is None:
         raise _NestStop
-    root = None
-    clean = True
-    domain = Interval(ZERO, prev.hi.hi)
-    for k in range(1, t + 1):
-        for beta in (prev.lo, prev.hi):
-            enc, ok = _smallest_root(c, k, beta, domain, p)
-            if enc is None:
-                continue
-            if root is None or enc.hi < root.lo:
-                root, clean = enc, ok
-            elif not enc.disjoint(root):
-                root = root.hull(enc)
-                clean = clean and ok
-            elif enc.lo > root.hi:
-                continue
+    root, clean = _leftmost_root(c, p, prev, t)
     q = o.known_critical_period
     strict = root is not None and root.hi < prev.hi.lo and root.lo > ZERO
     if strict and clean:

@@ -284,14 +284,15 @@ class TestWindowTower:
         # no state outlives a case-3 run: it must give the same answer and
         # charge in a fresh process and after unrelated runs
         run = ("from fractions import Fraction\n"
-               "from qal import Budget, Dyadic, QueryLedger, classify, "
-               "oracle_exact\n"
+               "from qal import Budget, Dyadic, Hints, QueryLedger, "
+               "classify, oracle_exact\n"
                "c = Dyadic.from_fraction_rounded("
                "Fraction('-1.401155189092050426'), 62)\n"
-               "ledger = QueryLedger()\n"
-               "cls = classify(oracle_exact(c), budget=Budget(depth=3), "
-               "ledger=ledger)\n"
-               "print(cls.describe(), ledger.total_units)\n")
+               "for case in (None, '3'):\n"
+               "    ledger = QueryLedger()\n"
+               "    cls = classify(oracle_exact(c), Hints(case=case), "
+               "Budget(depth=3), ledger)\n"
+               "    print(cls and cls.describe(), ledger.total_units)\n")
         src = os.path.dirname(os.path.dirname(qal.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         fresh = subprocess.run([sys.executable, "-c", run], env=env,
@@ -302,7 +303,11 @@ class TestWindowTower:
         with contextlib.redirect_stdout(warm):
             exec(run, {})
         assert warm.getvalue() == fresh.stdout
-        assert fresh.stdout.startswith("FeigenbaumLike depth=3 ")
+        # a dyadic is not c_F: its three certified windows label it only
+        # under the case-3 hint
+        unhinted, hinted = fresh.stdout.splitlines()
+        assert unhinted.startswith("None ")
+        assert hinted.startswith("FeigenbaumLike depth=3 ")
 
     def test_levels_are_the_windows_around_c(self):
         # c has a certified attracting 6-cycle, in the period-3 window inside
@@ -329,3 +334,29 @@ class TestWindowTower:
             cls = classify(parse_oracle("exact:-11*2^-3"), Hints(case="3"),
                            Budget(depth=5))
         assert cls.describe() == "FeigenbaumLike depth=2 types=(2:2,1) (2:2,1)"
+
+
+class TestFiniteTower:
+    @pytest.mark.parametrize("spec, budget", [
+        # about -1.4012003, past c_F: five nested doubling windows
+        ("exact:-1469265*2^-20", Budget()),
+        # an attracting 4-cycle that 63 bits cannot certify
+        ("exact:-21*2^-4", Budget(max_precision=63)),
+    ])
+    def test_a_finite_tower_is_undecided(self, spec, budget):
+        assert classify(parse_oracle(spec), budget=budget) is None
+
+    def test_the_hint_still_labels_it(self):
+        cls = classify(parse_oracle("exact:-1469265*2^-20"), Hints(case="3"))
+        assert cls.describe() == "FeigenbaumLike depth=5 types=" + \
+            " ".join(["(2:2,1)"] * 5)
+
+    def test_the_feigenbaum_oracle_declares_its_tower(self):
+        o = parse_oracle("feigenbaum")
+        assert o.known_tower == WorstCaseOracle(o).known_tower == "L"
+        assert oracle_exact(NEG_ONE).known_tower is None
+
+    def test_the_cover_is_still_built_without_the_label(self):
+        # the case-3 cover certifies A whatever the label
+        got = approximate(parse_oracle("exact:-1469265*2^-20"), 3)
+        assert got.trace["case"] == "3"

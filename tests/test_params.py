@@ -119,6 +119,17 @@ class TestSuperstableCenters:
             assert got.bracket == want.bracket
             assert got.enclosure(64) == want.enclosure(64)
 
+    @pytest.mark.parametrize("q, count", [(7, 9), (8, 16), (9, 28)])
+    def test_every_real_centre_is_found(self, q, count):
+        got = list(_primitive_centers(q, -2.0, 0.25, 64))
+        assert len(got) == count
+        assert all(a.hi < b.lo for a, b in zip(got, got[1:]))
+        if q == 9:
+            # real centres crowd at -2: these two share the scan's first
+            # cell, 5.5e-4 wide, so no sign change showed them
+            for enc, want in zip(got, (-1.99994352, -1.99949144)):
+                assert abs(float(enc.mid()) - want) < 1e-8
+
     def test_index_certifies_only_the_centres_it_needs(self, monkeypatch):
         calls = []
         real = qal.params._contract_root

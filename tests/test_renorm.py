@@ -1,23 +1,30 @@
 """Kneading data, renormalization certificates, nest, essential period."""
 
+import sys
 from itertools import islice, product, takewhile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from test_params import time_limit
 
-from qal.dyadic import Dyadic, Interval
+import qal.renorm
+from qal import dyadic
+from qal.dyadic import Dyadic, Interval, fixed_read, from_fixed, iv_iterate
 from qal.dynamics import (ParameterRangeError, TrackedInterval,
-                          _critical_enclosures)
+                          _critical_enclosures, _merge_boxes, iter_eval)
 from qal.oracle import QueryLedger, oracle_exact
 from qal.params import (_center_oracle, _epsilon_enclosure, _primitive_centers,
                         _window_at, epsilon_family, feigenbaum_limit,
                         superstable_center)
-from qal.renorm import (CombinatorialType, _admissible, _cycle_type, _order,
-                        _parse, _symbols, detect_renormalization,
+from qal.renorm import (CombinatorialType, _admissible, _cycle_type,
+                        _LevelRuns, _order, _parse, _sign_minus,
+                        _smallest_root, _symbols, detect_renormalization,
                         essential_structure, essentially_equivalent,
                         feigenbaum_word, itinerary_type, kneading,
                         principal_nest, recheck_renormalization,
                         window_left_word, window_tower)
+from qal.solver import iv_sign
 
 HALF_NEG = Dyadic(-1, -1)
 
@@ -206,9 +213,14 @@ def nest_key(nest) -> tuple:
             nest.precision, nest.param_enclosure)
 
 
+def eps_oracle(n: int):
+    """epsilon_family(n)'s oracle before anything has run on it."""
+    return _center_oracle(_epsilon_enclosure(n, 3 * n + 2), 3 * n + 2,
+                          f"eps-family:{n}")
+
+
 def fresh_eps_3():
-    """epsilon_family(3)'s oracle before anything has run on it."""
-    return _center_oracle(_epsilon_enclosure(3, 11), 11, "eps-family:3")
+    return eps_oracle(3)
 
 
 class TestNestResumes:
@@ -238,6 +250,131 @@ class TestNestResumes:
                 [m for m in full.noncentral_levels if m <= d],
                 full.closed and d == full.depth, False, 64,
                 full.param_enclosure)
+
+
+def exhaustive_root(c, k, beta, domain, p):
+    """The nest's leftmost-root search before it stopped early: bisect every
+    root of P^k = beta on domain, merge the boxes, then probe the signs
+    between them at points."""
+    min_width = Dyadic(1, -max(16, p // 2))
+    queue, boxes = [domain], []
+    while queue:
+        x = queue.pop()
+        if not (iter_eval(x, c, k, p)[0] - beta).contains_zero():
+            continue
+        if x.width() <= min_width:
+            boxes.append(x)
+            continue
+        mid = x.mid()
+        queue += Interval(x.lo, mid), Interval(mid, x.hi)
+    if not boxes:
+        return None, True
+    merged = _merge_boxes(boxes)
+
+    def sign_at(x):
+        return iv_sign(iv_iterate(Interval.point(x), c, k, p) - beta)
+
+    cur = sign_at(domain.lo)
+    if cur == 0:
+        return merged[0], False
+    for idx, box in enumerate(merged):
+        probe = box.hi if idx + 1 == len(merged) else \
+            (box.hi + merged[idx + 1].lo).half()
+        s = sign_at(probe)
+        if s == 0:
+            return box, False
+        if s != cur:
+            return box, idx == 0
+    return merged[0], False
+
+
+def exact(x: float) -> Interval:
+    return Interval.point(Dyadic.from_float(x))
+
+
+class TestLeftmostRoot:
+    def test_every_search_of_the_eps_nests_matches_the_exhaustive_one(
+            self, monkeypatch):
+        calls = []
+
+        def checked(runs, k, beta):
+            got = _smallest_root(runs, k, beta)
+            calls.append((got, exhaustive_root(runs.c, k, beta, runs.domain,
+                                               runs.p)))
+            return got
+
+        monkeypatch.setattr(qal.renorm, "_smallest_root", checked)
+        for n in (1, 2, 3):
+            assert principal_nest(eps_oracle(n), 64).closed
+        assert len(calls) == 84
+        assert all(got == want for got, want in calls)
+
+    @pytest.mark.parametrize("c, beta, k, root, clean", [
+        # P^2 = 1/2 at x^2 = 1.9 -+ sqrt(2.4): two crossings, the first
+        # one certified
+        (-1.9, 0.5, 2, 0.592289, True),
+        # P^3 = 0 touches at 1 (a local maximum) and crosses at
+        # sqrt(1 + sqrt 2): the tangential cluster is passed over, and a
+        # crossing after it is not certified leftmost
+        (-1.0, 0.0, 3, 1.553774, False),
+        # P^2 = -1 only touches, at its minimum x = 1
+        (-1.0, -1.0, 2, 1.0, False),
+    ])
+    def test_clusters_match_the_exhaustive_search_at_rising_k(
+            self, c, beta, k, root, clean):
+        c, beta, p = exact(c), exact(beta), 64
+        domain = Interval(Dyadic(0), Dyadic(2))
+        runs = _LevelRuns(c, domain, p)
+        found = []
+        for j in range(1, k + 1):  # higher k: quartic roots, slow to bisect
+            found.append(_smallest_root(runs, j, beta))
+            assert found[-1] == exhaustive_root(c, j, beta, domain, p)
+        assert abs(float(found[-1][0].mid()) - root) < 1e-6
+        assert found[-1][1] == clean
+
+    @given(st.integers(-(1 << 20), 1 << 18), st.integers(-(1 << 12), 1 << 12),
+           st.integers(0, 1 << 10), st.integers(-(1 << 12), 1 << 12),
+           st.integers(0, 1 << 8), st.integers(16, 80),
+           st.lists(st.integers(0, 9), min_size=1, max_size=5))
+    def test_integer_membership_is_iter_evals_at_rising_k(
+            self, cm, xm, xw, bm, bw, p, ks):
+        c = Interval.point(Dyadic(cm, -19))
+        box = Interval(Dyadic(xm, -11), Dyadic(xm + xw, -11))
+        beta = Interval(Dyadic(bm, -10), Dyadic(bm + bw, -10))
+        runs = _LevelRuns(c, box, p)
+        for k in sorted(ks):
+            want = iter_eval(box, c, k, p)[0]
+            enc = runs.image(1, box, k)
+            assert from_fixed(*enc) == want
+            sign = _sign_minus(enc, fixed_read(0, beta))
+            assert (sign != 0) == (not (want - beta).contains_zero())
+            assert sign == iv_sign(want - beta)
+
+    def test_a_lower_step_is_refused(self):
+        box = Interval(Dyadic(1, -2), Dyadic(3, -2))
+        runs = _LevelRuns(exact(-1.5), box, 64)
+        runs.image(1, box, 3)
+        assert runs.image(1, box, 3) == runs.image(1, box, 3)
+        with pytest.raises(ValueError):
+            runs.image(1, box, 2)
+
+    def test_kernel_runs_of_the_eps_3_nest(self, monkeypatch):
+        # each box of a level runs once across its 2t searches, and a
+        # search stops at its first crossing: 438 runs before, 317 now
+        o = epsilon_family(3)
+        runs = [0]
+        kernel = dyadic.fixed_orbit
+
+        def counted(*args):
+            runs[0] += 1
+            return kernel(*args)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("qal") and \
+                    vars(mod).get("fixed_orbit") is kernel:
+                monkeypatch.setattr(mod, "fixed_orbit", counted)
+        assert principal_nest(o, 64).closed
+        assert runs[0] == 317
 
 
 class TestEssentialStructure:
