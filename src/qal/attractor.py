@@ -13,6 +13,7 @@ certify return an explicit failure, never a guess.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .dyadic import (NEAREST, ONE, ZERO, Dyadic, Interval, dy_max, dy_min,
@@ -421,7 +422,7 @@ def _nested_cycle_cover(o: ParamOracle, n: int, prefix: tuple, b: Budget,
                         continue
                 if c is None:
                     break
-            p = max(64, 4 * m)
+            p = min(max(64, 4 * m), b.p_cap())
             x = _q_float(float(c.mid()), P)
             for t in (1.025, 1.05, 1.1, 1.2, 1.35, 1.55, 1.8):
                 chain = _trap_chain(c, t * abs(x), P, p)
@@ -488,29 +489,43 @@ def _sorted_dyadics(pts) -> tuple:
 # ---------------------------------------------------------------------------
 # Pixel queries and rendering
 
-def _cached_bands(o: ParamOracle, n: int, hints, budget, ledger) -> list:
-    """Pixel bands (lo - 2^(1-n), hi + 2^(1-n)) of the certificate's
-    enclosures for (n, hints, budget), built once per oracle.
+def _pixel_runs(o: ParamOracle, n: int, hints, budget, ledger,
+                pixels: int) -> tuple:
+    """Sorted disjoint closed runs (starts, ends) of pixel indices j whose
+    centre j*2^-n lies in some band (lo - 2^(1-n), hi + 2^(1-n)) of the
+    certificate's enclosures for (n, hints, budget), built once per oracle.
 
-    A hit charges the ledger what the build was charged (units, queries,
-    max precision), as the cost model charges replays like first runs.
+    The band is open, so enclosure [lo, hi] gives the run
+    [floor(lo*2^n) - 1, ceil(hi*2^n) + 1]; runs that overlap or touch are
+    merged.  The ledger is charged what the build was charged (units,
+    queries, max precision) once per pixel asked, as the cost model charges
+    replays like first runs; a failed build is charged once.
     """
     cache = getattr(o, "_qal_cert_cache", None)
     if cache is None:
         cache = o._qal_cert_cache = {}
     key = (n, hints, budget)
-    cost = QueryLedger()
+    cost, times = QueryLedger(), 1
     try:
         if key not in cache:
             cert = _build_certificate(o, n, hints, budget, cost)
-            far = Dyadic(1, 1 - n)
-            cache[key] = [(e.lo - far, e.hi + far)
-                          for e in cert.enclosures], cost
-        bands, cost = cache[key]
-    finally:  # a failed build is charged too
+            runs = sorted((e.lo.scale2(n).floor_int() - 1,
+                           e.hi.scale2(n).ceil_int() + 1)
+                          for e in cert.enclosures)
+            starts, ends = [], []
+            for a, b in runs:
+                if ends and a <= ends[-1] + 1:
+                    ends[-1] = max(ends[-1], b)
+                else:
+                    starts.append(a)
+                    ends.append(b)
+            cache[key] = (starts, ends), cost
+        runs, cost = cache[key]
+        times = pixels
+    finally:
         if ledger is not None:
-            ledger.add(cost)
-    return bands
+            ledger.add(cost, times)
+    return runs
 
 
 def pixel_query(o: ParamOracle, n: int, x: Dyadic,
@@ -519,27 +534,38 @@ def pixel_query(o: ParamOracle, n: int, x: Dyadic,
     """1 if certified dist(x, A) <= 2^-n, 0 if certified >= 2^{1-n}.
 
     The borderline band resolves to 1 (black) so renders are reproducible.
+    The answer is read off the certificate's pixel-index runs, cached on
+    the oracle (_pixel_runs): 1 when x = j*2^-n has j in a run, that is,
+    dist(x, enclosure) < 2^(1-n) for an enclosure of the cover of A.  Each
+    query charges the ledger what building the certificate charged.
     """
     if not x.in_grid(n):
         raise ValueError(f"pixel center {x} is not in D_{n}")
-    for lo, hi in _cached_bands(o, n, hints, budget, ledger):
-        if lo < x < hi:  # dist(x, enclosure) < 2^(1-n); A lies in their union
-            return 1
-    return 0
+    j = x.man << (x.exp + n)
+    starts, ends = _pixel_runs(o, n, hints, budget, ledger, 1)
+    i = bisect_right(starts, j) - 1
+    return 1 if i >= 0 and j <= ends[i] else 0
 
 
 def render(o: ParamOracle, n: int, viewport: Interval,
            hints: Hints | None = None, budget: Budget | None = None,
            ledger: QueryLedger | None = None) -> bytes:
-    """P5 graymap, one row, byte 0 (black) where pixel_query says 1."""
+    """P5 graymap, one row, byte 0 (black) where pixel_query says 1.
+
+    One sweep over the cached pixel-index runs: the row starts at 255 and
+    each run's slice inside the viewport is zeroed.  A row of k pixels
+    charges the ledger what k pixel_query calls charge: k times the
+    build's units and queries, at the build's max precision.
+    """
     lo = viewport.lo.scale2(n).ceil_int()
     hi = viewport.hi.scale2(n).floor_int()
     if hi < lo:
         raise ValueError("viewport contains no pixel centers")
-    row = bytearray()
-    for j in range(lo, hi + 1):
-        bit = pixel_query(o, n, Dyadic(j, -n), hints, budget, ledger)
-        row.append(0 if bit else 255)
+    starts, ends = _pixel_runs(o, n, hints, budget, ledger, hi - lo + 1)
+    row = bytearray(b"\xff") * (hi - lo + 1)
+    for i in range(bisect_left(ends, lo), bisect_right(starts, hi)):
+        a, b = max(starts[i], lo) - lo, min(ends[i], hi) - lo + 1
+        row[a:b] = bytes(b - a)
     header = (f"P5\n# attractor band render; 0 = black = attractor side\n"
               f"{len(row)} 1\n255\n")
     return header.encode("ascii") + bytes(row)

@@ -36,11 +36,12 @@ class QueryLedger:
         self.max_precision = max(self.max_precision, m)
         self.query_count += 1
 
-    def add(self, other: "QueryLedger"):
-        """Charge everything other was charged, as a replay of its queries."""
-        self.total_units += other.total_units
+    def add(self, other: "QueryLedger", times: int = 1):
+        """Charge everything other was charged, as times replays of its
+        queries."""
+        self.total_units += times * other.total_units
         self.max_precision = max(self.max_precision, other.max_precision)
-        self.query_count += other.query_count
+        self.query_count += times * other.query_count
 
 
 @dataclass(frozen=True)

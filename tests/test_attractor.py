@@ -9,6 +9,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_params import time_limit
 
 import qal.attractor
@@ -157,6 +159,13 @@ class TestPixelQuery:
         assert pixel_query(o, 2, Dyadic(-1, -1)) == 0
         assert pixel_query(o, 2, Dyadic(1, -2)) == 1
 
+    def test_band_is_open(self):
+        # A = {0, -1}: the pixel at exactly 2^(1-n) from 0 is not in the band
+        o = oracle_exact(NEG_ONE)
+        assert pixel_query(o, 2, Dyadic(1, -1)) == 0
+        row = render(o, 2, Interval(Dyadic(1, -2), Dyadic(1, -1)))
+        assert row.endswith(bytes([0, 255]))
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             pixel_query(oracle_exact(NEG_ONE), 2, Dyadic(1, -3))
@@ -198,6 +207,56 @@ class TestRender:
         with pytest.raises(ValueError):
             render(oracle_exact(NEG_ONE), 2, tiny)
 
+    # every cover kind: points, a case-2 chain, and case-3 components whose
+    # widened bands overlap at n = 3..5
+    COVERS = [("exact:-1", Hints(), n) for n in (2, 5, 8)] + \
+        [("eps-family:1", Hints(), n) for n in (4, 8)] + \
+        [("exact:-2", Hints(1, "2"), n) for n in (4, 8)] + \
+        [("feigenbaum", Hints(case="3"), n) for n in (3, 4, 5)]
+    _built = {}
+
+    @classmethod
+    def _cover(cls, spec, hints, n):
+        """One oracle per cover, shared by the examples so its certificate
+        is built once, and the open bands (lo - 2^(1-n), hi + 2^(1-n)) of
+        the certificate's enclosures, compared as Dyadics."""
+        key = (spec, hints, n)
+        if key not in cls._built:
+            o = parse_oracle(spec)
+            cert = qal.attractor._build_certificate(o, n, hints, None, None)
+            far = Dyadic(1, 1 - n)
+            cls._built[key] = o, [(e.lo - far, e.hi + far)
+                                  for e in cert.enclosures]
+        return cls._built[key]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(COVERS), st.data())
+    def test_render_is_pixel_query_on_every_cover(self, cover, data):
+        spec, hints, n = cover
+        o, bands = self._cover(spec, hints, n)
+        # viewport ends on the grid 2^-(n+2), so they need not be centres
+        ends = st.integers(-(8 << n), 8 << n)
+        lo, hi = sorted((data.draw(ends), data.draw(ends)))
+        view = Interval(Dyadic(lo, -(n + 2)), Dyadic(hi, -(n + 2)))
+        first, last = -(-lo // 4), hi // 4
+        if last < first:
+            with pytest.raises(ValueError):
+                render(o, n, view, hints)
+            return
+        one, ledger = QueryLedger(), QueryLedger()
+        pixel_query(o, n, Dyadic(first, -n), hints, ledger=one)
+        img = render(o, n, view, hints, ledger=ledger)
+        k = last - first + 1
+        assert f"\n{k} 1\n255\n".encode() in img
+        for j, byte in zip(range(first, last + 1), img[-k:]):
+            x = Dyadic(j, -n)
+            bit = pixel_query(o, n, x, hints)
+            assert bit == any(a < x < b for a, b in bands)
+            assert byte == (0 if bit else 255)
+        assert (ledger.total_units, ledger.query_count,
+                ledger.max_precision) == \
+            (k * one.total_units, k * one.query_count, one.max_precision)
+
 
 class TestLedgerAccounting:
     def test_runs_charge_the_ledger(self):
@@ -215,6 +274,21 @@ class TestLedgerAccounting:
         assert first.query_count > 0
         assert (second.total_units, second.query_count, second.max_precision) \
             == (first.total_units, first.query_count, first.max_precision)
+
+    @pytest.mark.parametrize("ask", ["render", "pixel_query"])
+    def test_a_failed_build_is_charged_once(self, ask):
+        # 16 bits cannot certify this attracting 4-cycle, so the build fails
+        # after five queries; the caller is charged for them once
+        o, budget = parse_oracle("exact:-21*2^-4"), Budget(max_precision=16)
+        ledger = QueryLedger()
+        with pytest.raises(ApproximationFailed):
+            if ask == "render":
+                render(o, 20, Interval(Dyadic(-2), Dyadic(2)), None, budget,
+                       ledger)
+            else:
+                pixel_query(o, 20, Dyadic(0), None, budget, ledger)
+        assert (ledger.total_units, ledger.query_count,
+                ledger.max_precision) == (105, 5, 53)
 
 
 class TestCaseOneA:
@@ -355,6 +429,11 @@ class TestFiniteTower:
         o = parse_oracle("feigenbaum")
         assert o.known_tower == WorstCaseOracle(o).known_tower == "L"
         assert oracle_exact(NEG_ONE).known_tower is None
+
+    def test_the_cover_keeps_the_precision_cap(self):
+        got = approximate(parse_oracle("exact:-21*2^-4"), 4,
+                          budget=Budget(max_precision=63))
+        assert got.trace["case"] == "3" and got.trace["precision"] <= 63
 
     def test_the_cover_is_still_built_without_the_label(self):
         # the case-3 cover certifies A whatever the label
