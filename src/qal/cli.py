@@ -21,7 +21,7 @@ from .attractor import (ApproximationFailed, Budget, Hints, approximate,
 from .dyadic import Dyadic, Interval
 from .dynamics import ParameterRangeError, escape_time
 from .oracle import OracleFault, ParamOracle, QueryLedger, oracle_exact
-from .params import (_center_oracle, _primitive_centers, _window_at,
+from .params import (_centre_of, _centre_words, _window_at,
                      epsilon_family, feigenbaum_limit, superstable_center,
                      window_endpoint_oracle)
 from .renorm import essential_period
@@ -159,14 +159,10 @@ def cmd_windows(args) -> int:
         raise ValueError("windows needs --period")
     if n < 2:
         raise ValueError("windows have period >= 2")
-    centers = list(_primitive_centers(n, -2.0, 0.25, 64))
-    if not centers:
-        print(f"undecided: no primitive period-{n} center", file=sys.stderr)
-        return EXIT_UNDECIDED
     rows = []
-    for i, enc in enumerate(centers):
+    for i, A in enumerate(_centre_words(n)):
         try:
-            win = _window_at(n, _center_oracle(enc, n, f"superstable:{n}:{i}"))
+            win = _window_at(A, _centre_of(A, f"superstable:{n}:{i}"))
         except OracleFault as exc:
             print(f"undecided: window {n}:{i}: {exc}", file=sys.stderr)
             return EXIT_UNDECIDED

@@ -241,7 +241,7 @@ def certify_attracting_cycle(o: ParamOracle, max_period: int = 64,
     budget runs out -- never a false certificate.
     """
     check_param(o, ledger)
-    c_float = float(o.query(53, ledger))
+    c_float = float(o.query(min(53, p_cap), ledger))
     cand = _float_cycle_candidate(c_float, max_period)
     if cand is None:
         return None

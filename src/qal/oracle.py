@@ -162,26 +162,18 @@ class BisectOracle(RefinerOracle):
         self.pred = pred
         self.precision_cap = precision_cap
         self.spec = spec
-        slo = self._sign_at(bracket.lo, 64)
-        shi = self._sign_at(bracket.hi, 64)
+        slo = ladder_sign(pred, bracket.lo, 64, precision_cap)
+        shi = ladder_sign(pred, bracket.hi, 64, precision_cap)
         if slo == 0 or shi == 0 or slo == shi:
             raise OracleFault(
                 f"no certified sign change on {bracket} (signs {slo},{shi})")
         self.bracket = bracket
         self._slo = slo
 
-    def _sign_at(self, x: Dyadic, p_start: int) -> int:
-        """pred at x, climbing the ladder from p_start to the cap while
-        undecided; 0 when still undecided at the cap."""
-        for p in ladder(p_start, self.precision_cap):
-            s = self.pred(x, p)
-            if s != 0:
-                return s
-        return 0
-
     def _bisect(self, width: Dyadic, p_start: int):
-        got = sign_bisect(lambda x: self._sign_at(x, p_start), self.bracket,
-                          self._slo, width)
+        got = sign_bisect(
+            lambda x: ladder_sign(self.pred, x, p_start, self.precision_cap),
+            self.bracket, self._slo, width)
         if got is None:
             raise OracleFault(
                 f"sign undecided near {self.bracket.mid()} at precision cap")
@@ -189,6 +181,16 @@ class BisectOracle(RefinerOracle):
 
     def _refine_to(self, width_exp: int):
         self._bisect(Dyadic(1, -width_exp), 64)
+
+    def halve(self):
+        """One bisection step: keep the half that holds the sign change."""
+        self._bisect(self.bracket.width(), 64)
+
+
+def ladder_sign(pred, x: Dyadic, p_start=64, p_cap=PRECISION_CAP) -> int:
+    """pred(x, p) at the first rung p from p_start to p_cap that decides,
+    climbing the ladder while undecided; 0 when undecided at the cap."""
+    return next((s for p in ladder(p_start, p_cap) if (s := pred(x, p))), 0)
 
 
 def oracle_bisect(pred, bracket: Interval, precision_cap: int = PRECISION_CAP,

@@ -3,26 +3,30 @@
 Superstable centers (roots of Q_n(c) = P_c^n(0)), renormalization-window
 endpoints, the eps_n family of essentially-bounded-combinatorics parameters
 accumulating on the period-3 cusp -7/4, and the period-doubling limit.
-Float arithmetic only ever produces seeds; every delivered bracket is
-certified by interval Newton or certified sign bisection.
+Every centre, eps_n among them, is built from its kneading word: bisection
+on the kneading order isolates it, and interval Newton refines it.  Float
+arithmetic only seeds the window right ends and the cycle search; every
+delivered bracket is certified by interval Newton or certified sign
+bisection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import cycle, islice
+from functools import cmp_to_key
+from itertools import cycle, product
 
-from .dyadic import (ONE, TWO, UP, ZERO, Dyadic, Interval, fixed_box,
+from .dyadic import (ONE, TWO, UP, Dyadic, Interval, fixed_box,
                      fixed_centred, fixed_orbit, fixed_read, from_fixed)
 from .dynamics import (PARAM_RANGE, _critical_enclosures,
                        certify_attracting_cycle, iter_eval)
 from .oracle import (BisectOracle, IntervalNewtonOracle, OracleFault,
-                     ParamOracle, QueryLedger, RefinerOracle)
-from .renorm import (CombinatorialType, feigenbaum_word, itinerary_type,
-                     kneading, kneading_order, principal_nest,
-                     window_left_word, window_tower)
-from .solver import float_newton, interval_newton, ladder
+                     ParamOracle, QueryLedger, RefinerOracle, ladder_sign)
+from .renorm import (CombinatorialType, _admissible, _order,
+                     feigenbaum_word, itinerary_type, kneading_order,
+                     principal_nest, window_left_word, window_tower)
+from .solver import ladder
 
 
 # ---------------------------------------------------------------------------
@@ -50,157 +54,88 @@ def _q_float(c: float, n: int) -> float:
     return x
 
 
-def _q_float_d(c: float, n: int) -> tuple:
-    """(Q_n(c), dQ_n/dc) in floats."""
-    x, d = 0.0, 0.0
-    for _ in range(n):
-        d = 2.0 * x * d + 1.0
-        x = x * x + c
-    return x, d
-
-
-def _contract_root(guess: float, n: int, radius: float) -> Interval | None:
-    """Certified enclosure of a simple root of Q_n near guess, or None.
-
-    Interval Newton around the float seed; success requires a step strictly
-    inside the previous box (existence and uniqueness).  radius bounds how
-    far the polished seed may drift from guess and sizes the Newton box,
-    which must exclude neighboring roots.
-    """
-    seed = float_newton(lambda c: _q_float_d(c, n), guess)
-    if seed is None or abs(seed - guess) > radius:
-        return None
-    min_w = Dyadic(1, -45)
-    for p in ladder():
-        r = Dyadic.from_float(radius).round(min(p, 128), UP)
-        mid = Dyadic.from_float(seed).round(min(p, 128))
-        box = Interval(mid - r, mid + r).intersect(PARAM_RANGE)
-        # Long compositions wrap the derivative over wide boxes; shrink
-        # toward the seed (accurate to ~2^-45 easily) before spending
-        # precision.  The seed is the box's centre unless the box was cut
-        # at -2, where it may lie in the box's left quarter.
-        while (box.width() > min_w
-               and critical_value_eval(box, n, p)[1].contains_zero()):
-            q = box.width().scale2(-3)
-            box = Interval(mid - q, mid + q).intersect(PARAM_RANGE)
-        got = interval_newton(lambda x, pr: critical_value_eval(x, n, pr),
-                              box, p)
-        if got is None:
-            return None
-        if got[1]:
-            return got[0]
-    return None
-
-
-def _is_primitive(enclosure: Interval, n: int, p: int) -> bool | None:
-    """True when Q_d excludes 0 over the enclosure for all proper d | n."""
-    for d in range(1, n):
-        if n % d:
-            continue
-        v, _ = critical_value_eval(enclosure, d, p)
-        if v.contains_zero():
-            return None if v.lo < ZERO < v.hi and enclosure.width() > Dyadic(1, -p // 2) else False
-    return True
-
-
-def superstable_center(n: int, selector=None, p: int = 64) -> ParamOracle:
+def superstable_center(n: int, selector=None) -> ParamOracle:
     """Oracle for a root of P_c^n(0) = 0 with primitive period n.
 
-    selector: None (unique root expected), an int index into the ascending
-    list of primitive roots in [-2, 1/4], or an Interval bracket hint.
+    Each real centre is named by its itinerary B of P(0), ..., P^(n-1)(0)
+    and built from it (_centre_of).  selector: None (unique root
+    expected), an int index i (the i-th admissible word in kneading order,
+    which is ascending c), or an Interval bracket hint (its leftmost
+    centre).
     """
+    return _centre_of(*_select_centre(n, selector))
+
+
+def _select_centre(n: int, selector) -> tuple:
+    """(word, spec) of the period-n centre that selector names; a bracket
+    hint keeps the words whose centre the kneading order puts inside it."""
     if n < 1:
         raise ValueError("period must be >= 1")
+    words = _centre_words(n)
+    if isinstance(selector, int):
+        if not 0 <= selector < len(words):
+            raise OracleFault(f"center index {selector} out of range "
+                              f"({len(words)} roots)")
+        return words[selector], f"superstable:{n}:{selector}"
     if isinstance(selector, Interval):
-        # pad so that a tight certified enclosure still spans a sign change
-        lo, hi = float(selector.lo) - 1e-7, float(selector.hi) + 1e-7
-    else:
-        lo, hi = -2.0, 0.25
-    stop = selector + 1 if isinstance(selector, int) and selector >= 0 else None
-    enclosures = list(islice(_primitive_centers(n, lo, hi, p), stop))
-    if not enclosures:
-        raise OracleFault(f"no primitive period-{n} center in [{lo}, {hi}]")
-    idx = selector if isinstance(selector, int) else 0
-    if isinstance(selector, int) and not 0 <= idx < len(enclosures):
-        raise OracleFault(f"center index {idx} out of range "
-                          f"({len(enclosures)} roots)")
-    if selector is None and len(enclosures) > 1 and n > 1:
-        raise OracleFault(f"{len(enclosures)} period-{n} centers; "
+        # pad so that a tight certified enclosure still holds its centre
+        pad = Dyadic(1, -23)
+        hint = Interval(selector.lo - pad,
+                        selector.hi + pad).intersect(PARAM_RANGE)
+        words = [B for B in words if hint is not None
+                 and ladder_sign(_centre_sign(B), hint.lo) < 0
+                 < ladder_sign(_centre_sign(B), hint.hi)]
+        if not words:
+            raise OracleFault(f"no primitive period-{n} center in "
+                              f"[{float(selector.lo)}, {float(selector.hi)}]")
+    elif len(words) > 1:
+        raise OracleFault(f"{len(words)} period-{n} centers; "
                           f"pass an index or bracket")
-    return _center_oracle(enclosures[idx], n,
-                          f"superstable:{n}" + (f":{idx}" if isinstance(selector, int) else ""))
+    return words[0], f"superstable:{n}"
 
 
-def _primitive_centers(n: int, lo: float, hi: float, p: int):
-    """Yield certified enclosures of the primitive period-n centers seeded
-    in [lo, hi], ascending, each as soon as it is certified."""
-    for seed in _float_roots(n, lo, hi):
-        enc = _contract_root(seed, n, 1e-6 + 1e-3 / n)
-        if enc is not None and _is_primitive(enc, n, p):
-            yield enc
+def _centre_words(n: int) -> list:
+    """The itineraries B of P(0), ..., P^(n-1)(0) at the real period-n
+    centres, in ascending c: the admissible words (Metropolis, Stein & Stein
+    1973), sorted by the kneading order of (B C)^oo, which is monotone in c
+    (Milnor-Thurston)."""
+    words = map("".join, product("LR", repeat=n - 1))
+    return sorted(filter(_admissible, words),
+                  key=cmp_to_key(lambda u, v: _order(u + "C", v + "C")))
 
 
-def _center_oracle(enc: Interval, n: int, spec: str) -> ParamOracle:
-    pad = enc.width()
-    if pad == ZERO:
-        pad = Dyadic(1, -48)
-    bracket = Interval(enc.lo - pad, enc.hi + pad).intersect(PARAM_RANGE)
-    o = IntervalNewtonOracle(
-        lambda x, pr: critical_value_eval(x, n, pr), bracket, spec=spec)
+def _centre_sign(B: str):
+    """pred(x, p): sign(x - c) by the kneading order, c the centre of B."""
+    return lambda x, p: kneading_order(x, cycle(B + "C"), p)
+
+
+def _centre_of(B: str, spec: str | None = None) -> ParamOracle:
+    """The centre whose itinerary is B, the one parameter whose kneading is
+    (B C)^oo.  Bisection on that kneading order shrinks [-2, 1/4] until
+    dQ_n/dc excludes 0: Q_n is then monotone on the bracket, with the
+    centre its one root, and interval Newton on Q_n refines it on demand."""
+    n = len(B) + 1
+    probe = BisectOracle(_centre_sign(B), PARAM_RANGE)
+    while not _monotone(probe.bracket, n):
+        probe.halve()
+    o = IntervalNewtonOracle(lambda x, pr: critical_value_eval(x, n, pr),
+                             probe.bracket, spec=spec or f"superstable:{n}")
     o.known_critical_period = n
     return o
 
 
-def _float_roots(n: int, lo: float, hi: float):
-    """Yield float sign-scan seeds for roots of Q_n on [lo, hi], ascending.
-
-    Real centres crowd at -2, evenly in sqrt(c + 2) (there Q_n(c) is near
-    2 cos(2^(n-1) (pi - sqrt(c + 2)))): two or more can share the first of
-    the 4,096 cells, as the two period-9 centres nearest -2 do.  So a first
-    cell at -2 is scanned again on 64 points even in sqrt(c + 2), and when
-    that finds two roots or more, they stand for the cell's seed.
-    """
-    if n == 1:
-        if lo <= 0.0 <= hi:
-            yield 0.0
-        return
-    step, first = (hi - lo) / 4096, 0
-    if lo == -2.0:
-        crowd = list(_sign_scan(n, (lo + step * (j / 64) ** 2
-                                    for j in range(65))))
-        if len(crowd) > 1:
-            yield from crowd
-            first = 1
-    yield from _sign_scan(n, (lo + i * step for i in range(first, 4097)))
-
-
-def _sign_scan(n: int, grid):
-    """Seeds for the sign changes and zeros of Q_n on an ascending grid."""
-    grid = iter(grid)
-    prev_c = next(grid)
-    prev_v = _q_float(prev_c, n)
-    for c in grid:
-        v = _q_float(c, n)
-        if prev_v == 0.0:
-            yield prev_c
-        elif v * prev_v < 0.0:
-            yield _float_bisect(lambda x: _q_float(x, n), prev_c, c, prev_v)
-        prev_c, prev_v = c, v
-
-
-def _float_bisect(h, a: float, b: float, va: float) -> float:
-    """Float sign bisection of h on [a, b], where va = h(a) and h(b) has
-    the other sign; a seed, never a certificate."""
-    for _ in range(80):
-        m = 0.5 * (a + b)
-        vm = h(m)
-        if vm == 0.0 or b - a < 1e-15:
-            break
-        if vm * va < 0.0:
-            b = m
-        else:
-            a, va = m, vm
-    return 0.5 * (a + b)
+def _monotone(c: Interval, n: int) -> bool:
+    """True when dQ_n/dc, enclosed as by critical_value_eval, excludes 0 over
+    c.  It works at twice the bits of c's width (an expanding orbit grows
+    its rounding as it grows the width), 64 at least.  Past 4 the orbit
+    enclosure only grows, its ints doubling in length each step: False."""
+    w = c.width()
+    p = max(64, -2 * (w.exp + w.man.bit_length()))
+    q, cf, _ = fixed_box(p, c)
+    for lo, hi, d in fixed_orbit((0, 0), cf, n, q, p, (0, 0), 1):
+        if max(-lo, hi) > 4 << q:
+            return False
+    return d[0] > 0 or d[1] < 0
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +248,21 @@ def window_endpoints(n: int, center_hint=None,
     """Certified ends and type of the period-n window around its center.
 
     Left end: bisection on the kneading order against the left end's word,
-    read off the centre's itinerary, so it is the end next to the centre.
+    built from the centre's word, so it is the end next to the centre.
     Right end: a parabolic point by two-variable interval Newton
     (_RightEndOracle).  Type: the real order of the centre's cycle.
     """
     if n < 2:
         raise ValueError("windows have period >= 2")
-    return _window_at(n, superstable_center(n, center_hint), width_exp)
+    A, spec = _select_centre(n, center_hint)
+    return _window_at(A, _centre_of(A, spec), width_exp)
 
 
-def _window_at(n: int, center: ParamOracle,
+def _window_at(A: str, center: ParamOracle,
                width_exp: int = 34) -> RenormWindow:
-    """window_endpoints around the period-n center that center delivers."""
-    A = kneading(center, n).symbols[1:]
+    """window_endpoints around the centre with itinerary A that center
+    delivers."""
+    n = len(A) + 1
     right = _RightEndOracle(n, center, f"window-right:{n}")
     left = _left_end_oracle(A, center, f"window-left:{n}")
     for end in (right, left):
@@ -389,10 +326,11 @@ def window_endpoint_oracle(period: int, side: str,
     if period < 2:
         raise ValueError("windows have period >= 2")
     spec = f"window-{side}:{period}" + ("" if index is None else f":{index}")
-    center = superstable_center(period, index)
+    A, center_spec = _select_centre(period, index)
+    center = _centre_of(A, center_spec)
     if side == "right":
         return _RightEndOracle(period, center, spec)
-    return _left_end_oracle(kneading(center, period).symbols[1:], center, spec)
+    return _left_end_oracle(A, center, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -405,42 +343,15 @@ def epsilon_family(n: int) -> ParamOracle:
     parabolic period-3 orbit n times, escapes through I^1_1, and closes up.
     The critical period is 3n + 2: the escape itinerary is
     f^{3i}(0) in I^1 (i <= n-1), f^{3n}(0) in I^1_1, and then two more
-    steps (I^1_1 returns to I^0 under f^2) reach 0.  The constraints are
-    certified on the delivered oracle's own nest.
+    steps (I^1_1 returns to I^0 under f^2) reach 0.  eps_n is the centre
+    of the word L (RLL)^n, and the constraints are certified on the
+    delivered oracle's own nest.
     """
     if n < 1:
         raise ValueError("family index must be >= 1")
-    q = 3 * n + 2
-    enc = _epsilon_enclosure(n, q)
-    o = _center_oracle(enc, q, f"eps-family:{n}")
+    o = _centre_of("L" + "RLL" * n, f"eps-family:{n}")
     _check_epsilon_itinerary(o, n)
     return o
-
-
-def _epsilon_enclosure(n: int, q: int) -> Interval:
-    base = -1.75
-    for scale in (0.1246 if n == 1 else 0.166, 0.14, 0.19, 0.11, 0.23):
-        guess = base + scale / (n * n)
-        root = float_newton(lambda c: _q_float_d(c, q), guess)
-        if root is None or not base < root < base + 0.3:
-            continue
-        if not _epsilon_float_itinerary(root, n):
-            continue
-        enc = _contract_root(root, q, 1e-7)
-        if enc is not None:
-            return enc
-    raise OracleFault(f"eps-family index {n}: no certified center")
-
-
-def _epsilon_float_itinerary(c: float, n: int) -> bool:
-    alpha = (1.0 - (1.0 - 4.0 * c) ** 0.5) / 2.0
-    pts = [_q_float(c, k) for k in range(3 * n + 3)]
-    for i in range(1, n):
-        if not abs(pts[3 * i]) < 0.6 * abs(alpha):
-            return False
-    if not alpha < pts[3 * n] < 0.5 * alpha:
-        return False
-    return abs(pts[3 * n + 2]) < 1e-9
 
 
 def _check_epsilon_itinerary(o: ParamOracle, n: int):
@@ -525,17 +436,8 @@ def window_locate(o: ParamOracle, max_period: int,
     words, decided = window_tower(o, 1, max_period, max_period, ledger,
                                   cycle_period=q)
     if words:
-        return _window_at(len(words[0]) + 1, _centre_of(words[0]))
+        return _window_at(words[0], _centre_of(words[0]))
     if not decided:
         raise OracleFault("parameter undecidably close to a window end at "
                           "the precision cap or the oracle's limit")
     return None
-
-
-def _centre_of(B: str) -> ParamOracle:
-    """The centre whose itinerary is B: bisection on the kneading order
-    against (B C)^oo, which no other parameter follows."""
-    o = BisectOracle(lambda x, p: kneading_order(x, cycle(B + "C"), p),
-                     PARAM_RANGE, spec=f"superstable:{len(B) + 1}")
-    o.known_critical_period = len(B) + 1
-    return o

@@ -288,7 +288,7 @@ class TestLedgerAccounting:
             else:
                 pixel_query(o, 20, Dyadic(0), None, budget, ledger)
         assert (ledger.total_units, ledger.query_count,
-                ledger.max_precision) == (105, 5, 53)
+                ledger.max_precision) == (68, 5, 16)
 
 
 class TestCaseOneA:

@@ -12,12 +12,13 @@ import qal.oracle
 import qal.params
 from qal.dyadic import Dyadic, Interval
 from qal.oracle import OracleFault, WorstCaseOracle, oracle_exact
-from qal.params import (_center_oracle, _primitive_centers, epsilon_family,
+from qal.params import (_centre_of, _centre_words, epsilon_family,
                         feigenbaum_limit, superstable_center,
                         window_endpoint_oracle, window_endpoints,
                         window_locate)
 from qal.renorm import (CombinatorialType, detect_renormalization,
-                        feigenbaum_word, kneading_order, window_left_word)
+                        feigenbaum_word, kneading, kneading_order,
+                        window_left_word)
 from qal.solver import ladder
 
 NEG_7_4 = Dyadic(-7, -2)
@@ -103,6 +104,17 @@ class TestSuperstableCenters:
         hint = Interval(Dyadic.from_float(-1.32), Dyadic.from_float(-1.30))
         o = superstable_center(4, hint)
         assert close(o.query(48), -1.3107026413368328, 48)
+        # a certified enclosure names its centre among the 51 of period 10
+        enc = superstable_center(10, 50).enclosure(64)
+        assert superstable_center(10, enc).enclosure(64) == enc
+        with pytest.raises(OracleFault):
+            superstable_center(4, Interval(Dyadic(-1), Dyadic(0)))
+        # a hint at -2 keeps its padded end inside [-2, 1/4]
+        o = superstable_center(3, Interval(Dyadic(-2), Dyadic(-1)))
+        assert close(o.query(48), -1.7548776662466927, 48)
+        # the leftmost period-15 centre lies about 1.4e-8 right of -2
+        enc = superstable_center(15, 0).enclosure(64)
+        assert superstable_center(15, enc).enclosure(64) == enc
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -112,34 +124,49 @@ class TestSuperstableCenters:
 
     @pytest.mark.parametrize("q", [3, 4, 5, 6])
     def test_index_selects_the_listed_centre(self, q):
-        full = list(_primitive_centers(q, -2.0, 0.25, 64))
-        for i, enc in enumerate(full):
+        for i, B in enumerate(_centre_words(q)):
             got = superstable_center(q, i)
-            want = _center_oracle(enc, q, f"superstable:{q}:{i}")
+            want = _centre_of(B, f"superstable:{q}:{i}")
+            assert got.spec == want.spec
             assert got.bracket == want.bracket
             assert got.enclosure(64) == want.enclosure(64)
+            assert kneading(got, q).symbols == "C" + B
 
-    @pytest.mark.parametrize("q, count", [(7, 9), (8, 16), (9, 28)])
+    @pytest.mark.parametrize("q, count", [(7, 9), (8, 16), (9, 28), (10, 51),
+                                          (11, 93), (12, 170)])
     def test_every_real_centre_is_found(self, q, count):
-        got = list(_primitive_centers(q, -2.0, 0.25, 64))
-        assert len(got) == count
+        # the counts of Metropolis, Stein & Stein (OEIS A000048); a float
+        # sign scan over 4,096 cells found 50, 85 and 131 at q = 10, 11, 12
+        words = _centre_words(q)
+        assert len(words) == count
+        if q > 10:
+            return
+        got = [_centre_of(B).enclosure(64) for B in words]
         assert all(a.hi < b.lo for a, b in zip(got, got[1:]))
+        for enc in got:
+            ends = (enc.lo.as_fraction(), enc.hi.as_fraction())
+            assert q_sign(ends[0], q) * q_sign(ends[1], q) == -1
         if q == 9:
-            # real centres crowd at -2: these two share the scan's first
-            # cell, 5.5e-4 wide, so no sign change showed them
+            # real centres crowd at -2: these two lie 4.5e-4 apart
             for enc, want in zip(got, (-1.99994352, -1.99949144)):
                 assert abs(float(enc.mid()) - want) < 1e-8
 
+    def test_the_centres_after_the_scan_gap_answer(self):
+        # a float sign scan of Q_10 over 4,096 cells misses the centre of
+        # LRRRRLRRR, and with it the index of the largest period-10 centre
+        assert abs(float(superstable_center(10, 50).query(53))
+                   + 1.4470088) < 1e-7
+        gap = _centre_words(10).index("LRRRRLRRR")
+        assert abs(float(superstable_center(10, gap).query(53))
+                   + 1.9854823) < 1e-7
+
     def test_index_certifies_only_the_centres_it_needs(self, monkeypatch):
         calls = []
-        real = qal.params._contract_root
-        monkeypatch.setattr(qal.params, "_contract_root",
+        real = qal.params._centre_of
+        monkeypatch.setattr(qal.params, "_centre_of",
                             lambda *a: calls.append(a) or real(*a))
-        list(_primitive_centers(6, -2.0, 0.25, 64))
-        every = len(calls)
-        calls.clear()
         superstable_center(6, 1)
-        assert 0 < len(calls) < every
+        assert calls == [(_centre_words(6)[1], "superstable:6:1")]
 
     @pytest.mark.parametrize("selector,message", [
         (5, "center index 5 out of range (5 roots)"),
@@ -289,6 +316,18 @@ class TestEpsilonFamily:
         o = epsilon_family(n)
         assert o.known_critical_period == 3 * n + 2
         assert close(o.query(48), self.REFS[n], 48)
+        assert kneading(o, 3 * n + 2).symbols == "C" + "L" + "RLL" * n
+
+    @pytest.mark.parametrize("B", ["L" + "RLL" * 32, "L" + "R" * 38],
+                             ids=["cusp", "expanding"])
+    def test_a_long_word_builds(self, B):
+        # over a wide bracket the orbit enclosure escapes past 4, where its
+        # ints double in length each step: the isolation test stops there.
+        # Near -2 each step of L R^38 multiplies the rounding by about 4,
+        # so the isolation test must work at more than 64 bits there
+        with time_limit(30):
+            o = _centre_of(B)
+            assert kneading(o, len(B) + 1).symbols == "C" + B
 
     def test_accumulation_on_the_cusp(self):
         gaps = [self.REFS[n] - float(NEG_7_4) for n in (1, 2, 3, 4)]

@@ -14,9 +14,8 @@ from qal.dyadic import Dyadic, Interval, fixed_read, from_fixed, iv_iterate
 from qal.dynamics import (ParameterRangeError, TrackedInterval,
                           _critical_enclosures, _merge_boxes, iter_eval)
 from qal.oracle import QueryLedger, oracle_exact
-from qal.params import (_center_oracle, _epsilon_enclosure, _primitive_centers,
-                        _window_at, epsilon_family, feigenbaum_limit,
-                        superstable_center)
+from qal.params import (_centre_of, _centre_words, _window_at,
+                        epsilon_family, feigenbaum_limit, superstable_center)
 from qal.renorm import (CombinatorialType, _admissible, _cycle_type,
                         _LevelRuns, _order, _parse, _sign_minus,
                         _smallest_root, _symbols, detect_renormalization,
@@ -83,8 +82,8 @@ class TestFeigenbaumWord:
 
 def centres(q: int) -> list:
     """Oracles for the real period-q centres, ascending (qal windows)."""
-    return [_center_oracle(enc, q, f"superstable:{q}:{i}")
-            for i, enc in enumerate(_primitive_centers(q, -2.0, 0.25, 64))]
+    return [_centre_of(B, f"superstable:{q}:{i}")
+            for i, B in enumerate(_centre_words(q))]
 
 
 def star(words: list) -> str:
@@ -122,7 +121,7 @@ class TestKneadingParse:
             orbit = _critical_enclosures(o.enclosure(64), q - 1, 64)
             assert itinerary_type(B) == _cycle_type(
                 [TrackedInterval(x, x) for x in orbit])
-            win = _window_at(q, o)
+            win = _window_at(B, o)
             assert win.tau == itinerary_type(B)
 
             def tower(x, cycle=None):
@@ -215,8 +214,7 @@ def nest_key(nest) -> tuple:
 
 def eps_oracle(n: int):
     """epsilon_family(n)'s oracle before anything has run on it."""
-    return _center_oracle(_epsilon_enclosure(n, 3 * n + 2), 3 * n + 2,
-                          f"eps-family:{n}")
+    return _centre_of("L" + "RLL" * n, f"eps-family:{n}")
 
 
 def fresh_eps_3():
