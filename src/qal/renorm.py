@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cmp_to_key
 from itertools import chain, cycle, islice, takewhile
+from math import isqrt, prod
 
-from .dyadic import (ZERO, Dyadic, Interval, fixed_box, fixed_centred,
-                     fixed_orbit, fixed_read)
+from .dyadic import ZERO, Dyadic, Interval, fixed_read, from_fixed
 from .dynamics import (PARAM_RANGE, ParameterRangeError, TrackedInterval,
                        _critical_enclosures, _critical_steps, check_param,
                        isolate_periodic_points)
@@ -374,142 +374,47 @@ def _membership(enc: Interval, t: TrackedInterval) -> int:
     return 0
 
 
-class _LevelRuns:
-    """Kernel states of the boxes that bisect one nest level's domain.
-
-    The level's 2t root searches (k = 1..t, both ends of the last level)
-    bisect the same domain, so they meet the same boxes, and k only rises
-    across them.  Each box keeps one state, its last: the step j, the box
-    run with its derivative, the midpoint run, and r, q, cf from fixed_box;
-    a later search runs it on from step j to step k.  Boxes are nodes of the
-    bisection tree (the domain is 1, the halves of node i are 2i and
-    2i + 1); 0 and -1 are the domain's ends as points.
-    """
-
-    def __init__(self, c: Interval, domain: Interval, p: int):
-        self.c, self.domain, self.p, self.states = c, domain, p, {}
-        # the nodes from self.leaf on are at most 2^-max(16, p/2) wide
-        w, min_width, depth = domain.width(), Dyadic(1, -max(16, p // 2)), 0
-        while w > min_width:
-            w, depth = w.half(), depth + 1
-        self.leaf = 1 << depth
-
-    def image(self, node: int, x: Interval, k: int) -> tuple:
-        """iter_eval's enclosure of P^k over the box x of node, as
-        fixed_centred's (lo, hi, s); a point's run is exact at s = q.  A
-        step below the stored one raises: its state is gone."""
-        state = self.states.get(node)
-        if state is None:
-            q, (xl, xh), m, cf = fixed_box(self.p, x, self.c)
-            state = self.states[node] = (
-                [0, q, cf, 0, (xl, xh, None), None] if xl == xh else
-                [0, q, cf, xh - m, (xl, xh, (1 << q, 1 << q)), (m, m, None)])
-        j, q, cf, r, t, tm = state
-        if k < j:
-            raise ValueError(f"step {k} asked of a box run on to step {j}")
-        if k > j:
-            *_, t = fixed_orbit(t[:2], cf, k - j, q, self.p, t[2])
-            if tm is not None:
-                *_, tm = fixed_orbit(tm[:2], cf, k - j, q, self.p)
-            state[0], state[4], state[5] = k, t, tm
-        return (t[0], t[1], q) if tm is None else fixed_centred(t, tm, t[2],
-                                                                 r, q)
-
-
-def _sign_minus(enc: tuple, b: tuple) -> int:
-    """iv_sign(enc - beta) for int pairs enc = (lo, hi, s) at 2^-s and
-    b = (g, (bl, bh)) = fixed_read(0, beta) at 2^-g: interval subtraction
-    is exact, so it compares endpoints at the finer scale."""
-    lo, hi, s = enc
-    g, (bl, bh) = b
-    if g > s:
-        lo, hi = lo << (g - s), hi << (g - s)
-    else:
-        bl, bh = bl << (s - g), bh << (s - g)
-    return (lo > bh) - (hi < bl)
-
-
-def _root_clusters(runs: _LevelRuns, k: int, b: tuple):
-    """Yield (cluster, s) left to right: each cluster a hull of touching
-    leaf boxes where h = P^k - beta may vanish (b as for _sign_minus), s
-    the sign of h right of it.  That is h's certified sign over the box
-    that closes the cluster, which is its sign at the box's midpoint (the
-    centred form holds the midpoint run), or the point sign at the domain's
-    right end."""
-    stack, cluster = [(1, runs.domain)], None
-    while stack:
-        node, x = stack.pop()
-        s = _sign_minus(runs.image(node, x, k), b)
-        if s == 0 and node < runs.leaf:
-            mid = x.mid()  # the left half is popped first
-            stack += (2 * node + 1, Interval(mid, x.hi)), \
-                (2 * node, Interval(x.lo, mid))
-        elif s == 0:
-            cluster = x if cluster is None else Interval(cluster.lo, x.hi)
-        elif cluster is not None:
-            yield cluster, s
-            cluster = None
-    if cluster is not None:
-        hi = runs.domain.hi
-        yield cluster, _sign_minus(runs.image(-1, Interval.point(hi), k), b)
-
-
-def _smallest_root(runs: _LevelRuns, k: int, beta: Interval):
-    """Leftmost solution of P^k(x) = beta on runs.domain, with a clean-ness
-    flag.
-
-    Returns (enclosure, clean) where clean means: a certified sign change
-    brackets the enclosure and no surviving box lies to its left (so it
-    really is the smallest root).  (None, True) means certified no root.
-    The search stops at the first cluster across which h changes sign.
-    """
-    b = fixed_read(0, beta)
-    first = cur = None
-    for box, s in _root_clusters(runs, k, b):
-        if first is None:
-            first = box
-            lo = runs.domain.lo
-            cur = _sign_minus(runs.image(0, Interval.point(lo), k), b)
-        if cur == 0 or s == 0:
-            return box, False
-        if s != cur:
-            return box, box is first
-        # no crossing through this box: a root here could only be tangential
-    if first is None:
-        return None, True
-    # only tangential candidates: report the leftmost, uncertified
-    return first, False
-
-
-def _leftmost_root(c: Interval, p: int, prev: TrackedInterval, t: int):
-    """Leftmost root in [0, prev's right end] of P^k = either end of prev
-    over k = 1..t, and whether it is certified; None when there is none.
-    The kernel states die with this call, before _build_level can raise."""
-    runs = _LevelRuns(c, Interval(ZERO, prev.hi.hi), p)
-    root = None
-    clean = True
-    for k in range(1, t + 1):
-        for beta in (prev.lo, prev.hi):
-            enc, ok = _smallest_root(runs, k, beta)
-            if enc is None:
-                continue
-            if root is None or enc.hi < root.lo:
-                root, clean = enc, ok
-            elif not enc.disjoint(root):
-                root = root.hull(enc)
-                clean = clean and ok
-    return root, clean
-
-
 class _NestStop(Exception):
     """Level construction terminated by the dynamics (no deeper level)."""
 
 
+_MAX_RETURN = 256  # the latest first return a nest level looks for
+
+
+def _pullback(b: Interval, c: Interval, signs: list, p: int) -> Interval:
+    """Enclosure of the x >= 0 with P^t(x) = sigma b whose itinerary is
+    signs: signs[j - 1] = sign P^j(x) for j = 1..t-1, sigma their product.
+
+    From y_t = sigma b, each step y_j = s_j sqrt(y_(j+1) - c) (s_0 = +1) is
+    monotone in y and in c, so floor and ceil of isqrt on int pairs at one
+    scale 2^-q, q >= p, enclose x over the enclosures b and c.  A radicand
+    not certified > 0 raises _Undecided.
+    """
+    q, (yl, yh), (cl, ch) = fixed_read(p, b, c)
+    if prod(signs) < 0:
+        yl, yh = -yh, -yl
+    for s in reversed([1] + signs):
+        rl, rh = yl - ch, yh - cl
+        if rl <= 0:
+            raise _Undecided("radicand of the pullback")
+        lo, hi = isqrt(rl << q), 1 + isqrt((rh << q) - 1)
+        yl, yh = (lo, hi) if s > 0 else (-hi, -lo)
+    return from_fixed(yl, yh, q)
+
+
 def _build_level(o: ParamOracle, c: Interval, p: int, prev: TrackedInterval,
-                 orbit: list, max_return: int):
-    """One nest level: (return iterate t, I^m, central flag, closed flag)."""
+                 orbit: list):
+    """One nest level: (return iterate t, I^m, central flag, closed flag).
+
+    I^m = [-x, x], x the end of the component of P^-t(prev) around 0, t the
+    first return of 0 to prev = [-b, b].  P^j(0) lies outside prev for
+    0 < j < t, so P^t is monotone on [0, x], and x is the pullback of an
+    end of prev along the signs of P^j(0).  x inside (0, b) is a level; at
+    or beyond b with t the known critical period the nest closes; certified
+    beyond b there is no deeper level; anything else is undecided.
+    """
     t = None
-    for k in range(1, min(max_return, len(orbit) - 1) + 1):
+    for k in range(1, len(orbit)):
         m = _membership(orbit[k], prev)
         if m == 1:
             t = k
@@ -518,84 +423,70 @@ def _build_level(o: ParamOracle, c: Interval, p: int, prev: TrackedInterval,
             raise _Undecided(f"return membership at step {k}")
     if t is None:
         raise _NestStop
-    root, clean = _leftmost_root(c, p, prev, t)
-    q = o.known_critical_period
-    strict = root is not None and root.hi < prev.hi.lo and root.lo > ZERO
-    if strict and clean:
-        level = TrackedInterval(Interval(-root.hi, -root.lo), root)
-        if q is not None and t == q:
+    b = prev.hi
+    x = _pullback(b, c, [iv_sign(y) for y in orbit[1:t]], p)
+    closes = t == o.known_critical_period
+    if ZERO < x.lo and x.hi < b.lo:
+        level = TrackedInterval(-x, x)
+        if closes:
             return t, level, True, True
         m = _membership(orbit[t], level)
         if m == 0:
             raise _Undecided("centrality test")
         return t, level, m == 1, False
-    at_boundary = root is None or not root.hi < prev.hi.lo
-    if q is not None and t == q and at_boundary:
-        # closure with the root at (or uncertifiably near) the boundary:
+    if closes and not x.hi < b.lo:
         # the central component fills prev up to enclosure slack, and the
         # return realizes the renormalization itself
         return t, prev, True, True
-    if not clean:
-        raise _Undecided("uncertified leftmost boundary root")
-    raise _NestStop
+    if b.hi < x.lo:
+        raise _NestStop
+    raise _Undecided("level end near the last level's end")
 
 
 def principal_nest(o: ParamOracle, max_depth: int,
-                   ledger: QueryLedger | None = None,
-                   max_return: int = 256) -> NestRecord:
+                   ledger: QueryLedger | None = None) -> NestRecord:
     """Principal nest I^0 of [alpha, -alpha] and its first-return levels.
 
     Levels are built until max_depth, until the construction closes on a
     renormalization, or until the dynamics admits no deeper central
-    component.  Precision escalates on undecided tests; running out marks
-    the record truncated.
+    component.  Precision escalates on undecided tests; running out, or an
+    oracle fault, marks the record truncated at the precision it reached.
     """
     check_param(o, ledger)
     for p in ladder():
         try:
-            return _nest_at_precision(o, max_depth, p, ledger, max_return)
+            return _nest_at_precision(o, p, max_depth, ledger)
         except _Undecided:
             pass
-    return NestRecord([], [None], [], False, True, PRECISION_CAP)
+        except OracleFault:
+            break
+    return NestRecord([], [None], [], False, True, p)
 
 
-def _nest_at_precision(o: ParamOracle, max_depth: int, p: int, ledger,
-                       max_return: int = 256) -> NestRecord:
-    """The nest at working precision p, to max_depth levels.  The oracle
-    keeps each (p, max_return) build: a deeper call resumes it, a shallower
-    one gets its prefix, and every call charges a fresh build's queries."""
+def _nest_at_precision(o: ParamOracle, p: int, max_depth: int,
+                       ledger) -> NestRecord:
+    """The nest at working precision p, to max_depth levels."""
     c = o.enclosure(p, ledger)
-    nests = vars(o).setdefault("_qal_nests", {})
-    if (p, max_return) in nests:
-        o.enclosure(p, ledger)  # the query isolate_periodic_points charges
-    else:
-        alpha = None
-        for pp in isolate_periodic_points(o, 1, p, ledger):
-            if pp.enclosure.hi < ZERO:
-                alpha = pp.enclosure
-        if alpha is None:
-            return NestRecord([], [None], [], False, False, p, c)
-        i0 = TrackedInterval(alpha, Interval(-alpha.hi, -alpha.lo))
-        nests[p, max_return] = [  # the levels so far, the orbit, ended
-            NestRecord([i0], [None], [], False, False, p, c),
-            _critical_enclosures(c, max_return, p), False]
-    nest, orbit, _ = entry = nests[p, max_return]
-    while not entry[2] and nest.depth < max_depth:
+    alpha = None
+    for pp in isolate_periodic_points(o, 1, p, ledger):
+        if pp.enclosure.hi < ZERO:
+            alpha = pp.enclosure
+    nest = NestRecord([], [None], [], False, False, p, c)
+    if alpha is None:
+        return nest
+    nest.levels.append(TrackedInterval(alpha, -alpha))
+    orbit = _critical_enclosures(c, _MAX_RETURN, p)
+    while not nest.closed and nest.depth < max_depth:
         try:
             t, level, central, nest.closed = _build_level(
-                o, c, p, nest.levels[-1], orbit, max_return)
+                o, c, p, nest.levels[-1], orbit)
         except _NestStop:
-            entry[2] = True
             break
         nest.levels.append(level)
         nest.return_iterates.append(t)
         if not central:
             nest.noncentral_levels.append(nest.depth)
-        entry[2] = nest.closed
-    d = min(max(max_depth, 0), nest.depth)
-    return NestRecord(nest.levels[:d + 1], nest.return_iterates[:d + 1],
-                      [m for m in nest.noncentral_levels if m <= d],
-                      nest.closed and d == nest.depth, False, p, c)
+    return nest
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +595,8 @@ def essential_structure(o: ParamOracle, ledger: QueryLedger | None = None,
     neglectable annulus I^l \\ I^{l+1} of a saddle-node cascade is
     neglectable, and intervals between two consecutive nest visits inherit
     the assignment of the visit that starts their block (the orbit transport
-    of the annulus).  Returns None when anything stays undecided at the cap.
+    of the annulus).  Returns None when anything stays undecided at the cap
+    or the oracle faults.
     """
     check_param(o, ledger)
     for p in ladder(64, p_cap):
@@ -712,12 +604,14 @@ def essential_structure(o: ParamOracle, ledger: QueryLedger | None = None,
             return _essential_at(o, ledger, max_depth, p)
         except _Undecided:
             pass
+        except OracleFault:
+            break
     return None
 
 
 def _essential_at(o: ParamOracle, ledger, max_depth: int,
                   p: int) -> EssentialData | None:
-    nest = _nest_at_precision(o, max_depth, p, ledger)
+    nest = _nest_at_precision(o, p, max_depth, ledger)
     if not nest.closed:
         return None
     c = nest.param_enclosure

@@ -59,7 +59,7 @@ SOLVE = {
     "centres":
         "0f68979a41cbbe62f56d2be4d3b7705a47632a81a1dd1482901eaa3756e9ad65",
     "nest":
-        "5d90e38bd15e14c18cca10c3808af12a9a983adac8bb29b5a7abc6f7c2352df4",
+        "4957a4ad4e686ed5720f393346ba4e2d50fe70d67bf3c7ad8c40c5461a1c30e6",
 }
 
 
@@ -121,6 +121,10 @@ def test_centre_enclosures():
 def test_principal_nest_of_eps_3():
     ledger = QueryLedger()
     nest = principal_nest(epsilon_family(3), 64, ledger)
+    assert nest.return_iterates == [None, 3, 3, 3, 11]
+    assert nest.noncentral_levels == [3]
+    assert (nest.closed, nest.truncated) == (True, False)
+    assert (nest.precision, ledger.total_units) == (64, 144)
     rows = [f"{t.lo} {t.hi} {r}"
             for t, r in zip(nest.levels, nest.return_iterates)]
     rows.append(f"{nest.noncentral_levels} {nest.closed} {nest.truncated} "

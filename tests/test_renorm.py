@@ -1,24 +1,22 @@
 """Kneading data, renormalization certificates, nest, essential period."""
 
-import sys
 from itertools import islice, product, takewhile
+from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from test_params import time_limit
 
-import qal.renorm
-from qal import dyadic
-from qal.dyadic import Dyadic, Interval, fixed_read, from_fixed, iv_iterate
+from qal.dyadic import Dyadic, Interval, iv_iterate
 from qal.dynamics import (ParameterRangeError, TrackedInterval,
                           _critical_enclosures, _merge_boxes, iter_eval)
 from qal.oracle import QueryLedger, oracle_exact
 from qal.params import (_centre_of, _centre_words, _window_at,
                         epsilon_family, feigenbaum_limit, superstable_center)
 from qal.renorm import (CombinatorialType, _admissible, _cycle_type,
-                        _LevelRuns, _order, _parse, _sign_minus,
-                        _smallest_root, _symbols, detect_renormalization,
+                        _order, _parse, _pullback, _symbols,
+                        detect_renormalization, essential_period,
                         essential_structure, essentially_equivalent,
                         feigenbaum_word, itinerary_type, kneading,
                         principal_nest, recheck_renormalization,
@@ -251,9 +249,10 @@ class TestNestResumes:
 
 
 def exhaustive_root(c, k, beta, domain, p):
-    """The nest's leftmost-root search before it stopped early: bisect every
-    root of P^k = beta on domain, merge the boxes, then probe the signs
-    between them at points."""
+    """Reference for a nest level's end: bisect every root of P^k = beta on
+    domain, merge the boxes, then probe the signs between them at points.
+    (box, clean): the first box across which the sign changes, clean when
+    no box lies left of it, so that it certainly holds the leftmost root."""
     min_width = Dyadic(1, -max(16, p // 2))
     queue, boxes = [domain], []
     while queue:
@@ -286,93 +285,73 @@ def exhaustive_root(c, k, beta, domain, p):
     return merged[0], False
 
 
-def exact(x: float) -> Interval:
-    return Interval.point(Dyadic.from_float(x))
+class TestLevelPullback:
+    @pytest.mark.parametrize("make", [
+        lambda: epsilon_family(1), lambda: epsilon_family(2),
+        lambda: epsilon_family(3), lambda: superstable_center(5, 1),
+        lambda: superstable_center(6, 1), lambda: superstable_center(7, 3),
+        lambda: superstable_center(7, 8)],
+        ids=["eps1", "eps2", "eps3", "5:1", "6:1", "7:3", "7:8"])
+    def test_levels_lie_in_the_exhaustive_searchs_clean_boxes(self, make):
+        # 17 levels in all: each end lies in the certified leftmost root
+        # of P^t = sigma b on [0, b], b the last level's end
+        nest = principal_nest(make(), 64)
+        assert nest.closed and nest.depth >= 2
+        c, p = nest.param_enclosure, nest.precision
+        orbit = _critical_enclosures(c, max(nest.return_iterates[1:]), p)
+        for prev, level, t in zip(nest.levels, nest.levels[1:],
+                                  nest.return_iterates[1:]):
+            sigma = prod(iv_sign(y) for y in orbit[1:t])
+            beta = prev.hi if sigma > 0 else prev.lo
+            box, clean = exhaustive_root(c, t, beta,
+                                         Interval(Dyadic(0), prev.hi.hi), p)
+            assert clean and box.contains_interval(level.hi)
+            assert level.lo == -level.hi
+
+    @given(st.integers(1, 1 << 11), st.integers(-(1 << 12), 1 << 9),
+           st.integers(1, 5), st.integers(64, 128))
+    def test_the_pullback_of_an_orbit_encloses_its_start(self, xm, cm, t, p):
+        # x in (0, 2], c in [-2, 1/4]: pull back the exact P^t(x), and its
+        # outward rounding to D_p, along the exact signs of P^j(x)
+        x, c = Dyadic(xm, -10), Dyadic(cm, -11)
+        ys = [x]
+        for _ in range(t):
+            ys.append(ys[-1] * ys[-1] + c)
+        assume(all(abs(y) >= Dyadic(1, -8) for y in ys[1:t]))
+        signs = [y.sign for y in ys[1:t]]
+        end = Interval.point(ys[t] if prod(signs) > 0 else -ys[t])
+        assert _pullback(end, Interval.point(c), signs, p) == \
+            Interval.point(x)
+        got = _pullback(end.round_out(p), Interval.point(c), signs, p)
+        assert got.contains(x) and got.width() < Dyadic(1, 48 - p)
 
 
-class TestLeftmostRoot:
-    def test_every_search_of_the_eps_nests_matches_the_exhaustive_one(
-            self, monkeypatch):
-        calls = []
+class TestNestUndecided:
+    @pytest.mark.parametrize("make", [
+        lambda: oracle_exact(Dyadic(-1802, -10)),
+        lambda: superstable_center(6, 3)], ids=["-1802*2^-10", "6:3"])
+    def test_a_level_end_near_the_last_is_not_the_end_of_the_nest(
+            self, make):
+        # both lie in the period-3 window, whose central cascade goes on;
+        # the nest used to stop there, neither closed nor truncated
+        nest = principal_nest(make(), 64)
+        assert nest.truncated or nest.depth == 64
+        assert not nest.closed and not nest.noncentral_levels
+        assert set(nest.return_iterates[1:]) <= {3}
 
-        def checked(runs, k, beta):
-            got = _smallest_root(runs, k, beta)
-            calls.append((got, exhaustive_root(runs.c, k, beta, runs.domain,
-                                               runs.p)))
-            return got
+    def test_a_level_end_at_the_last_stays_undecided(self):
+        # in the period-2 window the first level's end is the fixed point's
+        # preimage -alpha itself: no precision separates them
+        with time_limit(60):
+            nest = principal_nest(oracle_exact(Dyadic(-3, -1)), 64)
+        assert nest.truncated and nest.depth == -1
 
-        monkeypatch.setattr(qal.renorm, "_smallest_root", checked)
-        for n in (1, 2, 3):
-            assert principal_nest(eps_oracle(n), 64).closed
-        assert len(calls) == 84
-        assert all(got == want for got, want in calls)
-
-    @pytest.mark.parametrize("c, beta, k, root, clean", [
-        # P^2 = 1/2 at x^2 = 1.9 -+ sqrt(2.4): two crossings, the first
-        # one certified
-        (-1.9, 0.5, 2, 0.592289, True),
-        # P^3 = 0 touches at 1 (a local maximum) and crosses at
-        # sqrt(1 + sqrt 2): the tangential cluster is passed over, and a
-        # crossing after it is not certified leftmost
-        (-1.0, 0.0, 3, 1.553774, False),
-        # P^2 = -1 only touches, at its minimum x = 1
-        (-1.0, -1.0, 2, 1.0, False),
-    ])
-    def test_clusters_match_the_exhaustive_search_at_rising_k(
-            self, c, beta, k, root, clean):
-        c, beta, p = exact(c), exact(beta), 64
-        domain = Interval(Dyadic(0), Dyadic(2))
-        runs = _LevelRuns(c, domain, p)
-        found = []
-        for j in range(1, k + 1):  # higher k: quartic roots, slow to bisect
-            found.append(_smallest_root(runs, j, beta))
-            assert found[-1] == exhaustive_root(c, j, beta, domain, p)
-        assert abs(float(found[-1][0].mid()) - root) < 1e-6
-        assert found[-1][1] == clean
-
-    @given(st.integers(-(1 << 20), 1 << 18), st.integers(-(1 << 12), 1 << 12),
-           st.integers(0, 1 << 10), st.integers(-(1 << 12), 1 << 12),
-           st.integers(0, 1 << 8), st.integers(16, 80),
-           st.lists(st.integers(0, 9), min_size=1, max_size=5))
-    def test_integer_membership_is_iter_evals_at_rising_k(
-            self, cm, xm, xw, bm, bw, p, ks):
-        c = Interval.point(Dyadic(cm, -19))
-        box = Interval(Dyadic(xm, -11), Dyadic(xm + xw, -11))
-        beta = Interval(Dyadic(bm, -10), Dyadic(bm + bw, -10))
-        runs = _LevelRuns(c, box, p)
-        for k in sorted(ks):
-            want = iter_eval(box, c, k, p)[0]
-            enc = runs.image(1, box, k)
-            assert from_fixed(*enc) == want
-            sign = _sign_minus(enc, fixed_read(0, beta))
-            assert (sign != 0) == (not (want - beta).contains_zero())
-            assert sign == iv_sign(want - beta)
-
-    def test_a_lower_step_is_refused(self):
-        box = Interval(Dyadic(1, -2), Dyadic(3, -2))
-        runs = _LevelRuns(exact(-1.5), box, 64)
-        runs.image(1, box, 3)
-        assert runs.image(1, box, 3) == runs.image(1, box, 3)
-        with pytest.raises(ValueError):
-            runs.image(1, box, 2)
-
-    def test_kernel_runs_of_the_eps_3_nest(self, monkeypatch):
-        # each box of a level runs once across its 2t searches, and a
-        # search stops at its first crossing: 438 runs before, 317 now
-        o = epsilon_family(3)
-        runs = [0]
-        kernel = dyadic.fixed_orbit
-
-        def counted(*args):
-            runs[0] += 1
-            return kernel(*args)
-
-        for mod in list(sys.modules.values()):
-            if getattr(mod, "__name__", "").startswith("qal") and \
-                    vars(mod).get("fixed_orbit") is kernel:
-                monkeypatch.setattr(mod, "fixed_orbit", counted)
-        assert principal_nest(o, 64).closed
-        assert runs[0] == 317
+    def test_an_oracle_fault_is_undecided(self):
+        # the top rung asks superstable:4:1 for more than its refiner's cap
+        o = superstable_center(4, 1)
+        with time_limit(60):
+            assert principal_nest(o, 64).truncated
+            assert essential_period(o) is None
 
 
 class TestEssentialStructure:
