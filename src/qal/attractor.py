@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 from .dyadic import (NEAREST, ONE, ZERO, Dyadic, Interval, dy_max, dy_min,
                      iv_orbit, iv_quad_step)  # bench/test_bench.py reads it
 from .dynamics import (CertifiedCycle, TrackedInterval, _critical_enclosures,
-                       _return_map_eval, certify_attracting_cycle,
+                       _squeeze_cycle_point, certify_attracting_cycle,
                        check_param, isolate_periodic_points)
 from .oracle import ExactOracle, OracleFault, ParamOracle, QueryLedger
 from .params import _q_float
 from .renorm import itinerary_type, window_tower
-from .solver import PRECISION_CAP, interval_newton, ladder
+from .solver import PRECISION_CAP, ladder
 
 
 class ApproximationFailed(RuntimeError):
@@ -345,20 +345,16 @@ def _exact_cycle(o: ParamOracle, q: int, n: int, b: Budget,
 
 def _refined_cycle(o: ParamOracle, cycle: CertifiedCycle, n: int, b: Budget,
                    ledger: QueryLedger | None) -> list:
-    """Case 1a: Newton-squeeze each point enclosure of the certified cycle."""
+    """Case 1a: squeeze each point enclosure of the certified cycle below
+    2^-(n+3) by _squeeze_cycle_point, one run at each ladder rung."""
     target = Dyadic(1, -(n + 3))
     out = []
     for box in cycle.point_enclosures:
         for p in ladder(max(64, 2 * (n + 8)), b.p_cap()):
             if box.width() < target:
                 break
-            c = o.enclosure(p, ledger)
-            got = interval_newton(
-                lambda x, pr: _return_map_eval(x, c, cycle.period, pr)[:2],
-                box, p, target)
-            if got is None:
-                break
-            box = got[0]
+            box = _squeeze_cycle_point(box, o.enclosure(p, ledger),
+                                       cycle.period, p)
         if box.width() >= target:
             raise ApproximationFailed("cycle point not localized")
         out.append(box)

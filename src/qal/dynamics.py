@@ -12,8 +12,7 @@ from itertools import islice
 
 from .dyadic import (DOWN, ONE, TWO, UP, ZERO, Dyadic, Interval, dy_max,
                      dy_min, fixed_box, fixed_centred, fixed_orbit, fixed_read,
-                     from_fixed, iv_deriv_enclosure, iv_iterate, iv_orbit,
-                     iv_quad_step)
+                     from_fixed, iv_iterate, iv_quad_step)
 from .oracle import ParamOracle, QueryLedger
 from .solver import PRECISION_CAP, float_newton, interval_newton, ladder
 
@@ -237,8 +236,9 @@ def certify_attracting_cycle(o: ParamOracle, max_period: int = 64,
     """Find and rigorously certify the attracting/superattracting limit cycle.
 
     Certificate: a dyadic interval J and n with P^n(J) strictly inside J and
-    the sup of |D(P^n)| over the orbit tube below 1.  Returns None when the
-    budget runs out -- never a false certificate.
+    the derivative enclosure of P^n over J inside (-1, 1), both read off one
+    fixed_orbit run.  Returns None when the budget runs out -- never a false
+    certificate.
     """
     check_param(o, ledger)
     c_float = float(o.query(min(53, p_cap), ledger))
@@ -249,46 +249,58 @@ def certify_attracting_cycle(o: ParamOracle, max_period: int = 64,
     steps_used = 0
     for p in ladder(64, p_cap):
         c = o.enclosure(p, ledger)
+        center = Dyadic.from_float(w).round(min(p, 128))
         for rexp in range(6, min(40, p // 2), 2):
             steps_used += n
             if steps_used > step_budget:
                 return None
             r = Dyadic(1, -rexp)
-            center = Dyadic.from_float(w).round(min(p, 128))
             j = Interval(center - r, center + r)
-            tube = iv_orbit(j, c, n, p)
-            if not j.strictly_contains(tube[-1]):
-                continue
-            prod = Interval.point(ONE)
-            for t in tube[:-1]:
-                prod = (prod * Interval.point(iv_deriv_enclosure(t).mag())).round_out(p)
-            if not prod.hi < ONE:
-                continue
-            return _polish_cycle(n, j, c, p)
+            q, y, cf = fixed_read(p, j, c)
+            one = 1 << q
+            *_, (lo, hi, d) = fixed_orbit(y, cf, n, q, p, (one, one))
+            if y[0] < lo and hi < y[1] and -one < d[0] and d[1] < one:
+                return _polish_cycle(n, j, c, p)
     return None
 
 
 def _polish_cycle(n: int, j: Interval, c: Interval, p: int) -> CertifiedCycle:
-    """Iterate P^n on a certified trap J until the enclosure stabilizes."""
-    q, y, cf = fixed_read(p, j, c)
-    for _ in range(4 * p):
-        *_, (lo, hi, _) = fixed_orbit(y, cf, n, q, p)
-        if lo <= y[1] and y[0] <= hi:  # cycle point lies in both
-            lo, hi = max(lo, y[0]), min(hi, y[1])
-        if hi - lo >= y[1] - y[0]:
-            break
-        y = lo, hi
-    # enclosures of the full cycle, and the multiplier along them
+    """Squeeze the cycle point in a certified trap J (_squeeze_cycle_point),
+    then enclose the cycle and its multiplier along it."""
+    box = _squeeze_cycle_point(j, c, n, p)
+    q, y, cf = fixed_read(p, box, c)
     steps = list(fixed_orbit(y, cf, n, q, p, (1 << q, 1 << q)))
     encs = [from_fixed(lo, hi, q) for lo, hi, _ in steps[:-1]]
-    # reduce to the true period if images meet earlier
+    # reduce to the true period if images meet earlier: J traps P^d, and the
+    # one fixed point of P^n in J, inside box, is the fixed point of P^d
     for d in range(1, n):
         if (n % d == 0 and not encs[d].disjoint(encs[0])
                 and j.strictly_contains(iv_iterate(j, c, d, p))):
-            return _polish_cycle(d, j, c, p)
+            return _polish_cycle(d, box, c, p)
     mult = from_fixed(*steps[-1][2], q)
     kind = classify_cycle(encs, mult)
     return CertifiedCycle(n, encs, mult, kind)
+
+
+def _squeeze_cycle_point(box: Interval, c: Interval, n: int,
+                         p: int) -> Interval:
+    """Interval Newton N(Y) = m - G(m)/G'(Y) on G = P^n - id, in ints at
+    2^-q, from a box Y that holds a root of G: Y meets N(Y) until a step
+    does not halve it or does not shrink it.  G(m) is the point run's box
+    minus m and G'(Y) the derivative line minus 2^q, which is < 0 on a
+    trap; where it may not be, Y comes back as it is."""
+    q, (lo, hi), cf = fixed_read(p, box, c)
+    one, w = 1 << q, 2 * (hi - lo) + 1  # the first step always runs
+    while 2 * (hi - lo) <= w and hi - lo < w:
+        w, m = hi - lo, (lo + hi) >> 1
+        *_, (gl, gh, _) = fixed_orbit((m, m), cf, n, q, p)
+        *_, (_, _, (dl, dh)) = fixed_orbit((lo, hi), cf, n, q, p, (one, one))
+        if dh >= one:
+            break
+        quots = [((g - m) << q, d - one) for g in (gl, gh) for d in (dl, dh)]
+        lo = max(lo, m - max(-(-a // b) for a, b in quots))  # ceil
+        hi = min(hi, m - min(a // b for a, b in quots))  # floor
+    return from_fixed(lo, hi, q)
 
 
 def recheck_cycle(cycle: CertifiedCycle, o: ParamOracle, p: int) -> bool:

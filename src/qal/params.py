@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from itertools import cycle, product
 
 from .dyadic import (ONE, TWO, UP, Dyadic, Interval, fixed_box,
@@ -94,14 +94,15 @@ def _select_centre(n: int, selector) -> tuple:
     return words[0], f"superstable:{n}"
 
 
-def _centre_words(n: int) -> list:
+@cache
+def _centre_words(n: int) -> tuple:
     """The itineraries B of P(0), ..., P^(n-1)(0) at the real period-n
     centres, in ascending c: the admissible words (Metropolis, Stein & Stein
     1973), sorted by the kneading order of (B C)^oo, which is monotone in c
-    (Milnor-Thurston)."""
+    (Milnor-Thurston).  Listed once per n; the list reads no oracle."""
     words = map("".join, product("LR", repeat=n - 1))
-    return sorted(filter(_admissible, words),
-                  key=cmp_to_key(lambda u, v: _order(u + "C", v + "C")))
+    return tuple(sorted(filter(_admissible, words),
+                        key=cmp_to_key(lambda u, v: _order(u + "C", v + "C"))))
 
 
 def _centre_sign(B: str):

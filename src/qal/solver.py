@@ -1,9 +1,10 @@
 """The shared root solvers and the precision ladder.
 
 Every refiner in the package (oracle brackets, periodic points, centers,
-cycle points, window endpoints) runs interval Newton or certified sign
-bisection, every escalation of the working precision climbs ladder(), and
-every 1-D float seed is polished by float_newton().
+window endpoints) runs interval Newton or certified sign bisection; cycle
+points alone are squeezed on ints (dynamics._squeeze_cycle_point).  Every
+escalation of the working precision climbs ladder(), and every 1-D float
+seed is polished by float_newton().
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Critical orbits, cycle certification, periodic points, escape times."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,10 +9,17 @@ from hypothesis import strategies as st
 import qal.dynamics
 from qal.dyadic import NEAREST, Dyadic, Interval
 from qal.dynamics import (ParameterRangeError, TrackedInterval,
-                          certify_attracting_cycle, check_param,
-                          critical_orbit, escape_time,
+                          _squeeze_cycle_point, certify_attracting_cycle,
+                          check_param, critical_orbit, escape_time,
                           isolate_periodic_points, iter_eval, recheck_cycle)
 from qal.oracle import WorstCaseOracle, oracle_exact
+
+# (period, lowest and highest c * 2^32) of inner parts of the windows of
+# periods 1-4 and 8
+CYCLE_WINDOWS = [(q, math.ceil(lo * 2**32), math.floor(hi * 2**32))
+                 for q, lo, hi in ((1, -0.7, 0.2), (2, -1.2, -0.8),
+                                   (3, -1.766, -1.752), (4, -1.36, -1.26),
+                                   (8, -1.394, -1.388))]
 
 params_in_range = st.builds(
     lambda k: Dyadic(k, -52),
@@ -114,6 +123,49 @@ class TestCycleCertification:
         o = oracle_exact(Dyadic(-1, -1))
         cert = certify_attracting_cycle(o)
         assert recheck_cycle(cert, o, 256)
+
+    @pytest.mark.parametrize("c,period,mult,point", [
+        # 4(1 + c) = -255/256: a multiplier near -1, near the window's end
+        (Dyadic(-1279, -10), 2, Dyadic(-255, -8), None),
+        # the fixed point 31/64 is dyadic, with multiplier 31/32
+        (Dyadic(1023, -12), 1, Dyadic(31, -5), Dyadic(31, -6)),
+    ])
+    def test_a_slow_cycle_is_squeezed(self, c, period, mult, point):
+        # contracting the trap by P^n stalled at widths of 2e-6 to 2e-4 here
+        cert = certify_attracting_cycle(oracle_exact(c))
+        assert (cert.period, cert.kind) == (period, "attracting")
+        assert all(e.width() < Dyadic(1, -50) for e in cert.point_enclosures)
+        assert cert.multiplier.contains(mult)
+        assert point is None or cert.point_enclosures[0].contains(point)
+
+    @given(st.sampled_from(CYCLE_WINDOWS).flatmap(
+        lambda w: st.tuples(st.just(w[0]), st.integers(*w[1:]))))
+    @settings(max_examples=80, deadline=None)
+    def test_each_point_enclosure_holds_a_root(self, drawn):
+        # G = P^n - id falls through the attracting cycle point, so an
+        # enclosure [lo, hi] of it has G(lo) >= 0 >= G(hi), exactly
+        period, k = drawn
+        c = Dyadic(k, -32)
+        cert = certify_attracting_cycle(oracle_exact(c))
+        if cert is None:  # near a window's end the float seed can miss
+            return
+        assert cert.period == period
+        assert cert.kind in ("attracting", "superattracting")
+
+        def g(x):
+            y = x
+            for _ in range(period):
+                y = y * y + c
+            return y - x
+        for e in cert.point_enclosures:
+            assert g(e.lo) >= Dyadic(0) >= g(e.hi)
+        # an oracle's bracket of c is 2^-62 wide at 64 bits, which hides
+        # the rounding of the Newton quotient; a point c does not
+        r = Dyadic(1, -20)
+        e = cert.point_enclosures[0]
+        e = _squeeze_cycle_point(Interval(e.lo - r, e.hi + r),
+                                 Interval.point(c), period, 64)
+        assert g(e.lo) >= Dyadic(0) >= g(e.hi)
 
 
 def float_root_count(c: float, n: int, grid: int = 1 << 16) -> int:

@@ -168,6 +168,22 @@ class TestSuperstableCenters:
         superstable_center(6, 1)
         assert calls == [(_centre_words(6)[1], "superstable:6:1")]
 
+    def test_the_words_are_listed_once_per_period(self, monkeypatch):
+        def admissible_calls(walk):
+            calls = []
+            real = qal.params._admissible
+            monkeypatch.setattr(qal.params, "_admissible",
+                                lambda B: calls.append(B) or real(B))
+            _centre_words.cache_clear()
+            walk()
+            monkeypatch.setattr(qal.params, "_admissible", real)
+            return len(calls)
+        monkeypatch.setattr(qal.params, "_centre_of", lambda *a: a)
+        once = admissible_calls(lambda: _centre_words(11))
+        walk = admissible_calls(lambda: [superstable_center(11, i)
+                                         for i in range(93)])
+        assert walk == once == 2 ** 10
+
     @pytest.mark.parametrize("selector,message", [
         (5, "center index 5 out of range (5 roots)"),
         (-1, "center index -1 out of range (5 roots)"),
