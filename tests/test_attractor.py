@@ -317,8 +317,25 @@ class TestCaseOneA:
         assert got.trace == {"case": "1a", "period": period}
         assert [str(p) for p in got.points] == points
 
+    @pytest.mark.parametrize("n,points,charged", [
+        (16, ["-316255*2^-18", "54111*2^-18"], (149, 4, 64)),
+        (40, ["-5305873282667*2^-42", "907826771563*2^-42"], (149, 4, 64)),
+        (60, ["-5563611383246014205*2^-62", "951925364818626301*2^-62"],
+         (421, 6, 136)),
+    ])
+    def test_a_narrow_certificate_reads_c_no_further(self, n, points, charged):
+        # the certificate of this 2-cycle (multiplier -255/256) encloses its
+        # points below 2^-(n+3) from 64 bits up to n = 40, so case 1a reads c
+        # no further
+        ledger = QueryLedger()
+        got = approximate(oracle_exact(Dyadic(-1279, -10)), n, ledger=ledger)
+        assert got.trace == {"case": "1a", "period": 2}
+        assert [str(p) for p in got.points] == points
+        assert (ledger.total_units, ledger.query_count,
+                ledger.max_precision) == charged
 
-C_F62 = Dyadic.from_fraction_rounded(Fraction("-1.401155189092050426"), 62)
+
+C_F62= Dyadic.from_fraction_rounded(Fraction("-1.401155189092050426"), 62)
 
 
 class _CappedOracle(ParamOracle):
