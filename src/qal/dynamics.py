@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .dyadic import (DOWN, ONE, TWO, UP, ZERO, Dyadic, Interval, dy_max,
-                     dy_min, fixed_box, fixed_centred, fixed_orbit, fixed_read,
+from .dyadic import (DOWN, ONE, UP, ZERO, Dyadic, Interval, dy_max, dy_min,
+                     fixed_box, fixed_centred, fixed_orbit, fixed_read,
                      from_fixed, iv_iterate, iv_quad_step)
 from .oracle import ParamOracle, QueryLedger
 from .solver import PRECISION_CAP, float_newton, interval_newton, ladder
@@ -284,23 +284,27 @@ def _polish_cycle(n: int, j: Interval, c: Interval, p: int) -> CertifiedCycle:
 
 def _squeeze_cycle_point(box: Interval, c: Interval, n: int,
                          p: int) -> Interval:
-    """Interval Newton N(Y) = m - G(m)/G'(Y) on G = P^n - id, in ints at
-    2^-q, from a box Y that holds a root of G: Y meets N(Y) until a step
-    does not halve it or does not shrink it.  G(m) is the point run's box
-    minus m and G'(Y) the derivative line minus 2^q, which is < 0 on a
-    trap; where it may not be, Y comes back as it is."""
+    """solver.interval_newton on G = P^n - id from a box that holds a root
+    of G, in ints at one scale 2^-q (_return_map)."""
     q, (lo, hi), cf = fixed_read(p, box, c)
-    one, w = 1 << q, 2 * (hi - lo) + 1  # the first step always runs
-    while 2 * (hi - lo) <= w and hi - lo < w:
-        w, m = hi - lo, (lo + hi) >> 1
-        *_, (gl, gh, _) = fixed_orbit((m, m), cf, n, q, p)
-        *_, (_, _, (dl, dh)) = fixed_orbit((lo, hi), cf, n, q, p, (one, one))
-        if dh >= one:
-            break
-        quots = [((g - m) << q, d - one) for g in (gl, gh) for d in (dl, dh)]
-        lo = max(lo, m - max(-(-a // b) for a, b in quots))  # ceil
-        hi = min(hi, m - min(a // b for a, b in quots))  # floor
+    lo, hi, _ = interval_newton(*_return_map(cf, n, q, p), lo, hi, q)
     return from_fixed(lo, hi, q)
+
+
+def _return_map(cf: tuple, n: int, q: int, p: int) -> tuple:
+    """interval_newton's closures for G = P^n - id over c = cf at 2^-q: G at
+    a point m, the point run's box minus m, and G' over [lo, hi], the
+    derivative line minus 2^q."""
+    one = 1 << q
+
+    def g(m):
+        *_, (lo, hi, _) = fixed_orbit((m, m), cf, n, q, p)
+        return lo - m, hi - m
+
+    def dg(lo, hi):
+        *_, (_, _, (dl, dh)) = fixed_orbit((lo, hi), cf, n, q, p, (one, one))
+        return dl - one, dh - one
+    return g, dg
 
 
 def recheck_cycle(cycle: CertifiedCycle, o: ParamOracle, p: int) -> bool:
@@ -329,38 +333,13 @@ def iter_eval(x: Interval, c: Interval, k: int, p: int):
     like sqrt(width) near roots; intersecting with the mean-value form
     P^k(mid) + (P^k)'(x) * (x - mid) restores linear scaling.
     """
-    return _iter_mid(x, c, k, p)[:2]
-
-
-def _iter_mid(x: Interval, c: Interval, k: int, p: int):
-    """iter_eval's pair and P^k(mid) from one run (None when x is a point)."""
     q, (xl, xh), m, cf = fixed_box(p, x, c)
     *_, t = fixed_orbit((xl, xh), cf, k, q, p, (1 << q, 1 << q))
     deriv = from_fixed(*t[2], q)
     if xl == xh:
-        return from_fixed(t[0], t[1], q), deriv, None
+        return from_fixed(t[0], t[1], q), deriv
     *_, tm = fixed_orbit((m, m), cf, k, q, p)
-    return (from_fixed(*fixed_centred(t, tm, t[2], xh - m, q)), deriv,
-            from_fixed(*tm[:2], q))
-
-
-def _return_map_eval(x: Interval, c: Interval, n: int, p: int):
-    """Enclosures of G = P^n(w) - w and its w-derivative over x.
-
-    G gets its own mean-value form G(mid) + G'(x)(x - mid): subtracting x
-    from the already-sharpened P^n enclosure would reintroduce the
-    dependency slop that makes exclusion near double roots scale like
-    sqrt(width) instead of linearly.
-    """
-    t, deriv, tm = _iter_mid(x, c, n, p)
-    dg = deriv - Interval.point(ONE)
-    f = t - x
-    if tm is not None:
-        mid = x.mid()
-        centered = (tm - Interval.point(mid)) + dg * Interval(x.lo - mid,
-                                                              x.hi - mid)
-        f = f.intersect(centered) or f
-    return f, dg, deriv
+    return from_fixed(*fixed_centred(t, tm, t[2], xh - m, q)), deriv
 
 
 def isolate_periodic_points(o: ParamOracle, n: int, p: int,
@@ -371,65 +350,57 @@ def isolate_periodic_points(o: ParamOracle, n: int, p: int,
     interval Newton; root clusters that finite precision cannot split (e.g.
     parabolic double roots) come back as non-unique enclosures.  Jointly the
     enclosures contain every solution (exclusion test on the complement).
+    Boxes, G = P^n - id and its Newton are ints at one scale 2^-q.
     """
-    c = o.enclosure(p, ledger)
+    q, cf = fixed_read(max(p, 16), o.enclosure(p, ledger))
+    one, (g, dg) = 1 << q, _return_map(cf, n, q, p)
 
-    def newton(x: Interval) -> Interval | None:
-        got = interval_newton(lambda y, pr: _return_map_eval(y, c, n, pr)[:2],
-                              x, p)
-        return got[0] if got is not None and got[1] else None
-
-    def point(x: Interval, unique: bool) -> PeriodicPoint:
-        return PeriodicPoint(x, unique, _return_map_eval(x, c, n, p)[2])
+    def newton(lo: int, hi: int) -> tuple | None:
+        got = interval_newton(g, dg, lo, hi, q)
+        return got if got is not None and got[2] else None
 
     # all periodic points of x^2+c with c in [-2, 1/4] lie in [-beta, beta]
     # with beta <= 2; a fixed pad keeps endpoint roots (c = -2) interior
-    pad = Dyadic(1, -6)
-    box = Interval(NEG_TWO - pad, TWO + pad)
-    min_width = Dyadic(1, -max(16, p // 2))
-    queue = [box]
-    unique, undecided = [], []
+    edge, min_width = (2 << q) + (one >> 6), one >> max(16, p // 2)
+    queue, found, undecided = [(-edge, edge)], [], []
     while queue:
-        x = queue.pop()
-        f, df, _ = _return_map_eval(x, c, n, p)
-        if not f.contains_zero():
+        lo, hi = queue.pop()
+        # exclusion: the naive run minus the box, met with the centred form
+        # G(m) + G'(Y)[-r, r]; subtracting the box from a sharpened P^n
+        # would bring back the dependency slop that scales like sqrt(width)
+        m = (lo + hi) >> 1
+        *_, (tl, th, (dl, dh)) = fixed_orbit((lo, hi), cf, n, q, p, (one, one))
+        fl, fh, _ = fixed_centred((tl - hi, th - lo), g(m),
+                                  (dl - one, dh - one), hi - m, q)
+        if fl > 0 or fh < 0:
             continue
-        if not df.contains_zero():
-            root = newton(x)
-            if root is not None:
-                unique.append(root)
-                continue
-        if x.width() <= min_width:
-            undecided.append(x)
-            continue
-        mid = x.mid()
-        queue.append(Interval(x.lo, mid))
-        queue.append(Interval(mid, x.hi))
-    out = [point(root, True) for root in unique]
-    for cluster in _merge_boxes(undecided):
+        if not dl <= one <= dh and (root := newton(lo, hi)):
+            found.append(root)
+        elif hi - lo <= min_width:
+            undecided.append((lo, hi))
+        else:
+            queue += (lo, m), (m, hi)
+    for lo, hi in _merge_boxes(undecided):
         # drop clusters that duplicate an already-certified unique root
-        if any(not cluster.disjoint(r.enclosure) for r in out if r.unique):
+        if any(lo <= r[1] and r[0] <= hi for r in found if r[2]):
             continue
         # a root sitting exactly on a bisection boundary produces a cluster
         # of minimal boxes; a Newton retry on the inflated hull certifies it
-        w = dy_max(cluster.width(), min_width)
-        inflated = Interval(cluster.lo - w, cluster.hi + w)
-        root = newton(inflated)
-        out.append(point(cluster, False) if root is None else point(root, True))
-    out.sort(key=lambda r: r.enclosure.lo.as_fraction())
-    return out
+        w = max(hi - lo, min_width)
+        found.append(newton(lo - w, hi + w) or (lo, hi, False))
+    return [PeriodicPoint(from_fixed(lo, hi, q), unique,
+                          from_fixed(*(d + one for d in dg(lo, hi)), q))
+            for lo, hi, unique in sorted(found)]
 
 
 def _merge_boxes(boxes: list) -> list:
-    if not boxes:
-        return []
-    boxes = sorted(boxes, key=lambda b: b.lo.as_fraction())
-    merged = [boxes[0]]
-    for b in boxes[1:]:
-        if not merged[-1].disjoint(b):
-            merged[-1] = merged[-1].hull(b)
+    """The int pairs merged where they meet or touch, in ascending order."""
+    merged = []
+    for lo, hi in sorted(boxes):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
         else:
-            merged.append(b)
+            merged.append([lo, hi])
     return merged
 
 

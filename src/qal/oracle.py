@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dyadic import TWO, ZERO, Dyadic, Interval
+from .dyadic import TWO, ZERO, Dyadic, Interval, fixed_read, from_fixed
 from .solver import (PRECISION_CAP, interval_newton, iv_sign, ladder,
                      sign_bisect)
 
@@ -200,7 +200,9 @@ def oracle_bisect(pred, bracket: Interval, precision_cap: int = PRECISION_CAP,
 
 def oracle_newton(func, bracket: Interval, precision_cap: int = PRECISION_CAP,
                   spec: str = "newton") -> ParamOracle:
-    return IntervalNewtonOracle(func, bracket, precision_cap, spec)
+    return IntervalNewtonOracle(
+        func, lambda x, p: iv_sign(func(Interval.point(x), p)[0]), bracket,
+        precision_cap, spec)
 
 
 class IntervalNewtonOracle(BisectOracle):
@@ -208,14 +210,14 @@ class IntervalNewtonOracle(BisectOracle):
     fallback.
 
     func(X: Interval, p: int) -> (F_enclosure, dF_enclosure) must enclose the
-    defining function and its derivative over X.
+    defining function and its derivative over X; pred signs the bracket
+    ends and the bisection steps, as in BisectOracle.
     """
 
-    def __init__(self, func, bracket: Interval, precision_cap: int = PRECISION_CAP,
-                 spec: str = "newton"):
+    def __init__(self, func, pred, bracket: Interval,
+                 precision_cap: int = PRECISION_CAP, spec: str = "newton"):
         self.func = func
-        super().__init__(lambda x, p: iv_sign(func(Interval.point(x), p)[0]),
-                         bracket, precision_cap, spec)
+        super().__init__(pred, bracket, precision_cap, spec)
 
     def _refine_to(self, width_exp: int):
         # rounding and the derivative eat working bits: a width of 2^-w is
@@ -225,10 +227,18 @@ class IntervalNewtonOracle(BisectOracle):
                 break
         target = Dyadic(1, -width_exp)
         while self.bracket.width() >= target:
-            got = interval_newton(self.func, self.bracket, p, target)
+            q, (lo, hi) = fixed_read(p, self.bracket)
+
+            def outward(v: Interval) -> tuple:  # v rounded out to 2^-q
+                return v.lo.scale2(q).floor_int(), v.hi.scale2(q).ceil_int()
+
+            got = interval_newton(
+                lambda m: outward(self.func(from_fixed(m, m, q), p)[0]),
+                lambda lo, hi: outward(self.func(from_fixed(lo, hi, q), p)[1]),
+                lo, hi, q, (1 << q) >> width_exp)
             if got is None:
                 raise OracleFault("interval Newton emptied the bracket")
-            self.bracket = got[0]
+            self.bracket = from_fixed(*got[:2], q)
             if self.bracket.width() >= target:
                 # Newton stopped short: one bisection step on the sign change
                 self._bisect(self.bracket.width(), p)

@@ -114,13 +114,15 @@ def _centre_of(B: str, spec: str | None = None) -> ParamOracle:
     """The centre whose itinerary is B, the one parameter whose kneading is
     (B C)^oo.  Bisection on that kneading order shrinks [-2, 1/4] until
     dQ_n/dc excludes 0: Q_n is then monotone on the bracket, with the
-    centre its one root, and interval Newton on Q_n refines it on demand."""
+    centre its one root, and interval Newton on Q_n refines it on demand,
+    its bisection fallback signed by the same kneading order."""
     n = len(B) + 1
     probe = BisectOracle(_centre_sign(B), PARAM_RANGE)
     while not _monotone(probe.bracket, n):
         probe.halve()
     o = IntervalNewtonOracle(lambda x, pr: critical_value_eval(x, n, pr),
-                             probe.bracket, spec=spec or f"superstable:{n}")
+                             probe.pred, probe.bracket,
+                             spec=spec or f"superstable:{n}")
     o.known_critical_period = n
     return o
 

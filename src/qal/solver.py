@@ -1,10 +1,11 @@
 """The shared root solvers and the precision ladder.
 
-Every refiner in the package (oracle brackets, periodic points, centers,
-window endpoints) runs interval Newton or certified sign bisection; cycle
-points alone are squeezed on ints (dynamics._squeeze_cycle_point).  Every
-escalation of the working precision climbs ladder(), and every 1-D float
-seed is polished by float_newton().
+Every 1-D refiner in the package (oracle brackets, centres, periodic and
+cycle points) runs the one interval Newton, interval_newton() on ints at
+one scale, or certified sign bisection; a caller on Intervals rounds F and
+F' outward to the Newton's scale.  Every escalation of the working
+precision climbs ladder(), and every 1-D float seed is polished by
+float_newton().
 """
 
 from __future__ import annotations
@@ -31,38 +32,34 @@ def iv_sign(v: Interval) -> int:
     return 0
 
 
-def interval_newton(func, box: Interval, p: int, target: Dyadic | None = None):
-    """Interval Newton N(X) = m - F(m)/F'(X) on box at precision p.
+def interval_newton(f, df, lo: int, hi: int, q: int, width: int = 0):
+    """Interval Newton N(Y) = m - F(m)/F'(Y) on ints at 2^-q, Y = [lo, hi].
 
-    func(X, p) -> (F, dF) encloses F and F' over X.  Returns (box, unique),
-    unique once a step landed strictly inside its box (then the box holds
-    exactly one root), or None when N(X) misses X (no root in box).  Stops
-    below target, when F' may vanish, when a step does not shrink the box
-    or does not at least halve it, or after 80 steps: at the precision
-    floor, or far from a simple root, steps that do not halve shave
-    slivers without end, so the caller's fallback (bisection, more
-    precision, splitting the box) is the better next move.
+    f(m) encloses F at the point m and df(lo, hi) encloses F' over Y, both
+    int pairs at 2^-q; N(Y) rounds outward (its low end ceils the largest
+    quotient, its high end floors the smallest) and is met with Y.  Returns
+    (lo, hi, unique), unique once a step landed strictly inside its box
+    (then the box holds exactly one root), or None when N(Y) misses Y (no
+    root in Y).  Stops below width, when F' may hold 0, or when a step does
+    not halve Y or does not shrink it: far from a simple root, or at an
+    exactly dyadic root (a point box), steps would shave slivers without
+    end, and the caller's fallback (bisection, more precision, splitting
+    the box) is the better next move.
     """
-    unique = False
-    for _ in range(80):
-        if target is not None and box.width() < target:
+    unique, w = False, 2 * (hi - lo) + 1  # the first step always runs
+    while hi - lo >= width and 2 * (hi - lo) <= w and hi - lo < w:
+        w, m = hi - lo, (lo + hi) >> 1
+        dl, dh = df(lo, hi)
+        if dl <= 0 <= dh:
             break
-        mid = box.mid()
-        f_mid, _ = func(Interval.point(mid), p)
-        _, df = func(box, p)
-        if df.contains_zero():
-            break
-        corr = f_mid.divide(df, p)
-        nxt = Interval(mid - corr.hi, mid - corr.lo)
-        unique = unique or box.strictly_contains(nxt)
-        inter = nxt.intersect(box)
-        if inter is None:
+        quots = [a << q for a in f(m)]
+        nlo = m - max(-(-a // b) for a in quots for b in (dl, dh))  # ceil
+        nhi = m - min(a // b for a in quots for b in (dl, dh))  # floor
+        if nlo > hi or nhi < lo:
             return None
-        # a point box (an exact dyadic root) halves without shrinking
-        if inter.width() >= box.width() or inter.width().scale2(1) > box.width():
-            break
-        box = inter
-    return box, unique
+        unique = unique or lo < nlo and nhi < hi
+        lo, hi = max(lo, nlo), min(hi, nhi)
+    return lo, hi, unique
 
 
 def float_newton(fd, x0: float) -> float | None:

@@ -1,0 +1,154 @@
+"""The mutation table: each mutant of src/qal must fail the tests it names.
+
+Run from the repository root:
+
+    python tests/mutants.py
+
+Each row of MUTANTS is (file, old text, new text, tests).  For each row the
+script copies src/, tests/ and pyproject.toml to a temporary directory,
+replaces the one occurrence of the old text in the file with the new text,
+and runs the named tests there, with hypothesis seeded so that every run
+draws the same examples.  It exits non-zero when a mutant survives (its
+tests pass), when the old text does not occur in the file exactly once,
+when a row's tests end in an error rather than a failure, or when the named
+tests fail on the unmutated copy.  A refactor that moves a row's code
+carries the row along.  Standard library only; pytest and hypothesis are
+the test suite's own.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DYN = "tests/test_dynamics.py"
+NEWTON = DYN + "::TestIntervalNewton::"
+SQUEEZE = (DYN + "::TestCycleCertification"
+           "::test_each_point_enclosure_holds_a_root")
+CENTRES = "tests/test_params.py::TestSuperstableCenters::"
+INTERVAL = "tests/test_dyadic.py::TestInterval::"
+PULLBACK = ("tests/test_renorm.py::TestLevelPullback"
+            "::test_the_pullback_of_an_orbit_encloses_its_start")
+
+MUTANTS = [
+    # the one interval Newton (qal.solver) and its closures on G = P^n - id
+    ("solver.py",
+     "nlo = m - max(-(-a // b) for a in quots for b in (dl, dh))",
+     "nlo = m - max(a // b for a in quots for b in (dl, dh))",
+     [SQUEEZE]),
+    ("dynamics.py", "return dl - one, dh - one", "return dl, dh", [SQUEEZE]),
+    ("solver.py", "unique = unique or lo < nlo and nhi < hi", "unique = True",
+     [NEWTON + "test_unique_once_a_step_lands_strictly_inside"]),
+    ("solver.py", "        if nlo > hi or nhi < lo:\n            return None\n",
+     "", [NEWTON + "test_a_box_without_a_root_gives_none"]),
+    ("solver.py", "        if dl <= 0 <= dh:\n            break\n", "",
+     [NEWTON + "test_a_box_where_the_derivative_may_vanish_comes_back_whole"]),
+    # the centre's kneading sign, which its Newton oracle's bisection reads
+    ("params.py", "return lambda x, p: kneading_order(",
+     "return lambda x, p: -kneading_order(",
+     [CENTRES + "test_bracket_selector"]),
+    ("params.py", "probe.pred, probe.bracket,",
+     "lambda x, pr: (lambda v: (v.lo.sign > 0) - (v.hi.sign < 0))("
+     "critical_value_eval(Interval.point(x), n, pr)[0]), probe.bracket,",
+     [CENTRES + "test_a_long_expanding_word_is_signed_by_its_kneading"]),
+    # the integer orbit kernel (qal.dyadic.fixed_orbit)
+    ("dyadic.py", "-((-sh - ch) >> s) << up", "((sh + ch) >> s) << up",
+     [INTERVAL + "test_quad_step_sound"]),
+    ("dyadic.py", "else (0, max(a2, b2))", "else (min(a2, b2), max(a2, b2))",
+     [INTERVAL + "test_quad_step_is_tightest_outward"]),
+    ("dyadic.py", "a, s, up = add << 2 * q,", "a, s, up = add,",
+     [INTERVAL + "test_deriv_step_is_tightest_outward"]),
+    # the cost model and the exact critical period (qal.oracle)
+    ("oracle.py",
+     "        if m not in self._cache:\n"
+     "            self._cache[m] = self._answer(m)\n"
+     "        ans = self._cache[m]\n"
+     "        if ledger is not None:\n",
+     "        hit = m in self._cache\n"
+     "        if not hit:\n"
+     "            self._cache[m] = self._answer(m)\n"
+     "        ans = self._cache[m]\n"
+     "        if ledger is not None and not hit:\n",
+     ["tests/test_oracle.py::TestLedger"
+      "::test_charges_every_query_including_cache_hits"]),
+    ("oracle.py", "if c.exp < 0:", "if c.exp <= 0:",
+     ["tests/test_oracle.py::TestExactCriticalPeriod::test_integer_periods"]),
+    # kneading words and the nest's pullback (qal.renorm)
+    ("renorm.py", "return all(_order(w[j:], w) == 1",
+     "return True or all(_order(w[j:], w) == 1",
+     [CENTRES + "test_every_real_centre_is_found"]),
+    ("renorm.py", "1 + isqrt((rh << q) - 1)", "isqrt(rh << q)", [PULLBACK]),
+    ("renorm.py", "if prod(signs) < 0:", "if prod(signs) < -1:", [PULLBACK]),
+    ("renorm.py",
+     "            return _nest_at_precision(o, p, max_depth, ledger)\n"
+     "        except _Undecided:\n            pass\n"
+     "        except OracleFault:\n",
+     "            return _nest_at_precision(o, p, max_depth, ledger)\n"
+     "        except _Undecided:\n            pass\n"
+     "        except _NestStop:\n",
+     ["tests/test_renorm.py::TestNestUndecided"
+      "::test_an_oracle_fault_is_undecided"]),
+    # a cached render charged as often as it is asked (qal.attractor)
+    ("attractor.py", "ledger.add(cost, times)", "ledger.add(cost)",
+     ["tests/test_attractor.py::TestRender"
+      "::test_render_is_pixel_query_on_every_cover"]),
+]
+
+
+def run_tests(tree: Path, tests: list) -> int:
+    """pytest's exit code for tests in tree, on tree's own src/."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+           "no:cacheprovider", "--hypothesis-seed=0", *tests]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def copy_tree(dest: Path):
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", dest)
+
+
+def main() -> int:
+    start, faults = time.perf_counter(), []
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        copy_tree(base)
+        tests = sorted({t for *_, ts in MUTANTS for t in ts})
+        if run_tests(base, tests) != 0:
+            faults.append("the named tests do not pass on the unmutated tree")
+        for k, (name, old, new, ts) in enumerate(MUTANTS):
+            path = Path("src/qal") / name
+            text = (ROOT / path).read_text()
+            label = f"row {k}: {name}: {old.strip()[:60]!r}"
+            if text.count(old) != 1:
+                faults.append(f"{label}: old text occurs "
+                              f"{text.count(old)} times")
+                continue
+            tree = Path(tmp) / f"m{k}"
+            copy_tree(tree)
+            (tree / path).write_text(text.replace(old, new))
+            code = run_tests(tree, ts)
+            shutil.rmtree(tree)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"error {code}")
+            print(f"{verdict:9} {label}", flush=True)
+            if code != 1:
+                faults.append(f"{label}: {verdict}")
+    print(f"{len(MUTANTS)} rows, {len(faults)} faults, "
+          f"{time.perf_counter() - start:.0f} s")
+    for fault in faults:
+        print("FAULT", fault)
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,6 +1,7 @@
 """Critical orbits, cycle certification, periodic points, escape times."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 import qal.dynamics
 from qal.dyadic import NEAREST, Dyadic, Interval
 from qal.dynamics import (ParameterRangeError, TrackedInterval,
-                          _squeeze_cycle_point, certify_attracting_cycle,
-                          check_param, critical_orbit, escape_time,
+                          _return_map, _squeeze_cycle_point,
+                          certify_attracting_cycle, check_param,
+                          critical_orbit, escape_time,
                           isolate_periodic_points, iter_eval, recheck_cycle)
 from qal.oracle import WorstCaseOracle, oracle_exact
+from qal.solver import interval_newton
 
 # (period, lowest and highest c * 2^32) of inner parts of the windows of
 # periods 1-4 and 8
@@ -205,15 +208,15 @@ class TestPeriodicPoints:
         # isolation once shaved slivers off its boxes until the 80-step cap
         real, runs = qal.dynamics.interval_newton, []
 
-        def counted(func, box, p, target=None):
+        def counted(f, df, lo, hi, q, width=0):
             evals = []
 
-            def f(x, pr):
-                evals.append(x)
-                return func(x, pr)
+            def d(*box):
+                evals.append(box)
+                return df(*box)
 
-            got = real(f, box, p, target)
-            runs.append(len(evals) // 2)  # two evaluations per step
+            got = real(f, d, lo, hi, q, width)
+            runs.append(len(evals))  # one F' enclosure per step
             return got
 
         monkeypatch.setattr(qal.dynamics, "interval_newton", counted)
@@ -228,6 +231,56 @@ class TestPeriodicPoints:
         pts = isolate_periodic_points(oracle_exact(Dyadic(0)), 1, 64)
         zero = [p for p in pts if p.enclosure.contains(Dyadic(0))]
         assert zero and zero[0].multiplier.contains(Dyadic(0))
+
+    @given(st.integers(min_value=-(2 << 20), max_value=1 << 18),
+           st.integers(min_value=1, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_each_unique_enclosure_holds_a_sign_change(self, k, n):
+        # exactly: G = P^n - id changes sign across every unique enclosure
+        # (G' excludes 0 there), and the multiplier holds (P^n)' at its ends
+        c = Fraction(k, 1 << 20)
+
+        def g_and_deriv(w):
+            v, d = w, 1
+            for _ in range(n):
+                v, d = v * v + c, 2 * v * d
+            return v - w, d
+
+        pts = isolate_periodic_points(oracle_exact(Dyadic(k, -20)), n, 64)
+        for pt in (pt for pt in pts if pt.unique):
+            (g_lo, d_lo), (g_hi, d_hi) = (
+                g_and_deriv(e.as_fraction())
+                for e in (pt.enclosure.lo, pt.enclosure.hi))
+            assert g_lo * g_hi <= 0
+            mult = (pt.multiplier.lo.as_fraction(),
+                    pt.multiplier.hi.as_fraction())
+            assert mult[0] <= min(d_lo, d_hi) and max(d_lo, d_hi) <= mult[1]
+
+
+def newton_at_zero(lo: int, hi: int, q: int = 16):
+    """solver.interval_newton on G = P - id at c = 0, G(w) = w^2 - w (roots
+    0 and 1), over [lo, hi] 2^-q."""
+    return interval_newton(*_return_map((0, 0), 1, q, q), lo, hi, q)
+
+
+class TestIntervalNewton:
+    def test_a_box_without_a_root_gives_none(self):
+        # G >= 2 on [2, 3], and N([2, 3]) = [5/4, 7/4]
+        assert newton_at_zero(2 << 16, 3 << 16) is None
+
+    def test_unique_once_a_step_lands_strictly_inside(self):
+        assert newton_at_zero(-1 << 14, 1 << 14) == (0, 0, True)
+        # with the root at the box's end, no N(Y) lies strictly inside Y
+        assert newton_at_zero(0, 1 << 14) == (0, 0, False)
+
+    def test_a_box_where_the_derivative_may_vanish_comes_back_whole(self):
+        # [-1/4, 5/4] holds both roots, and G' = 2w - 1 holds 0 over it
+        box = (-1 << 14, 5 << 14)
+        assert newton_at_zero(*box) == (*box, False)
+
+    def test_a_point_box_at_an_exactly_dyadic_root_stops(self):
+        assert newton_at_zero(0, 0) == (0, 0, False)
+        assert newton_at_zero(1 << 16, 1 << 16) == (1 << 16, 1 << 16, False)
 
 
 class TestIterEval:

@@ -52,15 +52,20 @@ RENDER = {
 
 # The parameter-space answers of the benchmark's `solve` workload: the eps_n
 # answers with their essential periods, every centre of periods 3-6, and the
-# principal nest of eps_3.
+# principal nest of eps_3.  The nest's level 0 is the fixed point alpha as
+# isolate_periodic_points encloses it; its Newton keeps the box of a last
+# step that does not halve it, so that level narrowed from the box below
+# (ALPHA_WAS) to one inside it, and the nest digest moved with it alone.
 SOLVE = {
     "eps":
         "3e689ff80146bf3e0b413210fe13de6f42439e3260db8c09e50b456a66cf3202",
     "centres":
         "0f68979a41cbbe62f56d2be4d3b7705a47632a81a1dd1482901eaa3756e9ad65",
     "nest":
-        "4957a4ad4e686ed5720f393346ba4e2d50fe70d67bf3c7ad8c40c5461a1c30e6",
+        "ec9a0d4668a812f996b4cf64021e821a9089425106dde35f81a74053a06c6da9",
 }
+ALPHA_WAS = Interval(Dyadic(-16746645017129497823, -64),
+                     Dyadic(-4186661254282374455, -62))
 
 
 def _sha256(data: bytes) -> str:
@@ -125,6 +130,8 @@ def test_principal_nest_of_eps_3():
     assert nest.noncentral_levels == [3]
     assert (nest.closed, nest.truncated) == (True, False)
     assert (nest.precision, ledger.total_units) == (64, 144)
+    assert ALPHA_WAS.contains_interval(nest.levels[0].lo)
+    assert (-ALPHA_WAS).contains_interval(nest.levels[0].hi)
     rows = [f"{t.lo} {t.hi} {r}"
             for t, r in zip(nest.levels, nest.return_iterates)]
     rows.append(f"{nest.noncentral_levels} {nest.closed} {nest.truncated} "

@@ -1,6 +1,7 @@
 """Parameter-space solvers: centers, window endpoints, eps family, limit."""
 
 import signal
+import time
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
@@ -115,6 +116,31 @@ class TestSuperstableCenters:
         # the leftmost period-15 centre lies about 1.4e-8 right of -2
         enc = superstable_center(15, 0).enclosure(64)
         assert superstable_center(15, enc).enclosure(64) == enc
+
+    def test_a_long_expanding_word_is_signed_by_its_kneading(self):
+        # Q_n signed the bracket's ends at a point from 64 bits up, where the
+        # orbit of L R^54 escapes and its ints double in length each step
+        # (4.3 s); the kneading order that isolated the bracket signs it now
+        with time_limit(60):
+            start = time.perf_counter()
+            o = _centre_of("L" + "R" * 54)
+            assert time.perf_counter() - start < 1.0
+        # the answers that signing by Q_n gave
+        assert o.query(160) == Dyadic(
+            -2923003274661805836407369665432561872241861675929, -160)
+        for k, man, exp in [
+                (20, -2923003274660575934425123968988884272578155939289, -160),
+                (40, -2923003274661805836407368546843229490020849319335, -160),
+                (48, -730750818665451459101842416353874430144474408177, -158)]:
+            assert _centre_of("L" + "R" * k).query(160) == Dyadic(man, exp)
+        for i, man, exp in [
+                (0, -3213853400385335077716977440174848256452525794510258733253203,
+                 -200),
+                (7, -401092650343927917173524576611987449542758430804255994919261,
+                 -197),
+                (30, -3100298239357781941873951607774768733232073798151213474820915,
+                 -200)]:
+            assert superstable_center(10, i).query(200) == Dyadic(man, exp)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from test_params import time_limit
 
 from qal.dyadic import Dyadic, Interval, iv_iterate
 from qal.dynamics import (ParameterRangeError, TrackedInterval,
-                          _critical_enclosures, _merge_boxes, iter_eval)
+                          _critical_enclosures, iter_eval)
 from qal.oracle import QueryLedger, oracle_exact
 from qal.params import (_centre_of, _centre_words, _window_at,
                         epsilon_family, feigenbaum_limit, superstable_center)
@@ -266,7 +266,12 @@ def exhaustive_root(c, k, beta, domain, p):
         queue += Interval(x.lo, mid), Interval(mid, x.hi)
     if not boxes:
         return None, True
-    merged = _merge_boxes(boxes)
+    merged = []
+    for box in sorted(boxes, key=lambda b: b.lo):
+        if merged and not merged[-1].disjoint(box):
+            merged[-1] = merged[-1].hull(box)
+        else:
+            merged.append(box)
 
     def sign_at(x):
         return iv_sign(iv_iterate(Interval.point(x), c, k, p) - beta)
