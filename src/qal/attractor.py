@@ -6,7 +6,10 @@ interval-chain invariance for interval cycles, and for the Cantor case a
 budgeted tower of renormalization windows, parsed from one certified
 kneading prefix of c (renorm.window_tower).  A finite tower does not make c
 infinitely renormalizable, so it is labelled Feigenbaum-like only under the
-case-3 hint or an oracle's declared tower.  Every output set
+case-3 hint or an oracle's declared tower.  The case-3 cover is a trapped
+cycle of intervals around the critical point, sized from the certified
+critical orbit and deepened on one climb of the query precision that stops
+at the first limit and names it.  Every output set
 carries the Hausdorff contract dist_H(C_n, A) < 2^-n; runs that cannot
 certify return an explicit failure, never a guess.
 """
@@ -22,7 +25,6 @@ from .dynamics import (CertifiedCycle, TrackedInterval, _critical_enclosures,
                        _squeeze_cycle_point, certify_attracting_cycle,
                        check_param, isolate_periodic_points)
 from .oracle import ExactOracle, OracleFault, ParamOracle, QueryLedger
-from .params import _q_float
 from .renorm import itinerary_type, window_tower
 from .solver import PRECISION_CAP, ladder
 
@@ -49,7 +51,6 @@ class Hints:
 class Budget:
     max_period: int = 32
     max_precision: int | None = None
-    steps: int = 200_000
     depth: int = 5  # window-tower levels for case 3
 
     def __post_init__(self):
@@ -126,7 +127,7 @@ def _classify(o: ParamOracle, h: Hints, b: Budget,
         return None, None, ()
     if h.case in (None, "1a"):
         try:
-            cert = certify_attracting_cycle(o, b.max_period, b.steps, ledger,
+            cert = certify_attracting_cycle(o, b.max_period, ledger,
                                             p_cap=min(512, b.p_cap()))
         except OracleFault:
             cert = None  # oracle cannot reach the precision; try deeper cases
@@ -385,8 +386,12 @@ def _nested_cycle_cover(o: ParamOracle, n: int, prefix: tuple, b: Budget,
     point and its image chain; the certificate is P^P(K_0) strictly inside
     K_0, which makes the union forward invariant, hence a rigorous superset
     of A = omega(0), with A meeting every K_i (the critical orbit enters
-    K_0 at every multiple of P and cycles through the rest).  Descends P
-    until every component is narrower than 2^-(n+2).
+    K_0 at every multiple of P and cycles through the rest).  b is a fixed
+    factor times |P^P(0)|, read off the certified critical orbit.  One climb
+    of the query precision m (from n + 10 in fine steps of 6, as near c_F
+    the cost doubles every 2.2 bits, up to min(n + 40, the precision cap))
+    descends P until every component is narrower than 2^-(n+2).  The first
+    limit, an oracle fault or m past the cap, ends it at that period.
     """
     target = Dyadic(1, -(n + 2))
     rel = [t.period for t in prefix] or [2]
@@ -396,43 +401,28 @@ def _nested_cycle_cover(o: ParamOracle, n: int, prefix: tuple, b: Budget,
         periods.append(acc)
     while periods[-1] * rel[-1] <= 1 << 14:
         periods.append(periods[-1] * rel[-1])
-    last_err = "window tower exhausted before components collapsed"
+    m, m_cap = n + 10, min(n + 40, b.p_cap())
     for P in periods:
-        m = n + 10
-        m_cap = min(n + 40, b.p_cap())
-        chain = fault = None
-        while chain is None and m <= m_cap:
-            c = None
+        chain = None
+        while chain is None:
+            if m > m_cap:
+                raise ApproximationFailed(
+                    f"period-{P} trap not certified below the precision cap "
+                    f"(m <= {m_cap})")
             try:
                 c = o.enclosure(m, ledger)
             except OracleFault as exc:
-                fault = exc
-                # clamp to the best precision the oracle still answers
-                floor_m = m - 6
-                while m > floor_m:
-                    m -= 1
-                    try:
-                        c = o.enclosure(m, ledger)
-                        break
-                    except OracleFault:
-                        continue
-                if c is None:
-                    break
+                raise ApproximationFailed(
+                    f"period-{P} trap not certified below the oracle's limit "
+                    f"({exc})") from None
             p = min(max(64, 4 * m), b.p_cap())
-            x = _q_float(float(c.mid()), P)
+            x = float(_critical_enclosures(c, P, p)[-1].mid())
             for t in (1.025, 1.05, 1.1, 1.2, 1.35, 1.55, 1.8):
                 chain = _trap_chain(c, t * abs(x), P, p)
                 if chain is not None:
                     break
             else:
-                if fault is not None:
-                    break
-                m += 6  # fine steps: near c_F, cost doubles every 2.2 bits
-        if chain is None:
-            limit = ("the precision cap" if fault is None
-                     else f"the oracle's limit ({fault})")
-            last_err = f"period-{P} trap not certified below {limit}"
-            continue
+                m += 6
         comps = chain[:P]
         diam = max(k.width() for k in comps)
         if diam < target:
@@ -440,9 +430,8 @@ def _nested_cycle_cover(o: ParamOracle, n: int, prefix: tuple, b: Budget,
                 "intervals", comps,
                 {"case": "3", "period": P, "precision": p,
                  "diameter": float(diam)})
-        last_err = (f"components at period {P} have diameter "
-                    f"{float(diam):.3g}")
-    raise ApproximationFailed(last_err)
+    raise ApproximationFailed(f"components at period {P} have diameter "
+                              f"{float(diam):.3g}")
 
 
 def _grid_indices(iv: Interval, n: int):

@@ -230,15 +230,14 @@ def _float_cycle_candidate(c: float, max_period: int, transient: int = 4096):
 
 
 def certify_attracting_cycle(o: ParamOracle, max_period: int = 64,
-                             step_budget: int = 200_000,
                              ledger: QueryLedger | None = None,
                              p_cap: int = PRECISION_CAP) -> CertifiedCycle | None:
     """Find and rigorously certify the attracting/superattracting limit cycle.
 
     Certificate: a dyadic interval J and n with P^n(J) strictly inside J and
     the derivative enclosure of P^n over J inside (-1, 1), both read off one
-    fixed_orbit run.  Returns None when the budget runs out -- never a false
-    certificate.
+    fixed_orbit run.  Returns None when no trap certifies below p_cap --
+    never a false certificate.
     """
     check_param(o, ledger)
     c_float = float(o.query(min(53, p_cap), ledger))
@@ -246,14 +245,10 @@ def certify_attracting_cycle(o: ParamOracle, max_period: int = 64,
     if cand is None:
         return None
     n, w = cand
-    steps_used = 0
     for p in ladder(64, p_cap):
         c = o.enclosure(p, ledger)
         center = Dyadic.from_float(w).round(min(p, 128))
         for rexp in range(6, min(40, p // 2), 2):
-            steps_used += n
-            if steps_used > step_budget:
-                return None
             r = Dyadic(1, -rexp)
             j = Interval(center - r, center + r)
             q, y, cf = fixed_read(p, j, c)

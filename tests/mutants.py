@@ -36,6 +36,7 @@ CENTRES = "tests/test_params.py::TestSuperstableCenters::"
 INTERVAL = "tests/test_dyadic.py::TestInterval::"
 PULLBACK = ("tests/test_renorm.py::TestLevelPullback"
             "::test_the_pullback_of_an_orbit_encloses_its_start")
+COVER = "tests/test_attractor.py::TestNestedCycleCover::"
 
 MUTANTS = [
     # the one interval Newton (qal.solver) and its closures on G = P^n - id
@@ -95,6 +96,23 @@ MUTANTS = [
      "        except _NestStop:\n",
      ["tests/test_renorm.py::TestNestUndecided"
       "::test_an_oracle_fault_is_undecided"]),
+    # the case-3 cover: its trap test, its stop at the first limit and its
+    # one climb of the query precision (qal.attractor)
+    ("attractor.py",
+     "return chain if k0.strictly_contains(chain[period]) else None",
+     "return chain if chain[period].hi < k0.hi else None",
+     [COVER + "test_the_cover_is_forward_invariant"]),
+    ("attractor.py",
+     "            except OracleFault as exc:\n"
+     "                raise ApproximationFailed(\n",
+     "            except OracleFault as exc:\n"
+     "                chain = [Interval(-ONE, ONE)] * P  # the next period\n"
+     "                break\n"
+     "                raise ApproximationFailed(\n",
+     [COVER + "test_a_give_up_names_the_first_period_that_failed"]),
+    ("attractor.py", "        chain = None\n        while chain is None:\n",
+     "        chain, m = None, n + 10\n        while chain is None:\n",
+     [COVER + "test_the_feigenbaum_ledgers"]),
     # a cached render charged as often as it is asked (qal.attractor)
     ("attractor.py", "ledger.add(cost, times)", "ledger.add(cost)",
      ["tests/test_attractor.py::TestRender"

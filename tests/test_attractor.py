@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_params import time_limit
+from test_params import orbit_boxes, time_limit
 
 import qal.attractor
 import qal.params
@@ -21,7 +21,7 @@ from qal.cli import parse_oracle
 from qal.dyadic import Dyadic, Interval
 from qal.oracle import (OracleFault, ParamOracle, QueryLedger, WorstCaseOracle,
                         oracle_exact)
-from qal.params import window_locate
+from qal.params import feigenbaum_limit, window_locate
 
 NEG_ONE = Dyadic(-1)
 QUARTER = Dyadic(1, -2)
@@ -73,7 +73,7 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(oracle_exact(QUARTER), Hints(case="1c"))
 
-    @pytest.mark.parametrize("field", ["max_period", "steps", "depth",
+    @pytest.mark.parametrize("field", ["max_period", "depth",
                                        "max_precision"])
     def test_budget_validation(self, field):
         with pytest.raises(ValueError, match=field):
@@ -456,3 +456,74 @@ class TestFiniteTower:
         # the case-3 cover certifies A whatever the label
         got = approximate(parse_oracle("exact:-1469265*2^-20"), 3)
         assert got.trace["case"] == "3"
+
+
+class TestNestedCycleCover:
+    """The case-3 cover: one climb of the query precision over the periods,
+    stopped by the first limit."""
+
+    @pytest.mark.parametrize("n, points, period, precision, charged", [
+        (2, 12, 32, 96, (211, 13, 27)),
+        (3, 19, 64, 100, (231, 14, 27)),
+        (4, 27, 64, 104, (239, 14, 27)),
+        (5, 39, 128, 108, (274, 15, 27)),
+        (6, 58, 256, 112, (299, 16, 28)),
+    ])
+    def test_the_feigenbaum_ledgers(self, n, points, period, precision,
+                                    charged):
+        # each period starts where the last one certified, so the climb
+        # reads c once per rung, not once per rung per period
+        ledger = QueryLedger()
+        got = approximate(feigenbaum_limit(), n, budget=Budget(depth=5),
+                          ledger=ledger)
+        assert (got.trace["case"], got.trace["period"],
+                got.trace["precision"], len(got.points)) == \
+            ("3", period, precision, points)
+        assert (ledger.total_units, ledger.query_count,
+                ledger.max_precision) == charged
+
+    @pytest.mark.parametrize("make, n, hints, budget, message, units", [
+        (feigenbaum_limit, 7, None, None,
+         "period-512 trap not certified below the oracle's limit "
+         "(precision 35 needs more of the Feigenbaum word than the depth "
+         "cap 17 gives)", 338),
+        (lambda: parse_oracle("exact:-1469265*2^-20"), 5, None, None,
+         "period-512 trap not certified below the precision cap (m <= 45)",
+         504),
+        (lambda: parse_oracle("superstable:6:4"), 5, Hints(case="3"),
+         Budget(depth=3),
+         "period-6 trap not certified below the precision cap (m <= 45)",
+         219),
+    ], ids=["feigenbaum-7", "exact:-1469265*2^-20-5", "superstable:6:4-5"])
+    def test_a_give_up_names_the_first_period_that_failed(
+            self, make, n, hints, budget, message, units):
+        # the first limit ends the cover: no deeper period is tried
+        ledger = QueryLedger()
+        with time_limit(30), pytest.raises(ApproximationFailed) as exc:
+            approximate(make(), n, hints, budget, ledger)
+        assert str(exc.value) == message
+        assert ledger.total_units == units
+
+    @pytest.mark.parametrize("c, n", [(C_F62, n) for n in (3, 4, 5, 6)] + [
+        (Dyadic(-1469265, -20), n) for n in (3, 4)],
+        ids=[f"c_F62-{n}" for n in (3, 4, 5, 6)] +
+        [f"exact:-1469265*2^-20-{n}" for n in (3, 4)])
+    def test_the_cover_is_forward_invariant(self, c, n):
+        # checked in exact Fractions, not by the cover's own trap test: the
+        # image of each component K_i lies in K_(i+1 mod P), and since 0
+        # lies in K_0, P^k(0) lies in K_(k mod P) (Fraction boxes of the
+        # orbit at 2^-1024, k <= 3P)
+        cert = qal.attractor._build_certificate(oracle_exact(c), n, None,
+                                                None, None)
+        period, cf = cert.trace["period"], c.as_fraction()
+        comps = [(e.lo.as_fraction(), e.hi.as_fraction())
+                 for e in cert.enclosures]
+        assert cert.trace["case"] == "3" and len(comps) == period
+        for i, (lo, hi) in enumerate(comps):
+            low = 0 if lo <= 0 <= hi else min(lo * lo, hi * hi)
+            nlo, nhi = comps[(i + 1) % period]
+            assert nlo <= low + cf and max(lo * lo, hi * hi) + cf <= nhi, i
+        boxes = orbit_boxes(cf, 3 * period, 1024)
+        for k, (lo, hi) in enumerate(boxes):
+            klo, khi = comps[k % period]
+            assert klo <= lo and hi <= khi, k
