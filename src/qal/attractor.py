@@ -19,11 +19,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .dyadic import (NEAREST, ONE, ZERO, Dyadic, Interval, dy_max, dy_min,
-                     iv_orbit, iv_quad_step)  # bench/test_bench.py reads it
+from .dyadic import (NEAREST, ONE, UP, ZERO, Dyadic, Interval, dy_max,
+                     dy_min, from_fixed,
+                     iv_quad_step)  # bench/test_bench.py reads it
 from .dynamics import (CertifiedCycle, TrackedInterval, _critical_enclosures,
                        _squeeze_cycle_point, certify_attracting_cycle,
-                       check_param, isolate_periodic_points)
+                       check_param, isolate_periodic_points, symmetric_trap)
 from .oracle import ExactOracle, OracleFault, ParamOracle, QueryLedger
 from .renorm import itinerary_type, window_tower
 from .solver import PRECISION_CAP, ladder
@@ -362,22 +363,6 @@ def _refined_cycle(o: ParamOracle, cycle: CertifiedCycle, n: int, b: Budget,
     return out
 
 
-def _trap_chain(c: Interval, bval: float, period: int, p: int):
-    """Image chain of K_0 = [-b, b]; the chain if P^period(K_0) is strictly
-    inside K_0, else None.
-
-    A symmetric trap around the critical point is the right shape here: the
-    critical value P^period(0) is a local extremum of P^period, so the top
-    of the image sits strictly below b and the bottom, one fold away from
-    the critical point, clears -b with room.  The hull of two orbit points
-    maps exactly onto itself and can never certify.
-    """
-    enc = Interval.point(Dyadic.from_float(bval)).round_out(p)
-    k0 = Interval(-enc.hi, enc.hi)
-    chain = iv_orbit(k0, c, period, p)
-    return chain if k0.strictly_contains(chain[period]) else None
-
-
 def _nested_cycle_cover(o: ParamOracle, n: int, prefix: tuple, b: Budget,
                         ledger: QueryLedger | None) -> _Certificate:
     """Case 3: descend invariant interval cycles until diameters collapse.
@@ -403,8 +388,8 @@ def _nested_cycle_cover(o: ParamOracle, n: int, prefix: tuple, b: Budget,
         periods.append(periods[-1] * rel[-1])
     m, m_cap = n + 10, min(n + 40, b.p_cap())
     for P in periods:
-        chain = None
-        while chain is None:
+        trap = None
+        while trap is None:
             if m > m_cap:
                 raise ApproximationFailed(
                     f"period-{P} trap not certified below the precision cap "
@@ -418,12 +403,14 @@ def _nested_cycle_cover(o: ParamOracle, n: int, prefix: tuple, b: Budget,
             p = min(max(64, 4 * m), b.p_cap())
             x = float(_critical_enclosures(c, P, p)[-1].mid())
             for t in (1.025, 1.05, 1.1, 1.2, 1.35, 1.55, 1.8):
-                chain = _trap_chain(c, t * abs(x), P, p)
-                if chain is not None:
+                bt = Dyadic.from_float(t * abs(x)).round(p, UP)
+                trap = symmetric_trap(bt, c, P, p)
+                if trap is not None:
                     break
             else:
                 m += 6
-        comps = chain[:P]
+        q, chain = trap
+        comps = [from_fixed(lo, hi, q) for lo, hi in chain[:P]]
         diam = max(k.width() for k in comps)
         if diam < target:
             return _Certificate(

@@ -267,9 +267,6 @@ class Interval:
             return ZERO
         return dy_min(abs(self.lo), abs(self.hi))
 
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     def contains(self, x: Dyadic) -> bool:
         return self.lo <= x <= self.hi
 
@@ -437,12 +434,6 @@ def iv_iterate(x0: Interval, c: Interval, n: int, p: int) -> Interval:
     q, x, cf = fixed_read(p, x0, c)
     *_, (lo, hi, _) = fixed_orbit(x, cf, n, q, p)
     return from_fixed(lo, hi, q)
-
-
-def iv_orbit(x0: Interval, c: Interval, n: int, p: int) -> list:
-    """[x0, P(x0), ..., P^n(x0)] by n outward steps of fixed_orbit."""
-    q, x, cf = fixed_read(p, x0, c)
-    return [from_fixed(lo, hi, q) for lo, hi, _ in fixed_orbit(x, cf, n, q, p)]
 
 
 def iv_deriv_enclosure(x: Interval) -> Interval:

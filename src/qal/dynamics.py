@@ -89,6 +89,26 @@ def _critical_steps(c: Interval, p: int):
             lo, hi = max(lo, -two), min(hi, two)
 
 
+def symmetric_trap(b: Dyadic, c: Interval, n: int, p: int) -> tuple | None:
+    """(q, chain): K = [-b, b] and its n images by outward fixed_orbit
+    steps, int pairs at 2^-q, when P^n(K) is strictly inside K; else None.
+
+    A symmetric trap around the critical point is the right shape: the
+    critical value P^n(0) is a local extremum of P^n, so the top of the
+    image sits strictly below b and the bottom, one fold away from the
+    critical point, clears -b with room.  The hull of two orbit points maps
+    exactly onto itself and can never certify.  Past |x| = 4 the orbit only
+    grows, its ints doubling in length each step: an escape ends the run.
+    """
+    q, (_, k), cf = fixed_read(p, Interval(-b, b), c)
+    four, chain = 4 << q, []
+    for lo, hi, _ in fixed_orbit((-k, k), cf, n, q, p):
+        if hi > four or lo < -four:
+            return None
+        chain.append((lo, hi))
+    return (q, chain) if -k < lo and hi < k else None
+
+
 # ---------------------------------------------------------------------------
 # Tracked intervals: set images with certified endpoint enclosures.
 #

@@ -19,13 +19,12 @@ from itertools import cycle, product
 
 from .dyadic import (ONE, TWO, UP, Dyadic, Interval, fixed_box,
                      fixed_centred, fixed_orbit, fixed_read, from_fixed)
-from .dynamics import (PARAM_RANGE, _critical_enclosures,
-                       certify_attracting_cycle, iter_eval)
+from .dynamics import PARAM_RANGE, _critical_enclosures, iter_eval
 from .oracle import (BisectOracle, IntervalNewtonOracle, OracleFault,
                      ParamOracle, QueryLedger, RefinerOracle, ladder_sign)
 from .renorm import (CombinatorialType, _admissible, _order,
                      feigenbaum_word, itinerary_type, kneading_order,
-                     principal_nest, window_left_word, window_tower)
+                     locate_window, principal_nest, window_left_word)
 from .solver import ladder
 
 
@@ -424,20 +423,10 @@ def window_locate(o: ParamOracle, max_period: int,
                   ledger: QueryLedger | None = None) -> RenormWindow | None:
     """Smallest-period window (period <= max_period) certified to contain c.
 
-    renorm.window_tower finds it; only its ends are built.  A certified
-    attracting cycle of period q (if the oracle reaches that test) limits
-    window periods to divisors of q, and window q holds the cycle's
-    component.  Undecidable proximity to a window end raises OracleFault.
+    renorm.locate_window finds it; only its ends are built.  Undecidable
+    proximity to a window end raises OracleFault.
     """
-    try:
-        cert = certify_attracting_cycle(o, max_period, ledger=ledger)
-    except OracleFault:
-        cert = None  # the oracle cannot reach the filter's precision
-    q = None
-    if cert is not None and cert.kind in ("attracting", "superattracting"):
-        q = cert.period
-    words, decided = window_tower(o, 1, max_period, max_period, ledger,
-                                  cycle_period=q)
+    words, decided = locate_window(o, max_period, ledger)
     if words:
         return _window_at(words[0], _centre_of(words[0]))
     if not decided:

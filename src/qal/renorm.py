@@ -16,8 +16,9 @@ from math import isqrt, prod
 
 from .dyadic import ZERO, Dyadic, Interval, fixed_read, from_fixed
 from .dynamics import (PARAM_RANGE, ParameterRangeError, TrackedInterval,
-                       _critical_enclosures, _critical_steps, check_param,
-                       isolate_periodic_points)
+                       _critical_enclosures, _critical_steps,
+                       certify_attracting_cycle, check_param,
+                       isolate_periodic_points, symmetric_trap)
 from .oracle import OracleFault, ParamOracle, QueryLedger
 from .solver import PRECISION_CAP, iv_sign, ladder
 
@@ -182,10 +183,34 @@ def _order_type(order: list) -> CombinatorialType:
                              tuple(rank[(i + 1) % len(order)] for i in order))
 
 
-def _certify_renorm_period(o: ParamOracle, n: int,
-                           ledger: QueryLedger | None) -> RenormCert | None:
-    """Certified renormalization of period exactly n, climbing the ladder
-    up to 512 bits; None when none certifies."""
+def _renorm_images(J: Interval, n: int, c: Interval, p: int) -> list | None:
+    """f^0(J)..f^n(J), exact ends, when J is a symmetric_trap of P^n and
+    f^0(J)..f^(n-1)(J) have disjoint interiors; None otherwise."""
+    trap = symmetric_trap(J.hi, c, n, p)
+    if trap is None:
+        return None
+    q, chain = trap
+    ends = sorted(chain[:n])
+    if any(a[1] > b[0] for a, b in zip(ends, ends[1:])):
+        return None
+    return [TrackedInterval.from_exact(Dyadic(lo, -q), Dyadic(hi, -q))
+            for lo, hi in chain]
+
+
+def detect_renormalization(o: ParamOracle, max_period: int,
+                           ledger: QueryLedger | None = None) -> RenormCert | None:
+    """Smallest certified renormalization of period <= max_period.
+
+    The parse (locate_window) certifies the smallest window around c; the
+    images certify the renormalization of its period n: a symmetric dyadic
+    J around 0, its boundary just inside a periodic point, with f^n(J)
+    strictly inside J and the n images disjoint in their interiors.  None
+    when no window is named or nothing certifies up to 512 bits.
+    """
+    words, _ = locate_window(o, max_period, ledger)
+    if not words:
+        return None
+    n = len(words[0]) + 1
     for p in ladder(64, 512):
         c = o.enclosure(p, ledger)
         candidates = []
@@ -200,8 +225,6 @@ def _certify_renorm_period(o: ParamOracle, n: int,
         for base in candidates:
             for s in range(3, max(4, p // 2), 2):
                 j = base - base.scale2(-s)
-                if not j > ZERO:
-                    continue
                 imgs = _renorm_images(Interval(-j, j), n, c, p)
                 if imgs is None:
                     continue
@@ -209,40 +232,6 @@ def _certify_renorm_period(o: ParamOracle, n: int,
                 if tau is None or not tau.is_single_cycle():
                     continue
                 return RenormCert(n, Interval(-j, j), imgs, tau, p)
-    return None
-
-
-def _renorm_images(J: Interval, n: int, c: Interval, p: int) -> list | None:
-    """Tracked images f^0(J)..f^n(J) when f^n(J) is strictly inside J and
-    f^0(J)..f^(n-1)(J) have disjoint interiors; None otherwise."""
-    imgs = [TrackedInterval.from_exact(J.lo, J.hi)]
-    for _ in range(n):
-        imgs.append(imgs[-1].image(c, p))
-        if imgs[-1].outer().mag() > Dyadic(4):
-            return None  # escaping: no later image comes back inside J
-    last = imgs[n]
-    if not (J.lo < last.lo.lo and last.hi.hi < J.hi):
-        return None
-    if any(not imgs[a].interiors_certainly_disjoint(imgs[b])
-           for a in range(n) for b in range(a + 1, n)):
-        return None
-    return imgs
-
-
-def detect_renormalization(o: ParamOracle, max_period: int,
-                           ledger: QueryLedger | None = None) -> RenormCert | None:
-    """Smallest certified renormalization of period <= max_period.
-
-    Certificate: a symmetric dyadic interval J around 0 whose boundary sits
-    just inside a periodic point, with f^n(J) strictly inside J and the n
-    images pairwise disjoint in their interiors.  None when nothing
-    certifies up to 512 bits.
-    """
-    check_param(o, ledger)
-    for n in range(2, max_period + 1):
-        cert = _certify_renorm_period(o, n, ledger)
-        if cert is not None:
-            return cert
     return None
 
 
@@ -323,13 +312,15 @@ def window_tower(o: ParamOracle, depth: int, max_period: int,
     B = K(c)[:q-1], if admissible; de-starring by B gives the next level.
 
     K(c) comes from one query at m = 8, 12, 18, 27, ... (m += m // 2, up to
-    min(p_cap, 4096)), worked at max(64, 4m) bits.  m climbs only when a
-    comparison ran out at an undecided symbol (never read as outside):
-    doubling would jump from 16 to 32, past the m = 30 the Feigenbaum
-    oracle answers, while its depth 5 needs m = 20.  4096 symbols still
-    undecided end the tower: c is in, or too near, a hyperbolic component
-    whose kneading is an end word.  After an oracle fault, the levels
-    certified at the last m it answered stand.
+    min(p_cap, 4096)), worked at max(64, 4m) bits and read 64, 512, then
+    4096 symbols long, to the first length the parse decides (an orbit
+    attracted to a cycle never blurs).  m climbs only when a comparison ran
+    out at an undecided symbol (never read as outside): doubling would
+    jump from 16 to 32, past the m = 30 the Feigenbaum oracle answers,
+    while its depth 5 needs m = 20.  4096 symbols still undecided end the
+    tower: c is in, or too near, a hyperbolic component whose kneading is
+    an end word.  After an oracle fault, the levels certified at the last m
+    it answered stand.
     """
     words, decided, m = [], False, 8
     while m <= min(p_cap, _PREFIX_CAP):
@@ -337,14 +328,35 @@ def window_tower(o: ParamOracle, depth: int, max_period: int,
             c = o.enclosure(m, ledger)
         except OracleFault:
             break
-        K = "".join(takewhile("?".__ne__, islice(_symbols(
-            c, max(64, 4 * m), o.known_critical_period), _PREFIX_CAP)))
-        words, decided = _parse(K, depth, max_period, max_relative,
-                                cycle_period)
+        symbols, K = takewhile("?".__ne__, _symbols(
+            c, max(64, 4 * m), o.known_critical_period)), ""
+        for length in (64, 512, _PREFIX_CAP):
+            K += "".join(islice(symbols, length - len(K)))
+            words, decided = _parse(K, depth, max_period, max_relative,
+                                    cycle_period)
+            if decided or len(K) < length:
+                break
         if decided or len(K) == _PREFIX_CAP:
             break
         m += m // 2
     return words, decided
+
+
+def locate_window(o: ParamOracle, max_period: int,
+                  ledger: QueryLedger | None = None) -> tuple:
+    """window_tower at depth 1 given q, the oracle's declared critical
+    period or else that of a certified attracting cycle (whose search
+    checks c's range): the parse alone is undecided where c's kneading is
+    its window's right end word, as at -7/8 (L^oo)."""
+    q = o.known_critical_period
+    if q is None:
+        try:
+            cert = certify_attracting_cycle(o, max_period, ledger=ledger)
+        except OracleFault:
+            cert = None  # the oracle cannot reach the filter's precision
+        if cert is not None and cert.kind in ("attracting", "superattracting"):
+            q = cert.period
+    return window_tower(o, 1, max_period, max_period, ledger, cycle_period=q)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ INTERVAL = "tests/test_dyadic.py::TestInterval::"
 PULLBACK = ("tests/test_renorm.py::TestLevelPullback"
             "::test_the_pullback_of_an_orbit_encloses_its_start")
 COVER = "tests/test_attractor.py::TestNestedCycleCover::"
+RENORM = "tests/test_renorm.py::TestRenormalization::"
 
 MUTANTS = [
     # the one interval Newton (qal.solver) and its closures on G = P^n - id
@@ -96,23 +97,42 @@ MUTANTS = [
      "        except _NestStop:\n",
      ["tests/test_renorm.py::TestNestUndecided"
       "::test_an_oracle_fault_is_undecided"]),
-    # the case-3 cover: its trap test, its stop at the first limit and its
-    # one climb of the query precision (qal.attractor)
-    ("attractor.py",
-     "return chain if k0.strictly_contains(chain[period]) else None",
-     "return chain if chain[period].hi < k0.hi else None",
+    # the symmetric trap that the case-3 cover and the renormalization
+    # certificate share: one-sided, and without its escape exit
+    # (qal.dynamics)
+    ("dynamics.py", "return (q, chain) if -k < lo and hi < k else None",
+     "return (q, chain) if hi < k else None",
      [COVER + "test_the_cover_is_forward_invariant"]),
+    ("dynamics.py",
+     "        if hi > four or lo < -four:\n            return None\n", "",
+     [DYN + "::TestSymmetricTrap::test_an_escape_ends_the_run"]),
+    # the case-3 cover: its stop at the first limit and its one climb of the
+    # query precision (qal.attractor)
     ("attractor.py",
      "            except OracleFault as exc:\n"
      "                raise ApproximationFailed(\n",
      "            except OracleFault as exc:\n"
-     "                chain = [Interval(-ONE, ONE)] * P  # the next period\n"
+     "                trap = (0, [(-1, 1)] * P)  # the next period\n"
      "                break\n"
      "                raise ApproximationFailed(\n",
      [COVER + "test_a_give_up_names_the_first_period_that_failed"]),
-    ("attractor.py", "        chain = None\n        while chain is None:\n",
-     "        chain, m = None, n + 10\n        while chain is None:\n",
+    ("attractor.py", "        trap = None\n        while trap is None:\n",
+     "        trap, m = None, n + 10\n        while trap is None:\n",
      [COVER + "test_the_feigenbaum_ledgers"]),
+    # the one window search: the cycle period in the locate step, the
+    # renormalization's disjoint images, K read in growing lengths
+    # (qal.renorm)
+    ("renorm.py", "max_period, ledger, cycle_period=q)",
+     "max_period, ledger, cycle_period=None)",
+     [RENORM + "test_the_cycle_decides_a_right_end_word"]),
+    ("renorm.py",
+     "    if any(a[1] > b[0] for a, b in zip(ends, ends[1:])):\n"
+     "        return None\n", "",
+     [RENORM + "test_a_trap_whose_images_overlap_is_no_renormalization"]),
+    ("renorm.py", "for length in (64, 512, _PREFIX_CAP):",
+     "for length in (64,):",
+     ["tests/test_params.py::TestWindowLocate"
+      "::test_a_parameter_near_an_end_reads_a_long_prefix"]),
     # a cached render charged as often as it is asked (qal.attractor)
     ("attractor.py", "ledger.add(cost, times)", "ledger.add(cost)",
      ["tests/test_attractor.py::TestRender"

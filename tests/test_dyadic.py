@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qal.dyadic import (DOWN, NEAREST, UP, Dyadic, Interval, fixed_orbit,
                         fixed_read, from_fixed, iv_deriv_enclosure,
-                        iv_deriv_step, iv_iterate, iv_orbit, iv_quad_step)
+                        iv_deriv_step, iv_iterate, iv_quad_step)
 
 dyadics = st.builds(Dyadic,
                     st.integers(min_value=-(1 << 40), max_value=1 << 40),
@@ -247,7 +247,6 @@ class TestInterval:
                for lo, hi, d in steps]
         fold = orbit_fold(x0, c, n, p, d0, add)
         assert got == fold
-        assert iv_orbit(x0, c, n, p) == [x for x, _ in fold]
         assert iv_iterate(x0, c, n, p) == fold[-1][0]
 
     @given(intervals)

@@ -8,12 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qal.dynamics
-from qal.dyadic import NEAREST, Dyadic, Interval
+from qal.dyadic import NEAREST, ZERO, Dyadic, Interval, from_fixed
 from qal.dynamics import (ParameterRangeError, TrackedInterval,
                           _return_map, _squeeze_cycle_point,
                           certify_attracting_cycle, check_param,
                           critical_orbit, escape_time,
-                          isolate_periodic_points, iter_eval, recheck_cycle)
+                          isolate_periodic_points, iter_eval, recheck_cycle,
+                          symmetric_trap)
 from qal.oracle import WorstCaseOracle, oracle_exact
 from qal.solver import interval_newton
 
@@ -85,6 +86,31 @@ class TestTrackedImage:
             ends.append(c.lo)
         assert img.outer().contains(min(ends))
         assert img.outer().contains(max(ends))
+
+
+class TestSymmetricTrap:
+    def test_the_chain_of_a_trap(self):
+        # c = -1: [-1/2, 1/2] -> [-1, -3/4] -> [-7/16, 0], inside at n = 2
+        c, b = Interval.point(Dyadic(-1)), Dyadic(1, -1)
+        q, chain = symmetric_trap(b, c, 2, 64)
+        assert [from_fixed(lo, hi, q) for lo, hi in chain] == [
+            Interval(-b, b), Interval(Dyadic(-1), Dyadic(-3, -2)),
+            Interval(Dyadic(-7, -4), ZERO)]
+        assert symmetric_trap(b, c, 1, 64) is None
+
+    def test_an_escape_ends_the_run(self, monkeypatch):
+        # c = 1: [-2, 2] -> [1, 5]; past 4 each step doubles the ints'
+        # length, so no step may run after the first image past 4
+        steps, orbit = [], qal.dynamics.fixed_orbit
+
+        def counted(*args):
+            for step in orbit(*args):
+                steps.append(step)
+                assert len(steps) <= 2, "a step ran past the escape"
+                yield step
+        monkeypatch.setattr(qal.dynamics, "fixed_orbit", counted)
+        c = Interval.point(Dyadic(1))
+        assert symmetric_trap(Dyadic(2), c, 64, 64) is None
 
 
 class TestCycleCertification:

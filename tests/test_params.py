@@ -348,6 +348,15 @@ class TestWindowLocate:
         assert win.period == 3
         assert close(win.right.mid(), -1.75, 30)
 
+    @pytest.mark.parametrize("man,period", [
+        (-122303643969052089653428795797, 2),
+        (-122303643969052089653428926869, None)])
+    def test_a_parameter_near_an_end_reads_a_long_prefix(self, man, period):
+        # 2^-80 right and left of the period-2 window's left end: c's
+        # kneading follows the end's L R L^oo for over 100 symbols
+        win = window_locate(oracle_exact(Dyadic(man, -96)), 4)
+        assert (win and win.period) == period
+
 
 class TestEpsilonFamily:
     REFS = {1: -1.6254137251235081, 2: -1.7110794700129195,

@@ -8,19 +8,21 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from test_params import time_limit
 
+from qal.cli import parse_oracle
 from qal.dyadic import Dyadic, Interval, iv_iterate
 from qal.dynamics import (ParameterRangeError, TrackedInterval,
-                          _critical_enclosures, iter_eval)
+                          _critical_enclosures, iter_eval, symmetric_trap)
 from qal.oracle import QueryLedger, oracle_exact
 from qal.params import (_centre_of, _centre_words, _window_at,
                         epsilon_family, feigenbaum_limit, superstable_center)
 from qal.renorm import (CombinatorialType, _admissible, _cycle_type,
-                        _order, _parse, _pullback, _symbols,
+                        _order, _parse, _pullback, _renorm_images, _symbols,
                         detect_renormalization, essential_period,
                         essential_structure, essentially_equivalent,
                         feigenbaum_word, itinerary_type, kneading,
-                        principal_nest, recheck_renormalization,
-                        window_left_word, window_tower)
+                        locate_window, principal_nest,
+                        recheck_renormalization, window_left_word,
+                        window_tower)
 from qal.solver import iv_sign
 
 HALF_NEG = Dyadic(-1, -1)
@@ -187,6 +189,53 @@ class TestRenormalization:
         assert cert.J.lo == -cert.J.hi
         last = cert.images[cert.period]
         assert cert.J.lo < last.lo.lo and last.hi.hi < cert.J.hi
+
+    @pytest.mark.parametrize("spec,max_period,perm,max_units", [
+        ("superstable:5:0", 5, (2, 3, 4, 5, 1), 400),
+        ("superstable:5:1", 5, (2, 4, 5, 3, 1), 400),
+        ("superstable:6:0", 6, (2, 3, 4, 5, 6, 1), 400),
+        ("superstable:6:1", 6, (2, 3, 5, 6, 4, 1), 400),
+        ("superstable:6:2", 6, (2, 4, 6, 5, 3, 1), 400),
+        ("exact:-7*2^-3", 4, (2, 1), 400),
+        ("exact:-1*2^-1", 4, None, 200),
+        ("exact:-3*2^-2", 4, None, 200),  # P^2 - id has a triple root
+    ])
+    def test_only_the_parsed_period_is_certified(self, spec, max_period,
+                                                 perm, max_units):
+        # the parse names the smallest window; no absent period is climbed
+        # to 512 bits (9,808-17,296 units each before)
+        ledger = QueryLedger()
+        with time_limit(5):
+            cert = detect_renormalization(parse_oracle(spec), max_period,
+                                          ledger)
+        want = perm and CombinatorialType(len(perm), perm)
+        assert (cert and cert.tau) == want
+        assert ledger.total_units <= max_units
+
+    @pytest.mark.parametrize("c", [Dyadic(1), Dyadic(-3)])
+    def test_a_parameter_outside_the_range_is_refused(self, c):
+        with pytest.raises(ParameterRangeError):
+            detect_renormalization(oracle_exact(c), 4)
+
+    def test_the_cycle_decides_a_right_end_word(self):
+        # -7/8 (an attracting 2-cycle) and -1/2 (a fixed point) share the
+        # kneading L^oo, the right end word of the period-2 window: the
+        # parse alone is undecided, the cycle's period decides
+        seven_eighths = oracle_exact(Dyadic(-7, -3))
+        for o in (seven_eighths, oracle_exact(HALF_NEG)):
+            assert window_tower(o, 1, 4, 4) == ([], False)
+        assert locate_window(seven_eighths, 4) == (["L"], True)
+        assert locate_window(oracle_exact(HALF_NEG), 4) == ([], True)
+
+    def test_a_trap_whose_images_overlap_is_no_renormalization(self):
+        # the period-2 J at c = -1 traps P^4 too, but its images overlap
+        o = oracle_exact(Dyadic(-1))
+        cert = detect_renormalization(o, 4)
+        p = cert.precision
+        c = o.enclosure(p)
+        assert symmetric_trap(cert.J.hi, c, 4, p) is not None
+        assert _renorm_images(cert.J, 2, c, p) is not None
+        assert _renorm_images(cert.J, 4, c, p) is None
 
 
 class TestPrincipalNest:
