@@ -10,6 +10,7 @@ stated absolute granule 2^-m.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 
 DOWN = "down"
 UP = "up"
@@ -389,16 +390,17 @@ def from_fixed(lo: int, hi: int, q: int) -> Interval:
     return Interval(Dyadic(lo, -q), Dyadic(hi, -q))
 
 
-def fixed_orbit(x: tuple, c: tuple, n: int, q: int, p: int,
+def fixed_orbit(x: tuple, c: tuple, n: int | None, q: int, p: int,
                 d: tuple | None = None, add: int = 0):
-    """Yield (lo, hi, d) for x and n steps of x' = x^2 + c, and of d' = 2 x d
-    + add (add 0 or 1) if d is given: int pairs at 2^-q, q >= max(p, 0), each
-    step the tightest outward enclosure in D_p of the last one's image."""
+    """Yield (lo, hi, d) for x and n steps (no end if n is None) of x' = x^2
+    + c, and of d' = 2 x d + add (add 0 or 1) if d is given: int pairs at
+    2^-q, q >= max(p, 0), each step the tightest outward enclosure in D_p of
+    the last one's image."""
     xl, xh = x
     cl, ch = c[0] << q, c[1] << q  # exact images are at the scale 2^-2q
     a, s, up = add << 2 * q, 2 * q - p, q - p
     yield xl, xh, d
-    for _ in range(n):
+    for _ in count() if n is None else range(n):
         if d:
             m = (d[0] * xl, d[0] * xh, d[1] * xl, d[1] * xh)
             d = ((2 * min(m) + a) >> s) << up, -((-2 * max(m) - a) >> s) << up

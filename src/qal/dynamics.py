@@ -31,10 +31,14 @@ class PrecisionExhausted(RuntimeError):
 
 def check_param(o: ParamOracle, ledger: QueryLedger | None = None) -> Interval:
     """Certify c is not outside [-2, 1/4]; returns a bracket for c."""
-    enc = o.enclosure(16, ledger)
-    if PARAM_RANGE.disjoint(enc):
-        raise ParameterRangeError(f"parameter bracket {enc} outside [-2, 1/4]")
-    return enc
+    return check_range(o.enclosure(16, ledger))
+
+
+def check_range(c: Interval) -> Interval:
+    """The bracket c, unless it is certified outside [-2, 1/4]."""
+    if PARAM_RANGE.disjoint(c):
+        raise ParameterRangeError(f"parameter bracket {c} outside [-2, 1/4]")
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -63,30 +67,39 @@ def critical_orbit(o: ParamOracle, n_steps: int, p: int,
 
 
 def _critical_enclosures(c: Interval, n: int, p: int) -> list:
-    """[0, P(0), ..., P^n(0)] over c: the first n + 1 of _critical_steps."""
-    return list(islice(_critical_steps(c, p), n + 1))
+    """[0, P(0), ..., P^n(0)] over c: the first n + 1 of _critical_ints."""
+    q, steps = _critical_ints(c, p)
+    return [from_fixed(lo, hi, q) for lo, hi in islice(steps, n + 1)]
 
 
-def _critical_steps(c: Interval, p: int):
-    """Yield 0, P(0), P^2(0), ... over the bracket c by outward steps at p.
+def _critical_ints(c: Interval, p: int) -> tuple:
+    """(q, steps): steps yields 0, P(0), P^2(0), ... over the bracket c by
+    outward steps at p, int pairs at 2^-q, from one fixed_orbit run.
 
     For c in [-2, 1/4] the critical orbit stays in [c, c^2 + c], inside
     [-2, 2].  A bracket not certified outside that range is taken to be in
-    it (as in check_param), and each step is clamped to [-2, 2]; unclamped,
+    it (as in check_range), and each step is clamped to [-2, 2]; unclamped,
     a bracket that straddles -2 (c = -2 itself) grows an enclosure whose
-    upper end, and its mantissa, doubles in size every step.  A bracket
-    certified outside stops at a certified escape (past |x| = 2), from where
-    the orbit and its mantissas grow without bound.
+    upper end, and its mantissa, doubles in size every step.  The run
+    restarts only where the clamp changes a pair.  A bracket certified
+    outside stops at a certified escape (past |x| = 2), from where the
+    orbit and its mantissas grow without bound.
     """
     clamp, (q, cf) = not PARAM_RANGE.disjoint(c), fixed_read(p, c)
-    two, lo, hi = 2 << q, 0, 0
-    while True:
-        yield from_fixed(lo, hi, q)
-        if lo > two or hi < -two:
-            return
-        *_, (lo, hi, _) = fixed_orbit((lo, hi), cf, 1, q, p)
-        if clamp and lo <= two and hi >= -two:  # an escape stays unclamped
-            lo, hi = max(lo, -two), min(hi, two)
+    two = 2 << q
+
+    def steps():
+        x = 0, 0
+        while True:
+            for lo, hi, _ in fixed_orbit(x, cf, None, q, p):
+                # past -2 or 2, and not an escape: restart it clamped
+                if clamp and (lo < -two <= hi or lo <= two < hi):
+                    x = max(lo, -two), min(hi, two)
+                    break
+                yield lo, hi
+                if lo > two or hi < -two:
+                    return
+    return q, steps()
 
 
 def symmetric_trap(b: Dyadic, c: Interval, n: int, p: int) -> tuple | None:

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from itertools import chain, cycle, islice, takewhile
+from itertools import chain, count, cycle, islice, takewhile
 from math import isqrt, prod
 
 from .dyadic import ZERO, Dyadic, Interval, fixed_read, from_fixed
-from .dynamics import (PARAM_RANGE, ParameterRangeError, TrackedInterval,
-                       _critical_enclosures, _critical_steps,
-                       certify_attracting_cycle, check_param,
+from .dynamics import (TrackedInterval, _critical_enclosures, _critical_ints,
+                       certify_attracting_cycle, check_param, check_range,
                        isolate_periodic_points, symmetric_trap)
 from .oracle import OracleFault, ParamOracle, QueryLedger
 from .solver import PRECISION_CAP, iv_sign, ladder
@@ -56,9 +55,7 @@ def kneading(o: ParamOracle, length: int,
         raise ValueError("length must be >= 1")
     best = "?" * length
     for p in ladder():
-        c = o.enclosure(p, ledger)
-        if PARAM_RANGE.disjoint(c):
-            raise ParameterRangeError(f"parameter bracket {c} outside [-2, 1/4]")
+        c = check_range(o.enclosure(p, ledger))
         s = "C" + "".join(islice(_symbols(c, p, o.known_critical_period),
                                  length - 1))
         if "?" not in s:
@@ -81,11 +78,12 @@ def feigenbaum_word(depth: int) -> str:
 
 def _symbols(c: Interval, p: int, q: int | None):
     """Symbols of P(0), P^2(0), ... over the bracket c at precision p: C at
-    multiples of the known critical period q, else L, R or '?'."""
-    steps = _critical_steps(c, p)
+    multiples of the known critical period q, else L, R or '?', read off
+    the ints of _critical_ints."""
+    _, steps = _critical_ints(c, p)
     next(steps)
-    for k, x in enumerate(steps, 1):
-        yield "C" if q and k % q == 0 else _SYMBOL[iv_sign(x)]
+    for k, (lo, hi) in enumerate(steps, 1):
+        yield "C" if q and k % q == 0 else _SYMBOL[(lo > 0) - (hi < 0)]
 
 
 def _order(u, v) -> int | None:
@@ -320,12 +318,13 @@ def window_tower(o: ParamOracle, depth: int, max_period: int,
     while its depth 5 needs m = 20.  4096 symbols still undecided end the
     tower: c is in, or too near, a hyperbolic component whose kneading is
     an end word.  After an oracle fault, the levels certified at the last m
-    it answered stand.
+    it answered stand.  A bracket certified outside [-2, 1/4] raises
+    ParameterRangeError.
     """
     words, decided, m = [], False, 8
     while m <= min(p_cap, _PREFIX_CAP):
         try:
-            c = o.enclosure(m, ledger)
+            c = check_range(o.enclosure(m, ledger))
         except OracleFault:
             break
         symbols, K = takewhile("?".__ne__, _symbols(
@@ -344,18 +343,22 @@ def window_tower(o: ParamOracle, depth: int, max_period: int,
 
 def locate_window(o: ParamOracle, max_period: int,
                   ledger: QueryLedger | None = None) -> tuple:
-    """window_tower at depth 1 given q, the oracle's declared critical
-    period or else that of a certified attracting cycle (whose search
-    checks c's range): the parse alone is undecided where c's kneading is
-    its window's right end word, as at -7/8 (L^oo)."""
+    """window_tower at depth 1, given the oracle's declared critical period
+    q; else parsed alone first, and where that is undecided (c's kneading
+    is its window's right end word, as at -7/8: L^oo) again given the
+    period of a certified attracting cycle."""
     q = o.known_critical_period
     if q is None:
+        words, decided = window_tower(o, 1, max_period, max_period, ledger)
+        if decided:
+            return words, decided
         try:
             cert = certify_attracting_cycle(o, max_period, ledger=ledger)
         except OracleFault:
             cert = None  # the oracle cannot reach the filter's precision
-        if cert is not None and cert.kind in ("attracting", "superattracting"):
-            q = cert.period
+        if cert is None or cert.kind not in ("attracting", "superattracting"):
+            return words, decided
+        q = cert.period
     return window_tower(o, 1, max_period, max_period, ledger, cycle_period=q)
 
 
@@ -414,9 +417,23 @@ def _pullback(b: Interval, c: Interval, signs: list, p: int) -> Interval:
     return from_fixed(yl, yh, q)
 
 
+def _orbit_reader(c: Interval, n: int, p: int):
+    """orbit(k): P^k(0) over c, _critical_enclosures(c, n, p)[k], built from
+    the ints on first read; None past n or past an escape."""
+    q, steps = _critical_ints(c, p)
+    steps, read = islice(steps, n + 1), []
+
+    def orbit(k: int) -> Interval | None:
+        read.extend(from_fixed(lo, hi, q)
+                    for lo, hi in islice(steps, max(0, k + 1 - len(read))))
+        return read[k] if k < len(read) else None
+    return orbit
+
+
 def _build_level(o: ParamOracle, c: Interval, p: int, prev: TrackedInterval,
-                 orbit: list):
-    """One nest level: (return iterate t, I^m, central flag, closed flag).
+                 orbit):
+    """One nest level: (return iterate t, I^m, central flag, closed flag),
+    orbit an _orbit_reader of c.
 
     I^m = [-x, x], x the end of the component of P^-t(prev) around 0, t the
     first return of 0 to prev = [-b, b].  P^j(0) lies outside prev for
@@ -425,24 +442,23 @@ def _build_level(o: ParamOracle, c: Interval, p: int, prev: TrackedInterval,
     or beyond b with t the known critical period the nest closes; certified
     beyond b there is no deeper level; anything else is undecided.
     """
-    t = None
-    for k in range(1, len(orbit)):
-        m = _membership(orbit[k], prev)
+    for t in count(1):
+        y = orbit(t)
+        if y is None:
+            raise _NestStop
+        m = _membership(y, prev)
         if m == 1:
-            t = k
             break
         if m == 0:
-            raise _Undecided(f"return membership at step {k}")
-    if t is None:
-        raise _NestStop
+            raise _Undecided(f"return membership at step {t}")
     b = prev.hi
-    x = _pullback(b, c, [iv_sign(y) for y in orbit[1:t]], p)
+    x = _pullback(b, c, [iv_sign(orbit(j)) for j in range(1, t)], p)
     closes = t == o.known_critical_period
     if ZERO < x.lo and x.hi < b.lo:
         level = TrackedInterval(-x, x)
         if closes:
             return t, level, True, True
-        m = _membership(orbit[t], level)
+        m = _membership(orbit(t), level)
         if m == 0:
             raise _Undecided("centrality test")
         return t, level, m == 1, False
@@ -487,7 +503,7 @@ def _nest_at_precision(o: ParamOracle, p: int, max_depth: int,
     if alpha is None:
         return nest
     nest.levels.append(TrackedInterval(alpha, -alpha))
-    orbit = _critical_enclosures(c, _MAX_RETURN, p)
+    orbit = _orbit_reader(c, _MAX_RETURN, p)
     while not nest.closed and nest.depth < max_depth:
         try:
             t, level, central, nest.closed = _build_level(

@@ -133,6 +133,22 @@ MUTANTS = [
      "for length in (64,):",
      ["tests/test_params.py::TestWindowLocate"
       "::test_a_parameter_near_an_end_reads_a_long_prefix"]),
+    # the critical orbit on ints: its [-2, 2] clamp, the kneading sign read
+    # off the ints, and the nest's lazy read up to _MAX_RETURN; the parse
+    # before the cycle in the locate step (qal.dynamics, qal.renorm)
+    ("dynamics.py", "if clamp and (lo < -two <= hi or lo <= two < hi):",
+     "if False:",
+     [DYN + "::TestCriticalSteps"
+      "::test_a_bracket_that_straddles_minus_2_is_clamped"]),
+    ("renorm.py", "_SYMBOL[(lo > 0) - (hi < 0)]",
+     "_SYMBOL[(lo >= 0) - (hi < 0)]",
+     [DYN + "::TestCriticalSteps::test_an_exact_zero_reads_undecided"]),
+    ("renorm.py", "_orbit_reader(c, _MAX_RETURN, p)",
+     "_orbit_reader(c, 64, p)",
+     ["tests/test_renorm.py::TestPrincipalNest"
+      "::test_a_late_first_return_is_read"]),
+    ("renorm.py", "        if decided:\n            return words, decided\n",
+     "", [RENORM + "test_a_decided_parse_certifies_no_cycle"]),
     # a cached render charged as often as it is asked (qal.attractor)
     ("attractor.py", "ledger.add(cost, times)", "ledger.add(cost)",
      ["tests/test_attractor.py::TestRender"

@@ -2,21 +2,25 @@
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qal.dynamics
-from qal.dyadic import NEAREST, ZERO, Dyadic, Interval, from_fixed
-from qal.dynamics import (ParameterRangeError, TrackedInterval,
-                          _return_map, _squeeze_cycle_point,
+from qal.dyadic import (NEAREST, ZERO, Dyadic, Interval, dy_max, dy_min,
+                        from_fixed, iv_iterate)
+from qal.dynamics import (PARAM_RANGE, ParameterRangeError, TrackedInterval,
+                          _critical_enclosures, _return_map,
+                          _squeeze_cycle_point,
                           certify_attracting_cycle, check_param,
                           critical_orbit, escape_time,
                           isolate_periodic_points, iter_eval, recheck_cycle,
                           symmetric_trap)
 from qal.oracle import WorstCaseOracle, oracle_exact
-from qal.solver import interval_newton
+from qal.renorm import _SYMBOL, _symbols
+from qal.solver import interval_newton, iv_sign
 
 # (period, lowest and highest c * 2^32) of inner parts of the windows of
 # periods 1-4 and 8
@@ -62,6 +66,55 @@ class TestCriticalOrbit:
             check_param(oracle_exact(Dyadic(1)))
         with pytest.raises(ParameterRangeError):
             check_param(oracle_exact(Dyadic(-3)))
+
+
+def clamped_steps(c: Interval, n: int, p: int) -> list:
+    """Reference for _critical_enclosures: iv_iterate one step at a time,
+    each step met with [-2, 2] unless c is certified outside [-2, 1/4] or
+    the step is an escape, which ends the orbit."""
+    inside, two = not PARAM_RANGE.disjoint(c), Dyadic(2)
+    xs = [Interval.point(ZERO)]
+    while len(xs) <= n and not (xs[-1].lo > two or xs[-1].hi < -two):
+        x = iv_iterate(xs[-1], c, 1, p)
+        if inside and x.lo <= two and x.hi >= -two:
+            x = Interval(dy_max(x.lo, -two), dy_min(x.hi, two))
+        xs.append(x)
+    return xs
+
+
+class TestCriticalSteps:
+    # c on the 2^-20 grid in [-2, 1/4], a point or a bracket 2^-(w-1) wide
+    @given(st.integers(-(2 << 20), 1 << 18), st.integers(8, 80) | st.none(),
+           st.integers(1, 160), st.integers(8, 128))
+    @example(-2 << 20, 40, 160, 64)  # straddles -2: the clamp bites
+    @example(-2 << 20, None, 160, 64)
+    @example(1 << 20, 40, 160, 64)  # certified outside: an escape
+    @example(-3 << 20, None, 160, 64)
+    @settings(max_examples=80, deadline=None)
+    def test_the_orbit_is_the_clamped_interval_orbit(self, k, w, n, p):
+        c = Interval.point(Dyadic(k, -20))
+        if w is not None:
+            c = Interval(c.lo - Dyadic(1, -w), c.hi + Dyadic(1, -w))
+        steps = _critical_enclosures(c, n, p)
+        assert steps == clamped_steps(c, n, p)
+        assert "".join(islice(_symbols(c, p, None), n)) == "".join(
+            _SYMBOL[iv_sign(x)] for x in steps[1:])
+
+    def test_a_bracket_that_straddles_minus_2_is_clamped(self):
+        # three steps: unclamped, the upper end would leave [-2, 2] and its
+        # ints double in length each step past 4
+        e = Dyadic(1, -40)
+        c = Interval(Dyadic(-2) - e, Dyadic(-2) + e)
+        steps = _critical_enclosures(c, 3, 64)
+        assert steps == clamped_steps(c, 3, 64)
+        assert steps[1] == Interval(Dyadic(-2), c.hi)
+        assert steps[2] == Interval(Dyadic(2) - e.scale2(2) - e, Dyadic(2))
+
+    def test_an_exact_zero_reads_undecided(self):
+        # c = -1: 0 -> -1 -> 0 exactly; a 0 is no certified R
+        c = Interval.point(Dyadic(-1))
+        assert "".join(islice(_symbols(c, 64, None), 4)) == "L?L?"
+        assert "".join(islice(_symbols(c, 64, 2), 4)) == "LCLC"
 
 
 class TestTrackedImage:

@@ -8,6 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from test_params import time_limit
 
+import qal.renorm
 from qal.cli import parse_oracle
 from qal.dyadic import Dyadic, Interval, iv_iterate
 from qal.dynamics import (ParameterRangeError, TrackedInterval,
@@ -214,8 +215,26 @@ class TestRenormalization:
 
     @pytest.mark.parametrize("c", [Dyadic(1), Dyadic(-3)])
     def test_a_parameter_outside_the_range_is_refused(self, c):
+        # at the parse's first query: no climb of its query precision
+        ledger = QueryLedger()
         with pytest.raises(ParameterRangeError):
-            detect_renormalization(oracle_exact(c), 4)
+            detect_renormalization(oracle_exact(c), 4, ledger)
+        assert ledger.total_units <= 16
+
+    @pytest.mark.parametrize("c, words", [
+        (Dyadic(-3, -1), ["L"]), (Dyadic(-21, -4), ["L"]),
+        (Dyadic(-1797, -10), ["LR"]), (Dyadic(1, -3), [])])
+    def test_a_decided_parse_certifies_no_cycle(self, c, words,
+                                                monkeypatch):
+        # the cycle is certified only where the parse alone is undecided
+        def no_cycle(*args, **kwargs):
+            raise AssertionError("a cycle certified after a decided parse")
+        monkeypatch.setattr(qal.renorm, "certify_attracting_cycle", no_cycle)
+        ledgers = QueryLedger(), QueryLedger()
+        assert locate_window(oracle_exact(c), 6, ledgers[0]) == (words, True)
+        assert window_tower(oracle_exact(c), 1, 6, 6, ledgers[1]) == (
+            words, True)
+        assert ledgers[0] == ledgers[1]
 
     def test_the_cycle_decides_a_right_end_word(self):
         # -7/8 (an attracting 2-cycle) and -1/2 (a fixed point) share the
@@ -250,6 +269,15 @@ class TestPrincipalNest:
         assert nest.closed
         for outer, inner in zip(nest.levels, nest.levels[1:]):
             assert inner.certainly_inside(outer) or inner is outer
+
+    @pytest.mark.parametrize("k, t", [(200, 102), (508, 256), (510, None)])
+    def test_a_late_first_return_is_read(self, k, t):
+        # at c = -2 + 2^-k the orbit of 0 lingers by the fixed point near
+        # 2, and first returns to I^0 at k/2 + 2; a return later than
+        # _MAX_RETURN = 256 makes no level
+        nest = principal_nest(oracle_exact(Dyadic(-2) + Dyadic(1, -k)), 64)
+        assert not nest.truncated and not nest.closed
+        assert nest.return_iterates == [None] + ([t] if t else [])
 
 
 def nest_key(nest) -> tuple:
