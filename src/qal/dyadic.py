@@ -424,13 +424,6 @@ def iv_quad_step(x: Interval, c: Interval, p: int) -> Interval:
     return iv_iterate(x, c, 1, p)
 
 
-def iv_deriv_step(d: Interval, x: Interval, p: int, add: int = 0) -> Interval:
-    """Outward enclosure of {2 v w + add : v in d, w in x} at precision p."""
-    q, xf, df = fixed_read(p, x, d)
-    *_, (_, _, e) = fixed_orbit(xf, (0, 0), 1, q, p, df, add)
-    return from_fixed(*e, q)
-
-
 def iv_iterate(x0: Interval, c: Interval, n: int, p: int) -> Interval:
     """P^n(x0) by n outward steps of fixed_orbit."""
     q, x, cf = fixed_read(p, x0, c)

@@ -16,8 +16,7 @@ from math import isqrt, prod
 
 from .dyadic import ZERO, Dyadic, Interval, fixed_read, from_fixed
 from .dynamics import (TrackedInterval, _critical_enclosures, _critical_ints,
-                       certify_attracting_cycle, check_param, check_range,
-                       isolate_periodic_points, symmetric_trap)
+                       certify_attracting_cycle, check_range, symmetric_trap)
 from .oracle import OracleFault, ParamOracle, QueryLedger
 from .solver import PRECISION_CAP, iv_sign, ladder
 
@@ -157,7 +156,7 @@ class CombinatorialType:
 @dataclass
 class RenormCert:
     period: int
-    J: Interval  # outer enclosure of the symmetric renormalization interval
+    J: Interval  # [-j, j], j just inside the pullback's fixed point b
     images: list  # TrackedInterval, images[k] = f^k(J), k = 0..period
     tau: CombinatorialType
     precision: int
@@ -199,38 +198,55 @@ def detect_renormalization(o: ParamOracle, max_period: int,
                            ledger: QueryLedger | None = None) -> RenormCert | None:
     """Smallest certified renormalization of period <= max_period.
 
-    The parse (locate_window) certifies the smallest window around c; the
-    images certify the renormalization of its period n: a symmetric dyadic
-    J around 0, its boundary just inside a periodic point, with f^n(J)
+    The parse (locate_window) certifies the smallest window around c and
+    the itinerary B of its centre; the images certify the renormalization
+    of its period n = len(B) + 1: a symmetric dyadic J = [-j, j], j just
+    inside the end b of _renorm_end (one read of c per rung), with f^n(J)
     strictly inside J and the n images disjoint in their interiors.  None
     when no window is named or nothing certifies up to 512 bits.
     """
     words, _ = locate_window(o, max_period, ledger)
     if not words:
         return None
-    n = len(words[0]) + 1
+    n, signs = len(words[0]) + 1, [_VALUE[s] for s in words[0]]
     for p in ladder(64, 512):
         c = o.enclosure(p, ledger)
-        candidates = []
-        for k in range(1, n + 1):
-            if n % k:
-                continue
-            for pp in isolate_periodic_points(o, k, p, ledger):
-                base = pp.enclosure.mig()
-                if base > ZERO:
-                    candidates.append(base)
-        candidates.sort(key=float)
-        for base in candidates:
-            for s in range(3, max(4, p // 2), 2):
-                j = base - base.scale2(-s)
-                imgs = _renorm_images(Interval(-j, j), n, c, p)
-                if imgs is None:
-                    continue
-                tau = _cycle_type(imgs[:n])
-                if tau is None or not tau.is_single_cycle():
-                    continue
+        try:
+            b = _renorm_end(c, signs, p)
+        except _Undecided:
+            continue
+        for s in range(3, max(4, p // 2), 2):
+            j = b - b.scale2(-s)
+            imgs = _renorm_images(Interval(-j, j), n, c, p)
+            tau = imgs and _cycle_type(imgs[:n])
+            if tau and tau.is_single_cycle():
                 return RenormCert(n, Interval(-j, j), imgs, tau, p)
     return None
+
+
+def _renorm_end(c: Interval, signs: list, p: int) -> Dyadic:
+    """Near the b > 0 with P^n(b) = sigma b (n = len(signs) + 1, sigma the
+    product of signs), the fixed point of _pullback along signs: Aitken
+    steps on ints at 2^-q from just below |alpha| and each |P^k(0)|,
+    0 < k < n (J's interior holds none), to a step under 2^(-3p/4), well
+    inside J's margins b 2^-s, s < p/2.  A guess, as the images certify J;
+    a start outside the pullback's domain raises _Undecided."""
+    q = fixed_read(p, c)[0]
+    ends = [_alpha(c, p), *_critical_enclosures(c, len(signs), p)[1:]]
+    y = min(e.mig() for e in ends).scale2(q).floor_int() - (1 << (q - p // 2))
+
+    def pull(t: int) -> int:  # the low end of the pullback of t 2^-q
+        return fixed_read(q, _pullback(from_fixed(t, t, q), c, signs, p))[1][0]
+    for _ in range(64):  # by a saddle node P^n barely repels
+        t0, t1 = y, pull(y)
+        t2 = pull(t1)
+        d = t2 - 2 * t1 + t0
+        y = t0 - (t1 - t0) ** 2 // d if d else t2
+        if y <= 0:
+            raise _Undecided("the end of J")
+        if abs(y - t0) < 1 << (q - 3 * p // 4):
+            break
+    return Dyadic(y, -q)
 
 
 def recheck_renormalization(cert: RenormCert, o: ParamOracle) -> bool:
@@ -396,6 +412,16 @@ class _NestStop(Exception):
 _MAX_RETURN = 256  # the latest first return a nest level looks for
 
 
+def _alpha(c: Interval, p: int) -> Interval:
+    """alpha = (1 - sqrt(1 - 4c)) / 2, the fixed point at I^0's end, over
+    c by outward isqrt on ints at one scale 2^-q, q >= p, as _pullback."""
+    q, (cl, ch) = fixed_read(p, c)
+    one = 1 << q
+    lo = one - 1 - isqrt(max(0, ((one - 4 * cl) << q) - 1))
+    hi = one - isqrt(max(0, one - 4 * ch) << q)
+    return from_fixed(lo >> 1, -(-hi >> 1), q)
+
+
 def _pullback(b: Interval, c: Interval, signs: list, p: int) -> Interval:
     """Enclosure of the x >= 0 with P^t(x) = sigma b whose itinerary is
     signs: signs[j - 1] = sign P^j(x) for j = 1..t-1, sigma their product.
@@ -478,9 +504,9 @@ def principal_nest(o: ParamOracle, max_depth: int,
     Levels are built until max_depth, until the construction closes on a
     renormalization, or until the dynamics admits no deeper central
     component.  Precision escalates on undecided tests; running out, or an
-    oracle fault, marks the record truncated at the precision it reached.
+    oracle fault, marks the record truncated at the precision it reached; a
+    bracket certified outside [-2, 1/4] raises ParameterRangeError.
     """
-    check_param(o, ledger)
     for p in ladder():
         try:
             return _nest_at_precision(o, p, max_depth, ledger)
@@ -493,14 +519,11 @@ def principal_nest(o: ParamOracle, max_depth: int,
 
 def _nest_at_precision(o: ParamOracle, p: int, max_depth: int,
                        ledger) -> NestRecord:
-    """The nest at working precision p, to max_depth levels."""
-    c = o.enclosure(p, ledger)
-    alpha = None
-    for pp in isolate_periodic_points(o, 1, p, ledger):
-        if pp.enclosure.hi < ZERO:
-            alpha = pp.enclosure
+    """The nest at working precision p from one read of c, to max_depth."""
+    c = check_range(o.enclosure(p, ledger))
+    alpha = _alpha(c, p)
     nest = NestRecord([], [None], [], False, False, p, c)
-    if alpha is None:
+    if not alpha.hi < ZERO:
         return nest
     nest.levels.append(TrackedInterval(alpha, -alpha))
     orbit = _orbit_reader(c, _MAX_RETURN, p)
@@ -626,7 +649,6 @@ def essential_structure(o: ParamOracle, ledger: QueryLedger | None = None,
     of the annulus).  Returns None when anything stays undecided at the cap
     or the oracle faults.
     """
-    check_param(o, ledger)
     for p in ladder(64, p_cap):
         try:
             return _essential_at(o, ledger, max_depth, p)
@@ -644,25 +666,9 @@ def _essential_at(o: ParamOracle, ledger, max_depth: int,
         return None
     c = nest.param_enclosure
     mker = nest.noncentral_levels[-1] if nest.noncentral_levels else 0
-    J = nest.levels[mker + 1]
-    q = o.known_critical_period
-    # period of J: smallest k with f^k(J) containing 0
-    limit = q if q is not None else 4096
-    imgs = [J]
-    period = None
-    for k in range(1, limit + 1):
-        imgs.append(imgs[-1].image(c, p))
-        if imgs[-1].certainly_contains_point(ZERO):
-            period = k
-            break
-        if q is not None and k == q:
-            period = k
-            break
-        if not imgs[-1].certainly_excludes_point(ZERO):
-            raise _Undecided("period of J")
-    if period is None:
-        return None
-    cycle = imgs[:period]
+    period, cycle = nest.return_iterates[mker + 1], [nest.levels[mker + 1]]
+    while len(cycle) < period:  # the period of J is its first return
+        cycle.append(cycle[-1].image(c, p))
     postcritical = _critical_enclosures(c, 2 * period + 2, p)
     casc = cascades(nest, postcritical)
     if any(ci.saddle_node is None or ci.depth_bound is None for ci in casc):

@@ -38,6 +38,7 @@ PULLBACK = ("tests/test_renorm.py::TestLevelPullback"
             "::test_the_pullback_of_an_orbit_encloses_its_start")
 COVER = "tests/test_attractor.py::TestNestedCycleCover::"
 RENORM = "tests/test_renorm.py::TestRenormalization::"
+ESSENTIAL = "tests/test_renorm.py::TestEssentialStructure::"
 
 MUTANTS = [
     # the one interval Newton (qal.solver) and its closures on G = P^n - id
@@ -149,6 +150,24 @@ MUTANTS = [
       "::test_a_late_first_return_is_read"]),
     ("renorm.py", "        if decided:\n            return words, decided\n",
      "", [RENORM + "test_a_decided_parse_certifies_no_cycle"]),
+    # J by pullback: Aitken steps from just below |alpha| and every
+    # |P^k(0)|; alpha in closed form on the nest's one range-checked read;
+    # J's cycle as long as its first return (qal.renorm)
+    ("renorm.py", "y = t0 - (t1 - t0) ** 2 // d if d else t2", "y = t2",
+     [RENORM + "test_only_the_parsed_period_is_certified"]),
+    ("renorm.py", "ends = [_alpha(c, p), *", "ends = [*",
+     [RENORM + "test_only_the_parsed_period_is_certified"]),
+    ("renorm.py", ", *_critical_enclosures(c, len(signs), p)[1:]]", "]",
+     [RENORM + "test_every_centre_certifies_the_type_its_parse_names"]),
+    ("renorm.py", "one - 1 - isqrt(max(0, ((one - 4 * cl) << q) - 1))",
+     "one - isqrt(max(0, (one - 4 * cl) << q))",
+     ["tests/test_renorm.py::TestAlphaClosedForm"
+      "::test_the_box_holds_the_smaller_fixed_point"]),
+    ("renorm.py", "c = check_range(o.enclosure(p, ledger))\n    alpha",
+     "c = o.enclosure(p, ledger)\n    alpha",
+     [ESSENTIAL + "test_a_parameter_outside_the_range_is_refused"]),
+    ("renorm.py", "while len(cycle) < period:", "while len(cycle) <= period:",
+     [ESSENTIAL + "test_the_cycle_of_j_is_its_first_return_long"]),
     # a cached render charged as often as it is asked (qal.attractor)
     ("attractor.py", "ledger.add(cost, times)", "ledger.add(cost)",
      ["tests/test_attractor.py::TestRender"

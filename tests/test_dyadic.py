@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qal.dyadic import (DOWN, NEAREST, UP, Dyadic, Interval, fixed_orbit,
                         fixed_read, from_fixed, iv_deriv_enclosure,
-                        iv_deriv_step, iv_iterate, iv_quad_step)
+                        iv_iterate, iv_quad_step)
 
 dyadics = st.builds(Dyadic,
                     st.integers(min_value=-(1 << 40), max_value=1 << 40),
@@ -217,10 +217,13 @@ class TestInterval:
            st.sampled_from([0, 1]))
     @example(iv(Dyadic(-3, -2), Dyadic(5, -3)), iv(Dyadic(1, 4), Dyadic(3, 5)), 2, 1)
     def test_deriv_step_is_tightest_outward(self, d, x, p, add):
+        # one step of fixed_orbit's derivative line d' = 2 x d + add
         prods = [2 * a.as_fraction() * b.as_fraction()
                  for a in (d.lo, d.hi) for b in (x.lo, x.hi)]
         exact = (min(prods) + add, max(prods) + add)
-        assert iv_deriv_step(d, x, p, add) == tightest_out(*exact, p)
+        q, xf, df = fixed_read(p, x, d)
+        *_, (_, _, e) = fixed_orbit(xf, (0, 0), 1, q, p, df, add)
+        assert from_fixed(*e, q) == tightest_out(*exact, p)
 
     @given(orbit_intervals, orbit_intervals, st.integers(0, 5),
            st.integers(-4, 80), st.one_of(st.none(), orbit_intervals),

@@ -52,17 +52,19 @@ RENDER = {
 
 # The parameter-space answers of the benchmark's `solve` workload: the eps_n
 # answers with their essential periods, every centre of periods 3-6, and the
-# principal nest of eps_3.  The nest's level 0 is the fixed point alpha as
-# isolate_periodic_points encloses it; its Newton keeps the box of a last
-# step that does not halve it, so that level narrowed from the box below
-# (ALPHA_WAS) to one inside it, and the nest digest moved with it alone.
+# principal nest of eps_3.  The nest's level 0 is the fixed point alpha in
+# closed form, (1 - sqrt(1 - 4c)) / 2 by outward isqrt, inside the box that
+# a bisection and Newton on P - id once gave (ALPHA_WAS).  Each nest rung
+# reads c once, at its working precision: eps_3's nest charges 64 units
+# (144 when a 16-bit range check and the periodic-point search read c
+# apart), and each eps_n answer 128 (208), with the same level boxes.
 SOLVE = {
     "eps":
-        "3e689ff80146bf3e0b413210fe13de6f42439e3260db8c09e50b456a66cf3202",
+        "000c750066cf1ac8282877c70406161450aaa5e71a7e0790e6a6bbd613d6db4e",
     "centres":
         "0f68979a41cbbe62f56d2be4d3b7705a47632a81a1dd1482901eaa3756e9ad65",
     "nest":
-        "ec9a0d4668a812f996b4cf64021e821a9089425106dde35f81a74053a06c6da9",
+        "f4df97c1f990c56ef11a17776ecc7ae2e93d65dd436cc19075a46e5feb09205e",
 }
 ALPHA_WAS = Interval(Dyadic(-16746645017129497823, -64),
                      Dyadic(-4186661254282374455, -62))
@@ -129,7 +131,7 @@ def test_principal_nest_of_eps_3():
     assert nest.return_iterates == [None, 3, 3, 3, 11]
     assert nest.noncentral_levels == [3]
     assert (nest.closed, nest.truncated) == (True, False)
-    assert (nest.precision, ledger.total_units) == (64, 144)
+    assert (nest.precision, ledger.total_units) == (64, 64)
     assert ALPHA_WAS.contains_interval(nest.levels[0].lo)
     assert (-ALPHA_WAS).contains_interval(nest.levels[0].hi)
     rows = [f"{t.lo} {t.hi} {r}"

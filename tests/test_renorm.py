@@ -1,5 +1,6 @@
 """Kneading data, renormalization certificates, nest, essential period."""
 
+from fractions import Fraction
 from itertools import islice, product, takewhile
 from math import prod
 
@@ -16,7 +17,7 @@ from qal.dynamics import (ParameterRangeError, TrackedInterval,
 from qal.oracle import QueryLedger, oracle_exact
 from qal.params import (_centre_of, _centre_words, _window_at,
                         epsilon_family, feigenbaum_limit, superstable_center)
-from qal.renorm import (CombinatorialType, _admissible, _cycle_type,
+from qal.renorm import (CombinatorialType, _admissible, _alpha, _cycle_type,
                         _order, _parse, _pullback, _renorm_images, _symbols,
                         detect_renormalization, essential_period,
                         essential_structure, essentially_equivalent,
@@ -198,6 +199,10 @@ class TestRenormalization:
         ("superstable:6:1", 6, (2, 3, 5, 6, 4, 1), 400),
         ("superstable:6:2", 6, (2, 4, 6, 5, 3, 1), 400),
         ("exact:-7*2^-3", 4, (2, 1), 400),
+        # -7/4 - 2^-44 and -7/4 - 2^-48, by the saddle node: the pullback
+        # contracts onto J's end so slowly that only Aitken steps reach it
+        ("exact:-30786325577729*2^-44", 3, (2, 3, 1), 400),
+        ("exact:-492581209243649*2^-48", 3, (2, 3, 1), 400),
         ("exact:-1*2^-1", 4, None, 200),
         ("exact:-3*2^-2", 4, None, 200),  # P^2 - id has a triple root
     ])
@@ -235,6 +240,15 @@ class TestRenormalization:
         assert window_tower(oracle_exact(c), 1, 6, 6, ledgers[1]) == (
             words, True)
         assert ledgers[0] == ledgers[1]
+
+    @pytest.mark.parametrize("q", range(3, 9))
+    def test_every_centre_certifies_the_type_its_parse_names(self, q):
+        # J's end is the pullback's fixed point along the parsed word B
+        for B in _centre_words(q):
+            words, _ = locate_window(_centre_of(B), q)
+            cert = detect_renormalization(_centre_of(B), q)
+            assert cert.period == len(words[0]) + 1
+            assert cert.tau == itinerary_type(words[0])
 
     def test_the_cycle_decides_a_right_end_word(self):
         # -7/8 (an attracting 2-cycle) and -1/2 (a fixed point) share the
@@ -408,6 +422,25 @@ class TestLevelPullback:
         assert got.contains(x) and got.width() < Dyadic(1, 48 - p)
 
 
+class TestAlphaClosedForm:
+    @given(st.integers(-2 << 20, 1 << 18), st.integers(-2 << 20, 1 << 18),
+           st.integers(16, 160))
+    def test_the_box_holds_the_smaller_fixed_point(self, a, b, p):
+        # alpha(c), the smaller root of f = x^2 - x + c, grows with c: the
+        # box holds alpha over the bracket when f(lo) >= 0 at its low end
+        # and f(hi) <= 0 at its high end, in exact Fractions
+        for c in (Interval.point(Dyadic(a, -20)),
+                  Interval(Dyadic(min(a, b), -20), Dyadic(max(a, b), -20))):
+            box = _alpha(c, p)
+            lo, hi = box.lo.as_fraction(), box.hi.as_fraction()
+            assert lo * lo - lo + c.lo.as_fraction() >= 0 >= \
+                hi * hi - hi + c.hi.as_fraction()
+            assert lo <= Fraction(1, 2)
+        # at a point, two steps of the working grid 2^-p at most
+        assert _alpha(Interval.point(Dyadic(a, -20)), p).width() <= \
+            Dyadic(1, 1 - p)
+
+
 class TestNestUndecided:
     @pytest.mark.parametrize("make", [
         lambda: oracle_exact(Dyadic(-1802, -10)),
@@ -454,6 +487,25 @@ class TestEssentialStructure:
         assert sum(got[2].neglectable) == 3
         assert sum(got[3].neglectable) == 6
         assert essentially_equivalent(got[2], got[3])
+
+    @pytest.mark.parametrize("make", [
+        lambda: oracle_exact(Dyadic(-1)), lambda: epsilon_family(1),
+        lambda: epsilon_family(2)], ids=["-1", "eps1", "eps2"])
+    def test_the_cycle_of_j_is_its_first_return_long(self, make):
+        # J and its images up to the first return, in the real order of
+        # the centre's critical cycle
+        o = make()
+        d = essential_structure(o)
+        B = kneading(o, d.period).symbols[1:]
+        assert len(d.neglectable) == d.period
+        assert d.full == itinerary_type(B)
+
+    @pytest.mark.parametrize("c", [Dyadic(1), Dyadic(-3)])
+    def test_a_parameter_outside_the_range_is_refused(self, c):
+        # at the nest's one read of c, without a separate range check
+        for run in (lambda o: principal_nest(o, 64), essential_period):
+            with pytest.raises(ParameterRangeError):
+                run(oracle_exact(c))
 
     def test_undecidable_returns_none_not_a_guess(self):
         # a starved precision cap cannot close the nest; the answer is None
