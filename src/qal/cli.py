@@ -19,7 +19,7 @@ from fractions import Fraction
 from .attractor import (ApproximationFailed, Budget, Hints, approximate,
                         classify, pixel_query, render)
 from .dyadic import Dyadic, Interval
-from .dynamics import ParameterRangeError, escape_time
+from .dynamics import ParameterRangeError, PrecisionExhausted, escape_time
 from .oracle import OracleFault, ParamOracle, QueryLedger, oracle_exact
 from .params import (_centre_of, _centre_words, _window_at,
                      epsilon_family, feigenbaum_limit, superstable_center,
@@ -122,11 +122,7 @@ def cmd_classify(args) -> int:
 def cmd_approx(args) -> int:
     o = parse_oracle(args.c)
     (n,) = _resolutions(args)
-    try:
-        result = approximate(o, n, _hints(args), _budget(args))
-    except ApproximationFailed as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
+    result = approximate(o, n, _hints(args), _budget(args))
     _emit("".join(f"{pt}\n" for pt in result.points), args.out)
     return EXIT_OK
 
@@ -136,11 +132,7 @@ def cmd_render(args) -> int:
     (n,) = _resolutions(args)
     lo, _, hi = (args.viewport or "-2..2").partition("..")
     viewport = Interval(Dyadic.parse(lo), Dyadic.parse(hi))
-    try:
-        pgm = render(o, n, viewport, _hints(args), _budget(args))
-    except ApproximationFailed as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
+    pgm = render(o, n, viewport, _hints(args), _budget(args))
     _emit(pgm, args.out)
     return EXIT_OK
 
@@ -312,6 +304,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(f"{args.command} needs exactly one --c")
             args.c = args.c[0]
         return COMMANDS[args.command](args)
+    except (ApproximationFailed, PrecisionExhausted) as exc:
+        print(f"undecided: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
     except (ValueError, ParameterRangeError, OracleFault, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

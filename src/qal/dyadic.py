@@ -1,10 +1,9 @@
-"""Exact dyadic-rational arithmetic and outward-rounded interval arithmetic.
+"""Exact dyadic arithmetic and intervals, and rounded loops on ints.
 
 Every certified computation in this package bottoms out here: a Dyadic is an
 exact binary rational m * 2^e with unbounded integer mantissa, and an Interval
-is a pair of Dyadics enclosing a real value.  Ring operations on Dyadics are
-exact; rounding only ever happens when explicitly requested, always to a
-stated absolute granule 2^-m.
+is a pair of Dyadics enclosing a real value.  Both are exact; rounding, to a
+stated absolute granule 2^-m, runs on int pairs at one scale, as in Arb.
 """
 
 from __future__ import annotations
@@ -231,8 +230,8 @@ def dy_max(a: Dyadic, b: Dyadic) -> Dyadic:
 class Interval:
     """Closed interval [lo, hi] with exact dyadic endpoints.
 
-    All operations are sound over-enclosures; operations taking a precision
-    outward-round each endpoint to the granule 2^-p.
+    Its operations are exact; round_out alone rounds, each endpoint outward
+    to the granule 2^-p.
     """
 
     __slots__ = ("lo", "hi")
@@ -301,19 +300,8 @@ class Interval:
     def __sub__(self, other: "Interval") -> "Interval":
         return Interval(self.lo - other.hi, self.hi - other.lo)
 
-    def __mul__(self, other: "Interval") -> "Interval":
-        cands = [self.lo * other.lo, self.lo * other.hi,
-                 self.hi * other.lo, self.hi * other.hi]
-        lo = hi = cands[0]
-        for c in cands[1:]:
-            if c < lo:
-                lo = c
-            if c > hi:
-                hi = c
-        return Interval(lo, hi)
-
     def square(self) -> "Interval":
-        """Exact {x^2 : x in self}; tighter than self*self when 0 is inside."""
+        """Exact {x^2 : x in self}."""
         a2, b2 = self.lo * self.lo, self.hi * self.hi
         if self.contains_zero():
             return Interval(ZERO, dy_max(a2, b2))
@@ -324,16 +312,6 @@ class Interval:
 
     def round_out(self, p: int) -> "Interval":
         return Interval(self.lo.round(p, DOWN), self.hi.round(p, UP))
-
-    def divide(self, other: "Interval", p: int) -> "Interval":
-        """Enclosure of self/other; other must not contain 0."""
-        if other.contains_zero():
-            raise ZeroDivisionError("interval divisor contains zero")
-        quots = [_dy_div(a, b, p) for a in (self.lo, self.hi)
-                 for b in (other.lo, other.hi)]
-        lo = min(q[0] for q in quots)
-        hi = max(q[1] for q in quots)
-        return Interval(lo, hi)
 
     def __eq__(self, o):
         return isinstance(o, Interval) and self.lo == o.lo and self.hi == o.hi
@@ -346,23 +324,6 @@ class Interval:
 
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
-
-
-def _dy_div(a: Dyadic, b: Dyadic, m: int) -> tuple[Dyadic, Dyadic]:
-    """Directed-rounded quotient bracket: returns (floor, ceil) in D_m."""
-    # a/b * 2^m = (a.man / b.man) * 2^(a.exp - b.exp + m)
-    num, den = a.man, b.man
-    if den < 0:
-        num, den = -num, -den
-    e = a.exp - b.exp + m
-    if e >= 0:
-        num <<= e
-    else:
-        den <<= -e
-    quo, rem = divmod(num, den)
-    lo = Dyadic(quo, -m)
-    hi = lo if rem == 0 else Dyadic(quo + 1, -m)
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +369,15 @@ def fixed_orbit(x: tuple, c: tuple, n: int | None, q: int, p: int,
         sl, sh = (a2, b2) if xl >= 0 else (b2, a2) if xh <= 0 else (0, max(a2, b2))
         xl, xh = ((sl + cl) >> s) << up, -((-sh - ch) >> s) << up
         yield xl, xh, d
+
+
+def fixed_quotient(a: tuple, b: tuple, s: int) -> tuple:
+    """(lo, hi): the floor of the least and the ceil of the greatest
+    a_i 2^s / b_j over the corners, the outward enclosure in D_s of a / b
+    for int pairs a and b at one scale, b not holding 0."""
+    (a0, a1), (b0, b1) = (a[0] << s, a[1] << s), b
+    return (min(a0 // b0, a0 // b1, a1 // b0, a1 // b1),
+            -min(-a0 // b0, -a0 // b1, -a1 // b0, -a1 // b1))
 
 
 def fixed_centred(t: tuple, tm: tuple, d: tuple, r: int, q: int) -> tuple:

@@ -26,7 +26,7 @@ class ParameterRangeError(ValueError):
 
 
 class PrecisionExhausted(RuntimeError):
-    """Escalation hit the precision cap without reaching a certificate."""
+    """Escalation hit a limit, named in the message, short of a certificate."""
 
 
 def check_param(o: ParamOracle, ledger: QueryLedger | None = None) -> Interval:
@@ -335,15 +335,6 @@ def _return_map(cf: tuple, n: int, q: int, p: int) -> tuple:
     return g, dg
 
 
-def recheck_cycle(cycle: CertifiedCycle, o: ParamOracle, p: int) -> bool:
-    """Post-hoc re-verification of the trap at (typically doubled) precision."""
-    c = o.enclosure(p)
-    j = cycle.point_enclosures[0]
-    pad = Dyadic(1, -(p // 4))
-    j = Interval(j.lo - pad, j.hi + pad)
-    return j.strictly_contains(iv_iterate(j, c, cycle.period, p))
-
-
 # ---------------------------------------------------------------------------
 # Periodic-point isolation (real interval stand-in for complex root finding)
 
@@ -440,7 +431,7 @@ def escape_time(epsilon: Dyadic, gate: Interval,
     """Steps of w -> w + w^2 + eps to carry -a past +a, gate = [-a, a].
 
     Runs two directed-rounding orbits; counts must agree, else the working
-    precision is escalated.
+    precision is escalated.  A count past max_steps ends the run at once.
     """
     if epsilon <= ZERO:
         raise ValueError("epsilon must be positive")
@@ -450,17 +441,25 @@ def escape_time(epsilon: Dyadic, gate: Interval,
     if not a < Dyadic(1, -1):
         raise ValueError("gate must sit inside (-1/2, 1/2) where the map is monotone")
     for p in ladder():
-        n_lo = _escape_count(epsilon, a, p, UP, max_steps)    # early bound
-        n_hi = _escape_count(epsilon, a, p, DOWN, max_steps)  # late bound
-        if n_lo == n_hi and n_lo is not None:
+        n_lo = _escape_count(epsilon, a, p, UP, max_steps)  # early bound
+        n_hi = n_lo and _escape_count(epsilon, a, p, DOWN, max_steps)
+        if n_hi is None:
+            raise PrecisionExhausted(
+                f"no escape within the step limit of {max_steps} steps")
+        if n_lo == n_hi:
             return n_lo
-    raise PrecisionExhausted("escape counts disagree at precision cap")
+    raise PrecisionExhausted("escape counts disagree at the precision cap")
 
 
 def _escape_count(eps: Dyadic, a: Dyadic, p: int, mode: str, max_steps: int):
-    w = -a
-    for k in range(1, max_steps + 1):
-        w = (w + w * w + eps).round(p, mode)
-        if w > a:
+    """Steps of w -> w + w^2 + eps from -a, each rounded to D_p in mode, to
+    pass a; None past max_steps.  In x = w + 1/2 (> 0) it is fixed_orbit's
+    x^2 + 1/4 + eps, whose low end rounds down and high end up."""
+    half = Dyadic(1, -1)
+    q, x, c = fixed_read(p, Interval.point(half - a),
+                         Interval.point(half.half() + eps))
+    top, end = (half + a).scale2(q).floor_int(), 1 if mode == UP else 0
+    for k, step in enumerate(fixed_orbit(x, c, max_steps, q, p)):
+        if step[end] > top:
             return k
     return None

@@ -17,8 +17,9 @@ from fractions import Fraction
 from functools import cache, cmp_to_key
 from itertools import cycle, product
 
-from .dyadic import (ONE, TWO, UP, Dyadic, Interval, fixed_box,
-                     fixed_centred, fixed_orbit, fixed_read, from_fixed)
+from .dyadic import (NEAREST, TWO, UP, Dyadic, Interval, fixed_box,
+                     fixed_centred, fixed_orbit, fixed_quotient, fixed_read,
+                     from_fixed)
 from .dynamics import PARAM_RANGE, _critical_enclosures, iter_eval
 from .oracle import (BisectOracle, IntervalNewtonOracle, OracleFault,
                      ParamOracle, QueryLedger, RefinerOracle, ladder_sign)
@@ -154,72 +155,78 @@ class RenormWindow:
     tau: CombinatorialType
 
 
-def _system_eval(c: Interval, w: Interval, n: int, p: int):
-    """Over a (c, w) box: (P^n(w), dP^n/dw, dP^n/dc, d2/dwdw, d2/dwdc)."""
-    q, cf, x = fixed_read(p, c, w)
-    s, up, uw, uc = 2 * q - p, q - p, (0, 0), (0, 0)  # uw, uc: du/dw, du/dc
+_SEED_RADIUS = 1e-4  # of _parabolic_refine's box around its float seed
+
+
+def _system_eval(c: tuple, w: tuple, n: int, p: int):
+    """Over a (c, w) box of int pairs at 2^-p: (P^n(w), dP^n/dw, dP^n/dc,
+    d2/dwdw, d2/dwdc), int pairs at 2^-p."""
+    uw = uc = (0, 0)  # du/dw, du/dc
 
     def line(x, a, b, e):  # 2 (a b + x e), rounded out to D_p
         m, k = [i * j for i in a for j in b], [i * j for i in x for j in e]
-        return (2 * (min(m) + min(k)) >> s) << up, -(-2 * (max(m) + max(k)) >> s) << up
+        return 2 * (min(m) + min(k)) >> p, -(-2 * (max(m) + max(k)) >> p)
 
     # x with dx/dw (from 1) and dx/dc (from 0, add 1)
-    steps = list(zip(fixed_orbit(x, cf, n, q, p, (1 << q, 1 << q)),
-                     fixed_orbit(x, cf, n, q, p, (0, 0), 1)))
+    steps = list(zip(fixed_orbit(w, c, n, p, p, (1 << p, 1 << p)),
+                     fixed_orbit(w, c, n, p, p, (0, 0), 1)))
     for (*x, u), (*_, v) in steps[:-1]:
         uw, uc = line(x, u, u, uw), line(x, u, v, uc)
     (*x, u), (*_, v) = steps[-1]
-    return tuple(from_fixed(*y, q) for y in (x, u, v, uw, uc))
+    return tuple(x), u, v, uw, uc
+
+
+def _cross(a: tuple, b: tuple, c: tuple, d: tuple) -> tuple:
+    """a b - c d over int pairs, exact: its least and greatest corners."""
+    m, k = [i * j for i in a for j in b], [i * j for i in c for j in d]
+    return min(m) - max(k), max(m) - min(k)
 
 
 def _parabolic_refine(n: int, c0: float, w0: float, target_exp: int,
                       mult: int = 1) -> tuple | None:
-    """Certified (c, w) box for P^n(w) = w, (P^n)'(w) = mult.
+    """Certified (c, w) box for P^n(w) = w, (P^n)'(w) = mult, the c side
+    below 2^-target_exp, or None.
 
-    Two-variable interval Newton; returns (c_enclosure, w_enclosure) with
-    the c side refined below 2^-target_exp, or None.
+    Interval Newton N(Y) = m - J(Y)^-1 F(m) on int pairs at 2^-p, Y the
+    box of radius _SEED_RADIUS around the polished float seed at each rung:
+    Cramer's rule, J's products exact at 2^-2p, the quotients outward by
+    fixed_quotient.  Certified once a step lands strictly inside both boxes;
+    a rung ends, as interval_newton does, at a step that halves neither.
     """
     seed = _parabolic_float(n, c0, w0, mult)
     if seed is None:
         return None
-    c0, w0 = seed
-    radius = 1e-4
-    tgt = Interval.point(Dyadic(mult))
-    target = Dyadic(1, -target_exp)
     for p in ladder(64, 1024):
-        r = Dyadic.from_float(radius).round(min(p, 128), UP)
-        cm = Dyadic.from_float(c0).round(min(p, 128))
-        wm = Dyadic.from_float(w0).round(min(p, 128))
-        cbox, wbox = Interval(cm - r, cm + r), Interval(wm - r, wm + r)
-        certified = False
-        for _ in range(400):
-            cmid, wmid = cbox.mid(), wbox.mid()
-            x, u, _, _, _ = _system_eval(Interval.point(cmid),
-                                         Interval.point(wmid), n, p)
-            f1 = x - Interval.point(wmid)
-            f2 = u - tgt
-            _, ub, vb, uwb, ucb = _system_eval(cbox, wbox, n, p)
-            j11, j12 = vb, ub - Interval.point(ONE)
-            j21, j22 = ucb, uwb
-            det = (j11 * j22 - j12 * j21).round_out(p)
-            if det.contains_zero():
+        one, tgt, certified = 1 << p, mult << p, False
+        r, cm, wm = (Dyadic.from_float(x).round(min(p, 128), mode) for x, mode
+                     in ((_SEED_RADIUS, UP), (seed[0], NEAREST),
+                         (seed[1], NEAREST)))
+        _, cbox, wbox = fixed_read(p, Interval(cm - r, cm + r),
+                                   Interval(wm - r, wm + r))
+        while True:
+            (cl, ch), (wl, wh) = cbox, wbox
+            cm, wm = (cl + ch) >> 1, (wl + wh) >> 1
+            x, u, *_ = _system_eval((cm, cm), (wm, wm), n, p)
+            f1, f2 = (x[0] - wm, x[1] - wm), (u[0] - tgt, u[1] - tgt)
+            _, u, v, uw, uc = _system_eval(cbox, wbox, n, p)
+            u = u[0] - one, u[1] - one  # dF1/dw; dF1/dc = v
+            det = _cross(v, uw, u, uc)
+            if det[0] <= 0 <= det[1]:
                 break
-            dc = (f1 * j22 - f2 * j12).divide(det, p)
-            dw = (f2 * j11 - f1 * j21).divide(det, p)
-            nc = Interval(cmid - dc.hi, cmid - dc.lo)
-            nw = Interval(wmid - dw.hi, wmid - dw.lo)
-            if cbox.strictly_contains(nc) and wbox.strictly_contains(nw):
-                certified = True
-            ic, iw = nc.intersect(cbox), nw.intersect(wbox)
-            if ic is None or iw is None:
+            dcl, dch = fixed_quotient(_cross(f1, uw, f2, u), det, p)
+            dwl, dwh = fixed_quotient(_cross(f2, v, f1, uc), det, p)
+            nc, nw = (cm - dch, cm - dcl), (wm - dwh, wm - dwl)
+            certified = certified or (cl < nc[0] and nc[1] < ch
+                                      and wl < nw[0] and nw[1] < wh)
+            cbox = max(cl, nc[0]), min(ch, nc[1])
+            wbox = max(wl, nw[0]), min(wh, nw[1])
+            if cbox[0] > cbox[1] or wbox[0] > wbox[1]:
                 return None
-            if ic.width() >= cbox.width() and iw.width() >= wbox.width():
+            if certified and (cbox[1] - cbox[0]) << target_exp < one:
+                return from_fixed(*cbox, p), from_fixed(*wbox, p)
+            if not any(2 * (b - a) <= h - l and b - a < h - l for (a, b), l, h
+                       in ((cbox, cl, ch), (wbox, wl, wh))):
                 break
-            cbox, wbox = ic, iw
-            if certified and cbox.width() < target:
-                return cbox, wbox
-        if certified and cbox.width() < target:
-            return cbox, wbox
     return None
 
 

@@ -249,12 +249,6 @@ def _renorm_end(c: Interval, signs: list, p: int) -> Dyadic:
     return Dyadic(y, -q)
 
 
-def recheck_renormalization(cert: RenormCert, o: ParamOracle) -> bool:
-    """Post-hoc verification of the certificate at doubled precision."""
-    p = 2 * cert.precision
-    return _renorm_images(cert.J, cert.period, o.enclosure(p), p) is not None
-
-
 # ---------------------------------------------------------------------------
 # The window tower, parsed from the kneading sequence
 
@@ -721,9 +715,3 @@ def essential_period(o: ParamOracle, ledger: QueryLedger | None = None,
     """p_e(f): non-neglectable intervals in the renormalization cycle."""
     data = essential_structure(o, ledger, max_depth)
     return None if data is None else data.essential_period
-
-
-def essentially_equivalent(a: EssentialData, b: EssentialData) -> bool:
-    """Same permutation after removing neglectable intervals from both."""
-    return (a.reduced.period == b.reduced.period
-            and a.reduced.perm == b.reduced.perm)

@@ -3,14 +3,15 @@
 Every 1-D refiner in the package (oracle brackets, centres, periodic and
 cycle points) runs the one interval Newton, interval_newton() on ints at
 one scale, or certified sign bisection; a caller on Intervals rounds F and
-F' outward to the Newton's scale.  Every escalation of the working
-precision climbs ladder(), and every 1-D float seed is polished by
-float_newton().
+F' outward to the Newton's scale.  It and params._parabolic_refine's 2x2
+Newton share one outward quotient (dyadic.fixed_quotient) and one stopping
+rule.  Every escalation of the working precision climbs ladder(), and every
+1-D float seed is polished by float_newton().
 """
 
 from __future__ import annotations
 
-from .dyadic import ZERO, Dyadic, Interval
+from .dyadic import ZERO, Dyadic, Interval, fixed_quotient
 
 PRECISION_CAP = 4096
 
@@ -36,8 +37,8 @@ def interval_newton(f, df, lo: int, hi: int, q: int, width: int = 0):
     """Interval Newton N(Y) = m - F(m)/F'(Y) on ints at 2^-q, Y = [lo, hi].
 
     f(m) encloses F at the point m and df(lo, hi) encloses F' over Y, both
-    int pairs at 2^-q; N(Y) rounds outward (its low end ceils the largest
-    quotient, its high end floors the smallest) and is met with Y.  Returns
+    int pairs at 2^-q; N(Y) rounds outward (F(m) / F'(Y) by fixed_quotient,
+    as in the 2x2 parabolic Newton) and is met with Y.  Returns
     (lo, hi, unique), unique once a step landed strictly inside its box
     (then the box holds exactly one root), or None when N(Y) misses Y (no
     root in Y).  Stops below width, when F' may hold 0, or when a step does
@@ -52,9 +53,8 @@ def interval_newton(f, df, lo: int, hi: int, q: int, width: int = 0):
         dl, dh = df(lo, hi)
         if dl <= 0 <= dh:
             break
-        quots = [a << q for a in f(m)]
-        nlo = m - max(-(-a // b) for a in quots for b in (dl, dh))  # ceil
-        nhi = m - min(a // b for a in quots for b in (dl, dh))  # floor
+        ql, qh = fixed_quotient(f(m), (dl, dh), q)
+        nlo, nhi = m - qh, m - ql
         if nlo > hi or nhi < lo:
             return None
         unique = unique or lo < nlo and nhi < hi

@@ -41,11 +41,12 @@ RENORM = "tests/test_renorm.py::TestRenormalization::"
 ESSENTIAL = "tests/test_renorm.py::TestEssentialStructure::"
 
 MUTANTS = [
-    # the one interval Newton (qal.solver) and its closures on G = P^n - id
-    ("solver.py",
-     "nlo = m - max(-(-a // b) for a in quots for b in (dl, dh))",
-     "nlo = m - max(a // b for a in quots for b in (dl, dh))",
-     [SQUEEZE]),
+    # the one interval Newton (qal.solver), its closures on G = P^n - id,
+    # and the outward quotient it shares with the 2x2 parabolic Newton
+    # (qal.dyadic)
+    ("dyadic.py", "-min(-a0 // b0, -a0 // b1, -a1 // b0, -a1 // b1)",
+     "max(a0 // b0, a0 // b1, a1 // b0, a1 // b1)",
+     [INTERVAL + "test_fixed_quotient_sound", SQUEEZE]),
     ("dynamics.py", "return dl - one, dh - one", "return dl, dh", [SQUEEZE]),
     ("solver.py", "unique = unique or lo < nlo and nhi < hi", "unique = True",
      [NEWTON + "test_unique_once_a_step_lands_strictly_inside"]),
@@ -168,6 +169,26 @@ MUTANTS = [
      [ESSENTIAL + "test_a_parameter_outside_the_range_is_refused"]),
     ("renorm.py", "while len(cycle) < period:", "while len(cycle) <= period:",
      [ESSENTIAL + "test_the_cycle_of_j_is_its_first_return_long"]),
+    # the 2x2 parabolic Newton on ints: its determinant's corners, its
+    # strict inclusion test (qal.params); the escape count's upward
+    # rounding and its step-limit exit (qal.dynamics)
+    ("params.py", "return min(m) - max(k), max(m) - min(k)",
+     "return min(m) - min(k), max(m) - max(k)",
+     ["tests/test_params.py::TestWindowEndpoints"
+      "::test_period_two_right_endpoint_closed_form"]),
+    ("params.py", "(cl < nc[0] and nc[1] < ch\n"
+     "                                      and wl < nw[0] and nw[1] < wh)",
+     "(cl <= nc[0] and nc[1] <= ch\n"
+     "                                      and wl <= nw[0] and nw[1] <= wh)",
+     ["tests/test_params.py::TestWindowEndpoints"
+      "::test_a_point_box_at_an_exactly_dyadic_end_is_not_certified"]),
+    ("dynamics.py", "1 if mode == UP else 0", "0",
+     [DYN + "::TestEscapeTime::test_the_count_is_the_dyadic_loop"]),
+    ("dynamics.py",
+     "        if n_hi is None:\n            raise PrecisionExhausted(\n",
+     "        if False:\n            raise PrecisionExhausted(\n",
+     [DYN + "::TestEscapeTime"
+      "::test_the_step_limit_ends_the_run_at_its_first_rung"]),
     # a cached render charged as often as it is asked (qal.attractor)
     ("attractor.py", "ledger.add(cost, times)", "ledger.add(cost)",
      ["tests/test_attractor.py::TestRender"

@@ -2,14 +2,18 @@
 
 import csv
 import io
+from functools import partial
 
 import pytest
 from test_params import time_limit
 
+import qal.cli
+import qal.dynamics
 from qal.cli import (EXIT_ERROR, EXIT_OK, EXIT_UNDECIDED, ESCAPE_HEADER,
                      PROFILE_HEADER, WINDOWS_HEADER, expand_specs, main,
                      parse_oracle)
-from qal.dyadic import Dyadic
+from qal.dyadic import DOWN, Dyadic
+from qal.dynamics import escape_time
 
 
 def run(capsys, *argv):
@@ -180,6 +184,20 @@ class TestEscapeCsv:
     def test_nonpositive_rejected(self, capsys):
         assert run(capsys, "escape", "--eps", "0")[0] == EXIT_ERROR
         assert run(capsys, "escape", "--eps=-1e-3")[0] == EXIT_ERROR
+
+    def test_a_give_up_is_undecided(self, capsys, monkeypatch):
+        # 1e-12 needs about 3.1e6 steps, past a limit of 1000
+        monkeypatch.setattr(qal.cli, "escape_time",
+                            partial(escape_time, max_steps=1000))
+        code, out, err = run(capsys, "escape", "--eps", "1e-12")
+        assert (code, out) == (EXIT_UNDECIDED, "")
+        assert err.startswith("undecided: ") and "step limit" in err
+        # counts that disagree at every rung
+        monkeypatch.setattr(qal.dynamics, "_escape_count",
+                            lambda eps, a, p, mode, n: 1 + (mode == DOWN))
+        code, out, err = run(capsys, "escape", "--eps", "1e-4")
+        assert (code, out) == (EXIT_UNDECIDED, "")
+        assert err.startswith("undecided: ") and "precision cap" in err
 
 
 class TestProfileCsv:

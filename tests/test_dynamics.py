@@ -9,14 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qal.dynamics
-from qal.dyadic import (NEAREST, ZERO, Dyadic, Interval, dy_max, dy_min,
-                        from_fixed, iv_iterate)
-from qal.dynamics import (PARAM_RANGE, ParameterRangeError, TrackedInterval,
-                          _critical_enclosures, _return_map,
+from qal.dyadic import (DOWN, NEAREST, UP, ZERO, Dyadic, Interval, dy_max,
+                        dy_min, from_fixed, iv_iterate)
+from qal.dynamics import (PARAM_RANGE, ParameterRangeError,
+                          PrecisionExhausted, TrackedInterval,
+                          _critical_enclosures, _escape_count, _return_map,
                           _squeeze_cycle_point,
                           certify_attracting_cycle, check_param,
                           critical_orbit, escape_time,
-                          isolate_periodic_points, iter_eval, recheck_cycle,
+                          isolate_periodic_points, iter_eval,
                           symmetric_trap)
 from qal.oracle import WorstCaseOracle, oracle_exact
 from qal.renorm import _SYMBOL, _symbols
@@ -204,7 +205,11 @@ class TestCycleCertification:
     def test_recheck_at_doubled_precision(self):
         o = oracle_exact(Dyadic(-1, -1))
         cert = certify_attracting_cycle(o)
-        assert recheck_cycle(cert, o, 256)
+        # the trap, padded by 2^-64, proved again at 256 bits
+        j, pad = cert.point_enclosures[0], Dyadic(1, -64)
+        j = Interval(j.lo - pad, j.hi + pad)
+        assert j.strictly_contains(iv_iterate(j, o.enclosure(256),
+                                              cert.period, 256))
 
     @pytest.mark.parametrize("c,period,mult,point", [
         # 4(1 + c) = -255/256: a multiplier near -1, near the window's end
@@ -384,6 +389,18 @@ class TestIterEval:
 GATE = Interval(Dyadic(-1, -2), Dyadic(1, -2))
 
 
+def dyadic_escape_count(eps: Dyadic, a: Dyadic, p: int, mode: str,
+                        max_steps: int):
+    """Reference: the escape loop on exact Dyadics, each step rounded to D_p
+    in mode; None past max_steps."""
+    w = -a
+    for k in range(1, max_steps + 1):
+        w = (w + w * w + eps).round(p, mode)
+        if w > a:
+            return k
+    return None
+
+
 class TestEscapeTime:
     def test_unit_epsilon_escapes_in_one_step(self):
         assert escape_time(Dyadic(1), GATE) == 1
@@ -398,6 +415,31 @@ class TestEscapeTime:
         n1 = escape_time(eps, GATE)
         n2 = escape_time(eps.scale2(-2), GATE)
         assert 1.8 <= n2 / n1 <= 2.2
+
+    @given(st.integers(1, 1 << 20), st.integers(0, 120),
+           st.sampled_from([Dyadic(1, -2), Dyadic(7, -5), Dyadic(3, -70)]),
+           st.sampled_from([64, 128]), st.sampled_from([DOWN, UP]),
+           st.integers(1, 400))
+    # 7 * 2^-16 escapes in 296 steps: a step limit at that count, one below
+    @example(7, 16, Dyadic(1, -2), 64, UP, 296)
+    @example(7, 16, Dyadic(1, -2), 64, DOWN, 295)
+    def test_the_count_is_the_dyadic_loop(self, k, e, a, p, mode, max_steps):
+        eps = Dyadic(k, -e)
+        assert (_escape_count(eps, a, p, mode, max_steps)
+                == dyadic_escape_count(eps, a, p, mode, max_steps))
+
+    def test_the_step_limit_ends_the_run_at_its_first_rung(self,
+                                                           monkeypatch):
+        # 2^-40 needs about 3.3e6 steps: past the limit at every rung
+        rungs, count = [], qal.dynamics._escape_count
+
+        def spy(eps, a, p, mode, max_steps):
+            rungs.append(p)
+            return count(eps, a, p, mode, max_steps)
+        monkeypatch.setattr(qal.dynamics, "_escape_count", spy)
+        with pytest.raises(PrecisionExhausted, match="step limit"):
+            escape_time(Dyadic(1, -40), GATE, max_steps=1000)
+        assert set(rungs) == {64}
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

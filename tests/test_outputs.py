@@ -3,7 +3,8 @@
 A change to the arithmetic underneath (rounding, the orbit loops, the float
 seeds of the cycle search) must leave every point list, every rendered row
 and every charged unit as it was.  Each digest covers the printed outputs
-and the units the ledger charged for them.
+and the units the ledger charged for them (the window ends, which charge
+no ledger, cover their brackets alone).
 """
 
 import hashlib
@@ -13,7 +14,7 @@ import pytest
 
 from qal import (Dyadic, Hints, Interval, OracleFault, QueryLedger,
                  approximate, epsilon_family, essential_period, oracle_exact,
-                 principal_nest, render, superstable_center)
+                 principal_nest, render, superstable_center, window_endpoints)
 
 # Inner parts of the hyperbolic windows of periods 1-4, as in the benchmark's
 # `certify` workload; eight c per window, one at the middle of each eighth,
@@ -68,6 +69,12 @@ SOLVE = {
 }
 ALPHA_WAS = Interval(Dyadic(-16746645017129497823, -64),
                      Dyadic(-4186661254282374455, -62))
+
+# Both ends of the window around every centre of periods 2-8, at the default
+# width: the left end by bisection on the kneading order, the right end by
+# the two-variable parabolic Newton.
+WINDOW_ENDS = (
+    "9061d7e139995788683643ecd3a4c0fd6198584afa1188e11a148ce25f30f1c1")
 
 
 def _sha256(data: bytes) -> str:
@@ -139,3 +146,18 @@ def test_principal_nest_of_eps_3():
     rows.append(f"{nest.noncentral_levels} {nest.closed} {nest.truncated} "
                 f"{nest.precision} {nest.param_enclosure} {ledger.total_units}")
     assert _sha256("\n".join(rows).encode()) == SOLVE["nest"]
+
+
+def test_window_ends():
+    rows = []
+    for q in range(2, 9):
+        i = 0
+        while True:
+            try:
+                w = window_endpoints(q, i)
+            except OracleFault as exc:
+                rows.append(str(exc))
+                break
+            rows.append(f"{q}:{i} {w.left} {w.right}")
+            i += 1
+    assert _sha256("\n".join(rows).encode()) == WINDOW_ENDS

@@ -13,8 +13,8 @@ import qal.oracle
 import qal.params
 from qal.dyadic import Dyadic, Interval
 from qal.oracle import OracleFault, WorstCaseOracle, oracle_exact
-from qal.params import (_centre_of, _centre_words, epsilon_family,
-                        feigenbaum_limit, superstable_center,
+from qal.params import (_centre_of, _centre_words, _parabolic_refine,
+                        epsilon_family, feigenbaum_limit, superstable_center,
                         window_endpoint_oracle, window_endpoints,
                         window_locate)
 from qal.renorm import (CombinatorialType, detect_renormalization,
@@ -267,6 +267,14 @@ class TestWindowEndpoints:
         assert win.right.contains(Dyadic(-3, -2))
         assert win.right.width() <= Dyadic(1, -30)
         assert abs(float(win.left.mid()) + 1.5436890126920764) < 1e-9
+
+    def test_a_point_box_at_an_exactly_dyadic_end_is_not_certified(
+            self, monkeypatch):
+        # the period-2 window's end solves P(w) = w, P'(w) = -1 at c = -3/4,
+        # w = -1/2; on that point box N(Y) = Y, never strictly inside
+        assert _parabolic_refine(1, -0.75, -0.5, 34, mult=-1) is not None
+        monkeypatch.setattr(qal.params, "_SEED_RADIUS", 0.0)
+        assert _parabolic_refine(1, -0.75, -0.5, 34, mult=-1) is None
 
     def test_requested_width_is_honored(self):
         win = window_endpoints(3, width_exp=48)

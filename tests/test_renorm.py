@@ -20,11 +20,9 @@ from qal.params import (_centre_of, _centre_words, _window_at,
 from qal.renorm import (CombinatorialType, _admissible, _alpha, _cycle_type,
                         _order, _parse, _pullback, _renorm_images, _symbols,
                         detect_renormalization, essential_period,
-                        essential_structure, essentially_equivalent,
-                        feigenbaum_word, itinerary_type, kneading,
-                        locate_window, principal_nest,
-                        recheck_renormalization, window_left_word,
-                        window_tower)
+                        essential_structure, feigenbaum_word,
+                        itinerary_type, kneading, locate_window,
+                        principal_nest, window_left_word, window_tower)
 from qal.solver import iv_sign
 
 HALF_NEG = Dyadic(-1, -1)
@@ -175,7 +173,9 @@ class TestRenormalization:
         cert = detect_renormalization(o, 4)
         assert cert.period == 3
         assert cert.tau == CombinatorialType(3, (2, 3, 1))
-        assert recheck_renormalization(cert, o)
+        # the trap and its disjoint images, proved again at twice the bits
+        p = 2 * cert.precision
+        assert _renorm_images(cert.J, cert.period, o.enclosure(p), p)
 
     def test_superattracting_two_cycle(self):
         cert = detect_renormalization(oracle_exact(Dyadic(-1)), 4)
@@ -486,7 +486,7 @@ class TestEssentialStructure:
             assert d.essential_period == 5
         assert sum(got[2].neglectable) == 3
         assert sum(got[3].neglectable) == 6
-        assert essentially_equivalent(got[2], got[3])
+        assert got[2].reduced == got[3].reduced
 
     @pytest.mark.parametrize("make", [
         lambda: oracle_exact(Dyadic(-1)), lambda: epsilon_family(1),
