@@ -7,14 +7,15 @@ remain valid under adversarial oracles.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, takewhile
 
 from .dyadic import (DOWN, ONE, UP, ZERO, Dyadic, Interval, dy_max, dy_min,
                      fixed_box, fixed_centred, fixed_orbit, fixed_read,
-                     from_fixed, iv_iterate, iv_quad_step)
+                     from_fixed, iv_quad_step)
 from .oracle import ParamOracle, QueryLedger
-from .solver import PRECISION_CAP, float_newton, interval_newton, ladder
+from .solver import PRECISION_CAP, interval_newton, ladder
 
 NEG_TWO = Dyadic(-2)
 PARAM_RANGE = Interval(NEG_TWO, Dyadic(1, -2))
@@ -226,88 +227,224 @@ def classify_cycle(point_enclosures: list, multiplier: Interval) -> str:
     return "undecided"
 
 
-def _float_cycle_candidate(c: float, max_period: int, transient: int = 4096):
-    """Heuristic (period, point) candidate from plain float iteration.  The
-    transient ends early where its next 2 max_period steps, read every 64
-    steps, repeat with a period n: on the phase it would end on mod n."""
-    x, t, ahead = 0.0, 0, 2 * max_period
-    while t < transient:
-        ys = [x]
-        for _ in range(min(64 + ahead, transient - t)):
-            x = x * x + c
-            ys.append(x)
-        if abs(x) > 4.0:  # past 4 the orbit of 0 only grows
-            return None
-        t, ys = t + len(ys) - 1, ys[-ahead - 1:]
-        n = len(ys) > ahead and next(
-            (n for n in range(1, max_period + 1) if abs(ys[n] - ys[0]) < 1e-9
-             and all(abs(a - b) < 1e-9 for a, b in zip(ys[n:], ys))), None)
-        if n:
-            x = ys[-1 - (t - transient) % n]
-            break
-    tail = [x]
-    for _ in range(4 * max_period):
-        x = x * x + c
-        tail.append(x)
-    for n in range(1, max_period + 1):
-        if abs(tail[n] - tail[0]) < 1e-7 and abs(tail[2 * n] - tail[n]) < 1e-7:
-            def fd(w):  # P^n(w) - w and its derivative
-                v, dv = w, 1.0
-                for _ in range(n):
-                    dv *= 2 * v
-                    v = v * v + c
-                return v - w, dv - 1.0
-            w = float_newton(fd, tail[0])
-            return n, tail[0] if w is None else w
-    return None
-
-
 def certify_attracting_cycle(o: ParamOracle, max_period: int = 64,
                              ledger: QueryLedger | None = None,
                              p_cap: int = PRECISION_CAP) -> CertifiedCycle | None:
-    """Find and rigorously certify the attracting/superattracting limit cycle.
+    """The attracting or superattracting cycle of period <= max_period: its
+    period read off the kneading parse, its point off interval Newton.
 
-    Certificate: a dyadic interval J and n with P^n(J) strictly inside J and
-    the derivative enclosure of P^n over J inside (-1, 1), both read off one
-    fixed_orbit run.  Returns None when no trap certifies below p_cap --
-    never a false certificate.
+    Every attracting n-cycle is the relative alpha' of its window: the one
+    fixed point of P^n inside the window's J = [-j, j] (_cycle_at).  The
+    certificate: a box that interval Newton proves holds one root of P^n -
+    id, its n images pairwise disjoint (so n is the minimal period), and
+    the derivative enclosure of P^n over it inside (-1, 1), read off one
+    fixed_orbit run.  Each rung reads c once, and the climb goes on only
+    where a multiplier holds -1 or 1 or the root queue ends at its minimum
+    width: a decided "no" costs one read.  None when nothing certifies
+    below p_cap -- never a false certificate.
     """
+    from .renorm import _Undecided  # renorm imports this module
     check_param(o, ledger)
-    c_float = float(o.query(min(53, p_cap), ledger))
-    cand = _float_cycle_candidate(c_float, max_period)
-    if cand is None:
-        return None
-    n, w = cand
     for p in ladder(64, p_cap):
-        c = o.enclosure(p, ledger)
-        center = Dyadic.from_float(w).round(min(p, 128))
-        for rexp in range(6, min(40, p // 2), 2):
-            r = Dyadic(1, -rexp)
-            j = Interval(center - r, center + r)
-            q, y, cf = fixed_read(p, j, c)
-            one = 1 << q
-            *_, (lo, hi, d) = fixed_orbit(y, cf, n, q, p, (one, one))
-            if y[0] < lo and hi < y[1] and -one < d[0] and d[1] < one:
-                return _polish_cycle(n, j, c, p)
+        try:
+            return _cycle_at(o.enclosure(p, ledger), p, max_period,
+                             o.known_critical_period)
+        except _Undecided:
+            pass
     return None
 
 
-def _polish_cycle(n: int, j: Interval, c: Interval, p: int) -> CertifiedCycle:
-    """Squeeze the cycle point in a certified trap J (_squeeze_cycle_point),
-    then enclose the cycle and its multiplier along it."""
-    box = _squeeze_cycle_point(j, c, n, p)
-    q, y, cf = fixed_read(p, box, c)
-    steps = list(fixed_orbit(y, cf, n, q, p, (1 << q, 1 << q)))
-    encs = [from_fixed(lo, hi, q) for lo, hi, _ in steps[:-1]]
-    # reduce to the true period if images meet earlier: J traps P^d, and the
-    # one fixed point of P^n in J, inside box, is the fixed point of P^d
-    for d in range(1, n):
-        if (n % d == 0 and not encs[d].disjoint(encs[0])
-                and j.strictly_contains(iv_iterate(j, c, d, p))):
-            return _polish_cycle(d, box, c, p)
-    mult = from_fixed(*steps[-1][2], q)
-    kind = classify_cycle(encs, mult)
-    return CertifiedCycle(n, encs, mult, kind)
+_CYCLE_SYMBOLS = 32  # kneading symbols the cycle's parse reads
+
+
+def _cycle_at(c: Interval, p: int, max_period: int,
+              known: int | None) -> CertifiedCycle | None:
+    """The cycle over the bracket c at working precision p, or None;
+    renorm._Undecided to climb a rung.
+
+    Period 1 is the closed form: alpha (renorm._alpha), multiplier 2 alpha.
+    Where that is below -1, the parse of _CYCLE_SYMBOLS kneading symbols
+    names the tower of windows around c.  A comparison that ran out names a
+    candidate window B: on the plateau between a centre and its right end
+    the kneading is the end's (B t')^oo, which the parse cannot tell from
+    the window of B.  The tower with B is tried first, then the named tower
+    alone: first by Newton from the parse's last orbit point
+    (_seeded_cycle), then down its levels (_cycle_walk).
+    """
+    from .renorm import _SYMBOL, _alpha, _parse, _star, _Undecided
+    q, cf = fixed_read(p, c)
+    top = _cycle_orbit(cf, 1, q, p, fixed_read(q, _alpha(c, p))[1])
+    one, mult = 1 << q, top[-1][2]
+    if -one < mult[0] and mult[1] < one:
+        return _certified(top, q)
+    if not mult[1] < -one:
+        raise _Undecided("the fixed point's multiplier holds -1 or 1")
+    # the critical orbit of _critical_ints, unclamped: where the bracket
+    # straddles -2 an exit at |x| = 4 ends it
+    steps, four = [], 4 << q
+    for lo, hi, _ in fixed_orbit((0, 0), cf, _CYCLE_SYMBOLS, q, p):
+        if hi > four or lo < -four:
+            break
+        steps.append((lo, hi))
+    K = "".join(takewhile("?".__ne__, (
+        "C" if known and k % known == 0 else _SYMBOL[(lo > 0) - (hi < 0)]
+        for k, (lo, hi) in enumerate(steps[1:], 1))))
+    words, _, B = _parse(K, max_period, max_period, max_period, None)
+    # a candidate L is the relative doubling that ends every walk anyway
+    towers = [words + [B], words] if B not in (None, "L") else [words]
+    periods = []
+    for tower in towers:
+        word = ""
+        for A in tower:
+            word = _star(word, A)
+        periods += [n for n in (len(word) + 1, 2 * len(word) + 2)
+                    if 1 < n <= max_period and n not in periods]
+    # the orbit comes back near itself after the cycle's period first
+    x = sum(steps[-1]) >> 1
+    periods.sort(key=lambda n: n >= len(steps) or
+                 abs(x - (sum(steps[-1 - n]) >> 1)) << 6 > one)
+    cert = _seeded_cycle(cf, q, p, x, periods)
+    if cert is not None:
+        return cert
+    undecided = None
+    for tower in towers:
+        try:
+            cert = _cycle_walk(c, cf, q, p, tower, top, max_period)
+        except _Undecided as exc:
+            undecided = exc
+            continue
+        if cert is not None:
+            return cert
+    if undecided:
+        raise undecided
+    return None
+
+
+def _seeded_cycle(cf: tuple, q: int, p: int, x: int,
+                  periods: list) -> CertifiedCycle | None:
+    """The attracting cycle of the first of periods that interval Newton
+    certifies in a box around x, a point of the critical orbit, which an
+    attracting cycle attracts: the box's radius is twice the Newton step at
+    x.  None where no box certifies, as where a multiplier near 1 leaves
+    the orbit far from the cycle."""
+    one = 1 << q
+    for n in periods:
+        run = _cycle_orbit(cf, n, q, p, (x, x))
+        if run is None or run[-1][2][0] <= one <= run[-1][2][1]:
+            continue
+        tl, th, (dl, dh) = run[-1]
+        r = 2 * max(abs(tl - x), abs(th - x)) * one // min(
+            abs(dl - one), abs(dh - one)) + 2
+        if r << 4 > one or _cycle_orbit(cf, n, q, p, (x - r, x + r)) is None:
+            continue  # far off: a wide box would only blow up
+        got = interval_newton(*_return_map(cf, n, q, p), x - r, x + r, q)
+        if got is None or not got[2]:
+            continue
+        orbit = _cycle_orbit(cf, n, q, p, got[:2])
+        mult = orbit[-1][2]
+        if -one < mult[0] and mult[1] < one and _minimal(orbit):
+            return _certified(orbit, q)
+    return None
+
+
+def _cycle_walk(c: Interval, cf: tuple, q: int, p: int, tower: list,
+                orbit: list, max_period: int) -> CertifiedCycle | None:
+    """The first level down tower whose alpha' attracts, from the fixed
+    point's orbit: each relative word starred onto the last level's
+    itinerary, then one relative doubling more where the last multiplier
+    is below -1.  None where a level's J holds no alpha' or the multiplier
+    of the last is outside [-1, 1]; renorm._Undecided where it holds -1 or
+    1."""
+    from .renorm import _VALUE, _renorm_end, _star, _Undecided
+    one, word = 1 << q, ""
+    for k, B in enumerate(tower + ["L"]):
+        if k == len(tower) and not orbit[-1][2][1] < -one:
+            break
+        word = _star(word, B)
+        n = len(word) + 1
+        if n > max_period:
+            break
+        if B == "L":
+            # a doubling: J = [-|x|, |x|], x the last level's cycle point,
+            # taken one grid step inside |x|; at the doubling x is a triple
+            # root of G, which rounding hides within 2^-(p/3)
+            xl, xh = orbit[0][:2]
+            j = min(abs(xl), abs(xh)) - 1 if xl > 0 or xh < 0 else 0
+            depth = p // 3
+        else:
+            # J's end b, b 2^-(p/4) out: next to a saddle node _renorm_end
+            # misses b by up to 2^-(p/2 - 9), more than b lies from alpha';
+            # the root there is a double one, which rounding hides within
+            # 2^-(p/2).  c outside the window has no b.
+            try:
+                b = _renorm_end(c, [_VALUE[s] for s in word], p)
+            except _Undecided:
+                return None
+            j = b.scale2(q).floor_int()
+            j, depth = j + (j >> (p // 4)), p // 2
+        orbit = _alpha_prime(cf, n, q, p, j, (1 << q) >> max(16, depth))
+        if orbit is None:
+            return None
+        mult = orbit[-1][2]
+        if -one < mult[0] and mult[1] < one:
+            return _certified(orbit, q)
+    mult = orbit[-1][2]
+    if mult[0] <= one <= mult[1] or mult[0] <= -one <= mult[1]:
+        raise _Undecided("the cycle's multiplier holds -1 or 1")
+    return None
+
+
+def _alpha_prime(cf: tuple, n: int, q: int, p: int, j: int,
+                 min_width: int) -> list | None:
+    """The _cycle_orbit of the first root of G = P^n - id in [-j, j] whose n
+    images are pairwise disjoint, so that n is its minimal period, passing
+    over a multiplier above 1 (J's end beta'); None when there is none,
+    renorm._Undecided at a root cluster of boxes of min_width: narrower
+    boxes could not split a root that rounding hides, only multiply."""
+    from .renorm import _Undecided
+    if j <= 0:
+        return None
+    # c in the window keeps the images P^k(J), 0 < k < n, off 0; where one
+    # holds 0, P^n turns inside J and G may have roots without number
+    images = _cycle_orbit(cf, n - 1, q, p, (-j, j))
+    if images is None or any(lo <= 0 <= hi for lo, hi, _ in images[1:]):
+        return None
+    for lo, hi, unique in _fixed_point_boxes(cf, n, q, p, -j, j, min_width):
+        if not unique:
+            raise _Undecided("a root cluster at the queue's minimum width")
+        orbit = _cycle_orbit(cf, n, q, p, (lo, hi))
+        if orbit[-1][2][0] <= 1 << q and _minimal(orbit):
+            return orbit
+    return None
+
+
+def _minimal(orbit: list) -> bool:
+    """Whether the n images in the _cycle_orbit of a box that holds a
+    fixed point of P^n are pairwise disjoint: then n is its minimal
+    period."""
+    ends = sorted(step[:2] for step in orbit[:-1])
+    return all(a[1] < b[0] for a, b in zip(ends, ends[1:]))
+
+
+def _cycle_orbit(cf: tuple, n: int, q: int, p: int,
+                 box: tuple) -> list | None:
+    """box and its n images over c = cf, with the derivative of P^n at the
+    end: one fixed_orbit run, (lo, hi, d) int triples at 2^-q; None once an
+    image leaves [-4, 4], past which its ints double in length each step."""
+    one, four, run = 1 << q, 4 << q, []
+    for step in fixed_orbit(box, cf, n, q, p, (one, one)):
+        if step[1] > four or step[0] < -four:
+            return None
+        run.append(step)
+    return run
+
+
+def _certified(orbit: list, q: int) -> CertifiedCycle:
+    """The cycle of a box that holds a fixed point of P^n, n = len(orbit) -
+    1, with pairwise disjoint images, from its _cycle_orbit."""
+    encs = [from_fixed(lo, hi, q) for lo, hi, _ in orbit[:-1]]
+    mult = from_fixed(*orbit[-1][2], q)
+    return CertifiedCycle(len(encs), encs, mult, classify_cycle(encs, mult))
 
 
 def _squeeze_cycle_point(box: Interval, c: Interval, n: int,
@@ -330,7 +467,21 @@ def _return_map(cf: tuple, n: int, q: int, p: int) -> tuple:
         return lo - m, hi - m
 
     def dg(lo, hi):
-        *_, (_, _, (dl, dh)) = fixed_orbit((lo, hi), cf, n, q, p, (one, one))
+        steps = list(fixed_orbit((lo, hi), cf, n, q, p, (one, one)))
+        dl, dh = steps[-1][2]
+        if dl <= one <= dh and lo < hi:
+            # G' may vanish: meet it with G'(m) + G''(Y)[-r, r], G'' over
+            # the box by e' = 2 (d^2 + x e) along the run, outward at 2^-q
+            el = eh = 0
+            for xl, xh, (d0, d1) in steps[:-1]:
+                sq = (d0 * d0, d1 * d1)
+                pr = (el * xl, el * xh, eh * xl, eh * xh)
+                el = (2 * ((0 if d0 <= 0 <= d1 else min(sq)) + min(pr))) >> q
+                eh = -((-2 * (max(sq) + max(pr))) >> q)
+            m = (lo + hi) >> 1
+            *_, (_, _, (ml, mh)) = fixed_orbit((m, m), cf, n, q, p, (one, one))
+            w = max(hi - m, m - lo) * max(-el, eh)
+            dl, dh = max(dl, ((ml << q) - w) >> q), min(dh, -((-(mh << q) - w) >> q))
         return dl - one, dh - one
     return g, dg
 
@@ -368,33 +519,58 @@ def isolate_periodic_points(o: ParamOracle, n: int, p: int,
     Simple roots come back as unique-certified enclosures via sign change +
     interval Newton; root clusters that finite precision cannot split (e.g.
     parabolic double roots) come back as non-unique enclosures.  Jointly the
-    enclosures contain every solution (exclusion test on the complement).
-    Boxes, G = P^n - id and its Newton are ints at one scale 2^-q.
+    enclosures contain every solution (_fixed_point_boxes).
     """
     q, cf = fixed_read(max(p, 16), o.enclosure(p, ledger))
-    one, (g, dg) = 1 << q, _return_map(cf, n, q, p)
+    # all periodic points of x^2+c with c in [-2, 1/4] lie in [-beta, beta]
+    # with beta <= 2; a fixed pad keeps endpoint roots (c = -2) interior
+    one = 1 << q
+    edge, dg = (2 << q) + (one >> 6), _return_map(cf, n, q, p)[1]
+    boxes = _fixed_point_boxes(cf, n, q, p, -edge, edge,
+                               one >> max(16, p // 2))
+    return [PeriodicPoint(from_fixed(lo, hi, q), unique,
+                          from_fixed(*(d + one for d in dg(lo, hi)), q))
+            for lo, hi, unique in sorted(boxes)]
+
+
+def _fixed_point_boxes(cf: tuple, n: int, q: int, p: int, lo: int, hi: int,
+                       min_width: int):
+    """Yield the roots of G = P^n - id in [lo, hi] over c = cf, int boxes
+    (lo, hi, unique) at 2^-q: each simple root as interval Newton certifies
+    it, widest boxes first, then each cluster of boxes of min_width that no
+    unique root explains, after a Newton retry on its hull.  Jointly they
+    hold every root (the exclusion test on the rest), so a caller may stop
+    at the first.
+    """
+    g, dg = _return_map(cf, n, q, p)
+    one = 1 << q
 
     def newton(lo: int, hi: int) -> tuple | None:
         got = interval_newton(g, dg, lo, hi, q)
         return got if got is not None and got[2] else None
 
-    # all periodic points of x^2+c with c in [-2, 1/4] lie in [-beta, beta]
-    # with beta <= 2; a fixed pad keeps endpoint roots (c = -2) interior
-    edge, min_width = (2 << q) + (one >> 6), one >> max(16, p // 2)
-    queue, found, undecided = [(-edge, edge)], [], []
+    queue, found, undecided = deque([(lo, hi)]), [], []
     while queue:
-        lo, hi = queue.pop()
+        lo, hi = queue.popleft()
         # exclusion: the naive run minus the box, met with the centred form
         # G(m) + G'(Y)[-r, r]; subtracting the box from a sharpened P^n
         # would bring back the dependency slop that scales like sqrt(width)
         m = (lo + hi) >> 1
         *_, (tl, th, (dl, dh)) = fixed_orbit((lo, hi), cf, n, q, p, (one, one))
-        fl, fh, _ = fixed_centred((tl - hi, th - lo), g(m),
+        gm = g(m)
+        fl, fh, _ = fixed_centred((tl - hi, th - lo), gm,
                                   (dl - one, dh - one), hi - m, q)
         if fl > 0 or fh < 0:
             continue
+        if dl <= one <= dh:
+            dl, dh = (d + one for d in dg(lo, hi))
+            fl, fh, _ = fixed_centred((tl - hi, th - lo), gm,
+                                      (dl - one, dh - one), hi - m, q)
+            if fl > 0 or fh < 0:
+                continue
         if not dl <= one <= dh and (root := newton(lo, hi)):
             found.append(root)
+            yield root
         elif hi - lo <= min_width:
             undecided.append((lo, hi))
         else:
@@ -407,9 +583,7 @@ def isolate_periodic_points(o: ParamOracle, n: int, p: int,
         # of minimal boxes; a Newton retry on the inflated hull certifies it
         w = max(hi - lo, min_width)
         found.append(newton(lo - w, hi + w) or (lo, hi, False))
-    return [PeriodicPoint(from_fixed(lo, hi, q), unique,
-                          from_fixed(*(d + one for d in dg(lo, hi)), q))
-            for lo, hi, unique in sorted(found)]
+        yield found[-1]
 
 
 def _merge_boxes(boxes: list) -> list:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dyadic import TWO, ZERO, Dyadic, Interval, fixed_read, from_fixed
+from .dyadic import ZERO, Dyadic, Interval, fixed_read, from_fixed
 from .solver import (PRECISION_CAP, interval_newton, iv_sign, ladder,
                      sign_bisect)
 
@@ -110,21 +110,17 @@ def oracle_exact(d: Dyadic) -> ParamOracle:
     return ExactOracle(d)
 
 
-def _exact_critical_period(c: Dyadic, max_steps: int = 64) -> int | None:
-    """The least k <= max_steps with P_c^k(0) = 0, or None.  A Dyadic keeps
-    an odd mantissa, so c.exp < 0 means v2(c) < 0; then by induction
-    v2(P_c^k(0)) = 2^(k-1) v2(c) is finite and P_c^k(0) is never 0.  An
-    integer orbit that leaves [-2, 2] grows without bound."""
-    if c.exp < 0:
-        return None
-    x = ZERO
-    for k in range(1, max_steps + 1):
-        x = x * x + c
-        if x == ZERO:
-            return k
-        if abs(x) > TWO:
-            return None
-    return None
+def _exact_critical_period(c: Dyadic) -> int | None:
+    """The least k with P_c^k(0) = 0, or None: 1 at c = 0, 2 at c = -1.
+
+    A Dyadic keeps an odd mantissa, so c.exp < 0 means v2(c) < 0; then by
+    induction v2(P_c^k(0)) = 2^(k-1) v2(c) is finite and P_c^k(0) is never
+    0.  An integer c >= 1 has the increasing orbit 0 < c < c^2 + c < ...
+    For an integer c <= -2, P^2(0) = c^2 + c >= max(2, -c), and from any
+    x >= max(2, -c) a step gives x^2 + c >= x^2 - x >= x: the orbit stays
+    at 2 or above.  That leaves 0 and -1.
+    """
+    return {ZERO: 1, Dyadic(-1): 2}.get(c)
 
 
 class RefinerOracle(ParamOracle):

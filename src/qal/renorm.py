@@ -253,6 +253,7 @@ def _renorm_end(c: Interval, signs: list, p: int) -> Dyadic:
 # The window tower, parsed from the kneading sequence
 
 _PREFIX_CAP = 4096  # symbols read off one enclosure of c
+_HALF_NEG = Dyadic(-1, -1)
 
 
 def _admissible(B: str) -> bool:
@@ -272,10 +273,13 @@ def itinerary_type(B: str) -> CombinatorialType:
 
 def _parse(K: str, depth: int, max_period: int, max_relative: int,
            cycle_period: int | None) -> tuple:
-    """window_tower on the certified kneading prefix K.  Given the period of
-    a certified attracting cycle, window periods divide it, and one that
-    runs out at it is inside: the cycle's hyperbolic component lies in the
-    window of its centre, whose itinerary is the prefix."""
+    """(words, decided, candidate): window_tower on the certified kneading
+    prefix K.  Given the period of a certified attracting cycle, window
+    periods divide it, and one that runs out at it is inside: the cycle's
+    hyperbolic component lies in the window of its centre, whose itinerary
+    is the prefix.  A comparison that runs out otherwise leaves the parse
+    undecided and names its word B the candidate: on the plateau between
+    a centre and its right end the kneading is that end's (B t')^oo."""
     words, period = [], 1
     while len(words) < depth:
         for q in range(2, min(max_relative, max_period // period) + 1):
@@ -283,9 +287,9 @@ def _parse(K: str, depth: int, max_period: int, max_relative: int,
                 continue
             B = K[:q - 1]
             if "C" in B:  # a centre of smaller period: in no window of q
-                return words, True
+                return words, True, None
             if len(B) < q - 1:
-                return words, False
+                return words, False, None
             if not _admissible(B):
                 continue
             t, t_bar = _tails(B)
@@ -294,14 +298,22 @@ def _parse(K: str, depth: int, max_period: int, max_relative: int,
             if left == -1 or right == 1:
                 continue
             if None in (left, right) and period * q != cycle_period:
-                return words, False
+                return words, False, B
             break
         else:
-            return words, True
+            return words, True, None
         words.append(B)
         period *= q
         K = "".join({t: "L", t_bar: "R", "C": "C"}[s] for s in K[q - 1::q])
-    return words, True
+    return words, True, None
+
+
+def _star(A: str, B: str) -> str:
+    """The itinerary of the centre of the window B inside the window A,
+    A x_1' A x_2' ... A with x' = t for L and t' for R: _parse's de-starring
+    undone."""
+    t, t_bar = _tails(A)
+    return "".join(A + (t if x == "L" else t_bar) for x in B) + A
 
 
 def window_tower(o: ParamOracle, depth: int, max_period: int,
@@ -329,7 +341,10 @@ def window_tower(o: ParamOracle, depth: int, max_period: int,
     tower: c is in, or too near, a hyperbolic component whose kneading is
     an end word.  After an oracle fault, the levels certified at the last m
     it answered stand.  A bracket certified outside [-2, 1/4] raises
-    ParameterRangeError.
+    ParameterRangeError.  A bracket on which the closed form of the fixed
+    point's multiplier (_alpha) certifies 2 alpha > -1 is in no window:
+    ([], True) before any symbol, which spares the main cardioid the 4096
+    symbols of L^oo but for the c within about 2^-6 of -3/4.
     """
     words, decided, m = [], False, 8
     while m <= min(p_cap, _PREFIX_CAP):
@@ -337,12 +352,14 @@ def window_tower(o: ParamOracle, depth: int, max_period: int,
             c = check_range(o.enclosure(m, ledger))
         except OracleFault:
             break
+        if _alpha(c, max(64, 4 * m)).lo > _HALF_NEG:
+            return [], True  # 2 alpha > -1: c > -3/4, in no window
         symbols, K = takewhile("?".__ne__, _symbols(
             c, max(64, 4 * m), o.known_critical_period)), ""
         for length in (64, 512, _PREFIX_CAP):
             K += "".join(islice(symbols, length - len(K)))
-            words, decided = _parse(K, depth, max_period, max_relative,
-                                    cycle_period)
+            words, decided, _ = _parse(K, depth, max_period,
+                                       max_relative, cycle_period)
             if decided or len(K) < length:
                 break
         if decided or len(K) == _PREFIX_CAP:
@@ -362,8 +379,8 @@ def locate_window(o: ParamOracle, max_period: int,
         words, decided = window_tower(o, 1, max_period, max_period, ledger)
         if decided:
             return words, decided
-        try:
-            cert = certify_attracting_cycle(o, max_period, ledger=ledger)
+        try:  # one 64-bit read: a parabolic c would climb to the cap
+            cert = certify_attracting_cycle(o, max_period, ledger, p_cap=64)
         except OracleFault:
             cert = None  # the oracle cannot reach the filter's precision
         if cert is None or cert.kind not in ("attracting", "superattracting"):

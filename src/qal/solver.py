@@ -5,8 +5,9 @@ cycle points) runs the one interval Newton, interval_newton() on ints at
 one scale, or certified sign bisection; a caller on Intervals rounds F and
 F' outward to the Newton's scale.  It and params._parabolic_refine's 2x2
 Newton share one outward quotient (dyadic.fixed_quotient) and one stopping
-rule.  Every escalation of the working precision climbs ladder(), and every
-1-D float seed is polished by float_newton().
+rule.  Every escalation of the working precision climbs ladder().  No float
+seeds a certified root here: the one float seeds left in the package are
+the right window ends' (params._parabolic_float, params._q_float).
 """
 
 from __future__ import annotations
@@ -60,26 +61,6 @@ def interval_newton(f, df, lo: int, hi: int, q: int, width: int = 0):
         unique = unique or lo < nlo and nhi < hi
         lo, hi = max(lo, nlo), min(hi, nhi)
     return lo, hi, unique
-
-
-def float_newton(fd, x0: float) -> float | None:
-    """Float Newton on fd(x) -> (f, f') from x0: a seed, never a certificate.
-
-    Converged once a step falls below 1e-15, or two consecutive steps below
-    1e-11 (long compositions have a float noise floor well above 1e-15).
-    None when f' vanishes or 60 steps do not converge.
-    """
-    x, prev = x0, 1.0
-    for _ in range(60):
-        f, df = fd(x)
-        if df == 0.0:
-            return None
-        step = f / df
-        x -= step
-        if abs(step) < 1e-15 or (abs(step) < 1e-11 and prev < 1e-11):
-            return x
-        prev = abs(step)
-    return None
 
 
 def sign_bisect(sign, box: Interval, s_lo: int, target: Dyadic) -> Interval | None:

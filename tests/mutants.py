@@ -30,8 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DYN = "tests/test_dynamics.py"
 NEWTON = DYN + "::TestIntervalNewton::"
-SQUEEZE = (DYN + "::TestCycleCertification"
-           "::test_each_point_enclosure_holds_a_root")
+CYCLE = DYN + "::TestCycleCertification::"
+SQUEEZE = CYCLE + "test_each_point_enclosure_holds_a_root"
 CENTRES = "tests/test_params.py::TestSuperstableCenters::"
 INTERVAL = "tests/test_dyadic.py::TestInterval::"
 PULLBACK = ("tests/test_renorm.py::TestLevelPullback"
@@ -47,7 +47,23 @@ MUTANTS = [
     ("dyadic.py", "-min(-a0 // b0, -a0 // b1, -a1 // b0, -a1 // b1)",
      "max(a0 // b0, a0 // b1, a1 // b0, a1 // b1)",
      [INTERVAL + "test_fixed_quotient_sound", SQUEEZE]),
-    ("dynamics.py", "return dl - one, dh - one", "return dl, dh", [SQUEEZE]),
+    ("dynamics.py", "return dl - one, dh - one", "return dl, dh",
+     [CYCLE + "test_a_multiplier_near_one_certifies"]),
+    # the cycle search (qal.dynamics): the closed form's strict -1 < 2 alpha,
+    # the relative doubling that ends a walk, and the disjoint images that
+    # fix the period
+    ("dynamics.py", "    if -one < mult[0] and mult[1] < one:\n"
+     "        return _certified(top, q)\n",
+     "    if -one <= mult[0] and mult[1] < one:\n"
+     "        return _certified(top, q)\n",
+     [CYCLE + "test_a_multiplier_of_minus_one_is_not_attracting"]),
+    ("dynamics.py", 'for k, B in enumerate(tower + ["L"]):',
+     "for k, B in enumerate(tower):",
+     [CYCLE + "test_both_sides_of_a_doubling_certify"]),
+    ("dynamics.py",
+     "    return all(a[1] < b[0] for a, b in zip(ends, ends[1:]))\n",
+     "    return True\n",
+     [CYCLE + "test_a_multiple_of_the_period_is_not_certified"]),
     ("solver.py", "unique = unique or lo < nlo and nhi < hi", "unique = True",
      [NEWTON + "test_unique_once_a_step_lands_strictly_inside"]),
     ("solver.py", "        if nlo > hi or nhi < lo:\n            return None\n",
@@ -82,8 +98,9 @@ MUTANTS = [
      "        if ledger is not None and not hit:\n",
      ["tests/test_oracle.py::TestLedger"
       "::test_charges_every_query_including_cache_hits"]),
-    ("oracle.py", "if c.exp < 0:", "if c.exp <= 0:",
-     ["tests/test_oracle.py::TestExactCriticalPeriod::test_integer_periods"]),
+    ("oracle.py", "{ZERO: 1, Dyadic(-1): 2}", "{ZERO: 1, Dyadic(-2): 2}",
+     ["tests/test_oracle.py::TestExactCriticalPeriod"
+      "::test_the_rule_is_the_loop_on_integers"]),
     # kneading words and the nest's pullback (qal.renorm)
     ("renorm.py", "return all(_order(w[j:], w) == 1",
      "return True or all(_order(w[j:], w) == 1",

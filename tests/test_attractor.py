@@ -278,7 +278,7 @@ class TestLedgerAccounting:
     @pytest.mark.parametrize("ask", ["render", "pixel_query"])
     def test_a_failed_build_is_charged_once(self, ask):
         # 16 bits cannot certify this attracting 4-cycle, so the build fails
-        # after five queries; the caller is charged for them once
+        # after four queries; the caller is charged for them once
         o, budget = parse_oracle("exact:-21*2^-4"), Budget(max_precision=16)
         ledger = QueryLedger()
         with pytest.raises(ApproximationFailed):
@@ -288,7 +288,7 @@ class TestLedgerAccounting:
             else:
                 pixel_query(o, 20, Dyadic(0), None, budget, ledger)
         assert (ledger.total_units, ledger.query_count,
-                ledger.max_precision) == (68, 5, 16)
+                ledger.max_precision) == (52, 4, 16)
 
 
 class TestCaseOneA:
@@ -318,10 +318,10 @@ class TestCaseOneA:
         assert [str(p) for p in got.points] == points
 
     @pytest.mark.parametrize("n,points,charged", [
-        (16, ["-316255*2^-18", "54111*2^-18"], (149, 4, 64)),
-        (40, ["-5305873282667*2^-42", "907826771563*2^-42"], (149, 4, 64)),
+        (16, ["-316255*2^-18", "54111*2^-18"], (96, 3, 64)),
+        (40, ["-5305873282667*2^-42", "907826771563*2^-42"], (96, 3, 64)),
         (60, ["-5563611383246014205*2^-62", "951925364818626301*2^-62"],
-         (421, 6, 136)),
+         (368, 5, 136)),
     ])
     def test_a_narrow_certificate_reads_c_no_further(self, n, points, charged):
         # the certificate of this 2-cycle (multiplier -255/256) encloses its
@@ -489,7 +489,7 @@ class TestNestedCycleCover:
          "cap 17 gives)", 338),
         (lambda: parse_oracle("exact:-1469265*2^-20"), 5, None, None,
          "period-512 trap not certified below the precision cap (m <= 45)",
-         504),
+         515),
         (lambda: parse_oracle("superstable:6:4"), 5, Hints(case="3"),
          Budget(depth=3),
          "period-6 trap not certified below the precision cap (m <= 45)",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import qal.dynamics
 from qal.dyadic import (DOWN, NEAREST, UP, ZERO, Dyadic, Interval, dy_max,
-                        dy_min, from_fixed, iv_iterate)
+                        dy_min, fixed_read, from_fixed, iv_iterate)
 from qal.dynamics import (PARAM_RANGE, ParameterRangeError,
                           PrecisionExhausted, TrackedInterval,
                           _critical_enclosures, _escape_count, _return_map,
@@ -29,6 +29,23 @@ CYCLE_WINDOWS = [(q, math.ceil(lo * 2**32), math.floor(hi * 2**32))
                  for q, lo, hi in ((1, -0.7, 0.2), (2, -1.2, -0.8),
                                    (3, -1.766, -1.752), (4, -1.36, -1.26),
                                    (8, -1.394, -1.388))]
+
+# the doublings and saddle nodes of the hyperbolic components of periods
+# 1-5, to 2^-64 (params._parabolic_refine at multipliers -1 and 1)
+WINDOW_ENDS = [Dyadic(m, e) for m, e in (
+    (1, -2), (-3, -2), (-5, -2), (-7, -2),
+    (-25236971002464012027, -64), (-32623604662465844595, -64),
+    (-1118651367696193201, -59), (-8953762510997106079, -62),
+    (-9156086113456525153, -62), (-9156354182626449415, -62),
+    (-34321771721211067151, -64), (-17168062776544445259, -63),
+    (-14982417766637784755, -63), (-938729297874603867, -59))]
+
+# the windows of the periods 1, 2, 3, 4 and 8 cycles
+SAMPLE_WINDOWS = [(Fraction(-3, 4), Fraction(1, 4)),
+                  (Fraction(-5, 4), Fraction(-3, 4)),
+                  (Fraction(-17685, 10000), Fraction(-7, 4)),
+                  (Fraction(-13681, 10000), Fraction(-5, 4)),
+                  (Fraction(-1394, 1000), Fraction(-13681, 10000))]
 
 params_in_range = st.builds(
     lambda k: Dyadic(k, -52),
@@ -234,8 +251,6 @@ class TestCycleCertification:
         period, k = drawn
         c = Dyadic(k, -32)
         cert = certify_attracting_cycle(oracle_exact(c))
-        if cert is None:  # near a window's end the float seed can miss
-            return
         assert cert.period == period
         assert cert.kind in ("attracting", "superattracting")
 
@@ -253,6 +268,81 @@ class TestCycleCertification:
         e = _squeeze_cycle_point(Interval(e.lo - r, e.hi + r),
                                  Interval.point(c), period, 64)
         assert g(e.lo) >= Dyadic(0) >= g(e.hi)
+
+
+    @pytest.mark.parametrize("c, period, mult", [
+        (Dyadic(-5986906311, -32), 8, Fraction(-9908, 10000)),
+        (Dyadic(-5369977209, -32), 4, Fraction(9953, 10000))])
+    def test_a_multiplier_near_one_certifies(self, c, period, mult):
+        # an orbit converging at a rate near 1 is still far from the cycle
+        # after thousands of steps; the window's J holds the cycle anyway
+        cert = certify_attracting_cycle(oracle_exact(c))
+        assert (cert.period, cert.kind) == (period, "attracting")
+        assert abs(cert.multiplier.mid().as_fraction() - mult) < \
+            Fraction(1, 10**4)
+
+    @pytest.mark.parametrize("base, side, period, sign", [
+        (Dyadic(-3, -2), 1, 1, -1), (Dyadic(-3, -2), -1, 2, 1),
+        (Dyadic(-5, -2), 1, 2, -1), (Dyadic(-5, -2), -1, 4, 1)])
+    def test_both_sides_of_a_doubling_certify(self, base, side, period,
+                                              sign):
+        # -3/4 and -5/4 +- 2^-k: the multiplier tends to -1 from above on
+        # the near side and to 1 from below past the doubling
+        for k in range(6, 61):
+            cert = certify_attracting_cycle(
+                oracle_exact(base + Dyadic(side, -k)))
+            assert (cert.period, cert.kind) == (period, "attracting"), k
+            assert iv_sign(cert.multiplier) == sign, k
+
+    @given(st.sampled_from(WINDOW_ENDS).flatmap(
+        lambda end: st.builds(lambda k: end + Dyadic(k, -64),
+                              st.integers(-(1 << 24), 1 << 24))))
+    @settings(max_examples=40, deadline=None)
+    def test_near_a_window_end_a_cycle_is_sound(self, c):
+        # within 2^-40 of a doubling or a saddle node the answer may be
+        # None; a cycle has disjoint points, each holding the sign change
+        # of G = P^n - id exactly, and a multiplier inside (-1, 1)
+        cert = certify_attracting_cycle(oracle_exact(c), p_cap=512)
+        if cert is None:
+            return
+        encs = sorted(cert.point_enclosures, key=lambda e: e.lo)
+        assert all(a.hi < b.lo for a, b in zip(encs, encs[1:]))
+        assert Dyadic(-1) < cert.multiplier.lo and cert.multiplier.hi < \
+            Dyadic(1)
+
+        def g(x):
+            y = x
+            for _ in range(cert.period):
+                y = y * y + c
+            return y - x
+        for e in cert.point_enclosures:
+            assert g(e.lo) >= Dyadic(0) >= g(e.hi)
+
+    def test_a_multiplier_of_minus_one_is_not_attracting(self):
+        # the 64-bit bracket of -3/4 + 2^-63 starts at -3/4, where the
+        # closed form 2 alpha is -1 exactly; 128 bits certify it
+        o = oracle_exact(Dyadic(-3, -2) + Dyadic(1, -63))
+        assert certify_attracting_cycle(o, p_cap=64) is None
+        cert = certify_attracting_cycle(o, p_cap=128)
+        assert (cert.period, cert.kind) == (1, "attracting")
+
+    def test_a_multiple_of_the_period_is_not_certified(self):
+        # 0 is a root of P^4 - id at c = -1, in a box where P^4 contracts;
+        # its images meet, so the period is not 4
+        q, cf = fixed_read(64, oracle_exact(Dyadic(-1)).enclosure(64))
+        assert qal.dynamics._seeded_cycle(cf, q, 64, 0, [4]) is None
+        cert = qal.dynamics._seeded_cycle(cf, q, 64, 0, [4, 2])
+        assert (cert.period, cert.kind) == (2, "superattracting")
+
+    def test_the_sample_of_five_windows_certifies(self):
+        # 200 c at the odd 400ths of each window, on the grid 2^-32; near
+        # 1 in modulus the multipliers of 4 of them once went undecided
+        for (lo, hi), period in zip(SAMPLE_WINDOWS, (1, 2, 3, 4, 8)):
+            for j in range(200):
+                x = lo + (hi - lo) * Fraction(2 * j + 1, 400)
+                c = Dyadic(round(x * 2**32), -32)
+                cert = certify_attracting_cycle(oracle_exact(c))
+                assert (cert.period, cert.kind) == (period, "attracting"), c
 
 
 def float_root_count(c: float, n: int, grid: int = 1 << 16) -> int:

@@ -134,3 +134,13 @@ class TestExactCriticalPeriod:
     def test_integer_periods(self):
         assert [_exact_critical_period(Dyadic(k)) for k in (0, -1, -2, 1)] \
             == [1, 2, None, None]
+
+    @pytest.mark.parametrize("k", range(-3, 3))
+    def test_the_rule_is_the_loop_on_integers(self, k):
+        assert _exact_critical_period(Dyadic(k)) == \
+            squaring_critical_period(Dyadic(k))
+
+    @given(st.builds(Dyadic, st.integers(-(1 << 20), 1 << 20),
+                     st.integers(-24, 2)))
+    def test_the_rule_is_the_loop_on_dyadics(self, c):
+        assert _exact_critical_period(c) == squaring_critical_period(c)

@@ -146,10 +146,10 @@ class TestKneadingParse:
         c = feigenbaum_limit().enclosure(27)
         K = "".join(takewhile("?".__ne__,
                               islice(_symbols(c, 108, None), 4096)))
-        full = _parse(K, 5, 64, 8, None)
+        full = _parse(K, 5, 64, 8, None)[:2]
         assert full == (["L"] * 5, True)
         for j in range(len(K)):
-            words, decided = _parse(K[:j], 5, 64, 8, None)
+            words, decided, _ = _parse(K[:j], 5, 64, 8, None)
             assert words == full[0][:len(words)]
             assert not decided or (words, decided) == full
         for word in (window_left_word("L"), "L" * len(K)):
@@ -251,14 +251,23 @@ class TestRenormalization:
             assert cert.tau == itinerary_type(words[0])
 
     def test_the_cycle_decides_a_right_end_word(self):
-        # -7/8 (an attracting 2-cycle) and -1/2 (a fixed point) share the
-        # kneading L^oo, the right end word of the period-2 window: the
-        # parse alone is undecided, the cycle's period decides
+        # -7/8 (an attracting 2-cycle) and -3/4 + 2^-10 (a fixed point)
+        # share the kneading L^oo, the right end word of the period-2
+        # window: the parse alone is undecided, the cycle's period decides
         seven_eighths = oracle_exact(Dyadic(-7, -3))
-        for o in (seven_eighths, oracle_exact(HALF_NEG)):
+        cardioid = oracle_exact(Dyadic(-767, -10))
+        for o in (seven_eighths, cardioid):
             assert window_tower(o, 1, 4, 4) == ([], False)
         assert locate_window(seven_eighths, 4) == (["L"], True)
-        assert locate_window(oracle_exact(HALF_NEG), 4) == ([], True)
+        assert locate_window(cardioid, 4) == ([], True)
+
+    def test_the_closed_form_decides_the_main_cardioid(self):
+        # -1/2 shares that kneading too, but its 8-bit bracket certifies
+        # 2 alpha > -1: in no window, before any symbol is read
+        ledger = QueryLedger()
+        assert window_tower(oracle_exact(HALF_NEG), 1, 4, 4, ledger) == (
+            [], True)
+        assert (ledger.total_units, ledger.query_count) == (8, 1)
 
     def test_a_trap_whose_images_overlap_is_no_renormalization(self):
         # the period-2 J at c = -1 traps P^4 too, but its images overlap
