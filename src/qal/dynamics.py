@@ -18,6 +18,7 @@ from .oracle import ParamOracle, QueryLedger
 from .solver import PRECISION_CAP, interval_newton, ladder
 
 NEG_TWO = Dyadic(-2)
+_CARDIOID_END = Dyadic(-3, -2)  # 2 alpha = -1 at c = -3/4
 PARAM_RANGE = Interval(NEG_TWO, Dyadic(1, -2))
 BLOWUP_WIDTH = Dyadic(1, -4)
 
@@ -231,16 +232,18 @@ def certify_attracting_cycle(o: ParamOracle, max_period: int = 64,
                              ledger: QueryLedger | None = None,
                              p_cap: int = PRECISION_CAP) -> CertifiedCycle | None:
     """The attracting or superattracting cycle of period <= max_period: its
-    period read off the kneading parse, its point off interval Newton.
+    period read off the critical orbit or the kneading parse, its point off
+    interval Newton.
 
-    Every attracting n-cycle is the relative alpha' of its window: the one
-    fixed point of P^n inside the window's J = [-j, j] (_cycle_at).  The
-    certificate: a box that interval Newton proves holds one root of P^n -
-    id, its n images pairwise disjoint (so n is the minimal period), and
-    the derivative enclosure of P^n over it inside (-1, 1), read off one
-    fixed_orbit run.  Each rung reads c once, and the climb goes on only
-    where a multiplier holds -1 or 1 or the root queue ends at its minimum
-    width: a decided "no" costs one read.  None when nothing certifies
+    Every attracting n-cycle attracts the critical orbit, and is the
+    relative alpha' of its window: the one fixed point of P^n inside the
+    window's J = [-j, j] (_cycle_at).  The certificate: a box that interval
+    Newton proves holds one root of P^n - id, its n images pairwise
+    disjoint (so n is the minimal period), and the derivative enclosure of
+    P^n over it inside (-1, 1), read off one fixed_orbit run.  Each rung
+    reads c once, and the climb goes on only where a multiplier holds -1
+    or 1, the root queue ends at its minimum width, or '?' cuts the parse
+    short: a decided "no" costs one read.  None when nothing certifies
     below p_cap -- never a false certificate.
     """
     from .renorm import _Undecided  # renorm imports this module
@@ -254,123 +257,103 @@ def certify_attracting_cycle(o: ParamOracle, max_period: int = 64,
     return None
 
 
-_CYCLE_SYMBOLS = 32  # kneading symbols the cycle's parse reads
-
-
 def _cycle_at(c: Interval, p: int, max_period: int,
               known: int | None) -> CertifiedCycle | None:
     """The cycle over the bracket c at working precision p, or None;
     renorm._Undecided to climb a rung.
 
-    Period 1 is the closed form: alpha (renorm._alpha), multiplier 2 alpha.
-    Where that is below -1, the parse of _CYCLE_SYMBOLS kneading symbols
-    names the tower of windows around c.  A comparison that ran out names a
-    candidate window B: on the plateau between a centre and its right end
-    the kneading is the end's (B t')^oo, which the parse cannot tell from
-    the window of B.  The tower with B is tried first, then the named tower
-    alone: first by Newton from the parse's last orbit point
-    (_seeded_cycle), then down its levels (_cycle_walk).
+    Period 1 is the closed form: alpha (renorm._alpha), multiplier 2 alpha,
+    which is below -1 where c < -3/4.  There, the critical orbit of
+    _critical_ints: its last point x lies near the cycle that attracts it,
+    and where the orbit comes back within 2^-6 of x after n steps,
+    interval Newton tries the n-cycle around x (_seeded_cycle).  Where a
+    multiplier near -1 or 1 slows the orbit, no such box holds the cycle;
+    then the parse of the kneading (renorm._symbols, renorm._parse) names
+    the tower of windows around c, and _cycle_walk finds the cycle down
+    its levels.  Both read 32 steps, then, where those find no cycle and
+    the parse ran out, 2 max_period + 2, enough to name a window of any
+    period up to max_period.  A parse cut short by '?' climbs a rung.  The
+    walk alone took 2.6 times as long on the certify benchmark's
+    parameters.
     """
-    from .renorm import _SYMBOL, _alpha, _parse, _star, _Undecided
+    from .renorm import _alpha, _parse, _symbols, _Undecided
     q, cf = fixed_read(p, c)
-    top = _cycle_orbit(cf, 1, q, p, fixed_read(q, _alpha(c, p))[1])
-    one, mult = 1 << q, top[-1][2]
-    if -one < mult[0] and mult[1] < one:
-        return _certified(top, q)
-    if not mult[1] < -one:
-        raise _Undecided("the fixed point's multiplier holds -1 or 1")
-    # the critical orbit of _critical_ints, unclamped: where the bracket
-    # straddles -2 an exit at |x| = 4 ends it
-    steps, four = [], 4 << q
-    for lo, hi, _ in fixed_orbit((0, 0), cf, _CYCLE_SYMBOLS, q, p):
-        if hi > four or lo < -four:
-            break
-        steps.append((lo, hi))
-    K = "".join(takewhile("?".__ne__, (
-        "C" if known and k % known == 0 else _SYMBOL[(lo > 0) - (hi < 0)]
-        for k, (lo, hi) in enumerate(steps[1:], 1))))
-    words, _, B = _parse(K, max_period, max_period, max_period, None)
-    # a candidate L is the relative doubling that ends every walk anyway
-    towers = [words + [B], words] if B not in (None, "L") else [words]
-    periods = []
-    for tower in towers:
-        word = ""
-        for A in tower:
-            word = _star(word, A)
-        periods += [n for n in (len(word) + 1, 2 * len(word) + 2)
-                    if 1 < n <= max_period and n not in periods]
-    # the orbit comes back near itself after the cycle's period first
-    x = sum(steps[-1]) >> 1
-    periods.sort(key=lambda n: n >= len(steps) or
-                 abs(x - (sum(steps[-1 - n]) >> 1)) << 6 > one)
-    cert = _seeded_cycle(cf, q, p, x, periods)
-    if cert is not None:
+    if not c.hi < _CARDIOID_END:
+        top = _cycle_orbit(cf, 1, q, p, fixed_read(q, _alpha(c, p))[1])
+        if (cert := _attracting(top, q)) is None:
+            raise _Undecided("the fixed point's multiplier holds -1 or 1")
         return cert
-    undecided = None
-    for tower in towers:
-        try:
-            cert = _cycle_walk(c, cf, q, p, tower, top, max_period)
-        except _Undecided as exc:
-            undecided = exc
-            continue
-        if cert is not None:
-            return cert
-    if undecided:
-        raise undecided
-    return None
-
-
-def _seeded_cycle(cf: tuple, q: int, p: int, x: int,
-                  periods: list) -> CertifiedCycle | None:
-    """The attracting cycle of the first of periods that interval Newton
-    certifies in a box around x, a point of the critical orbit, which an
-    attracting cycle attracts: the box's radius is twice the Newton step at
-    x.  None where no box certifies, as where a multiplier near 1 leaves
-    the orbit far from the cycle."""
     one = 1 << q
-    for n in periods:
-        run = _cycle_orbit(cf, n, q, p, (x, x))
-        if run is None or run[-1][2][0] <= one <= run[-1][2][1]:
-            continue
-        tl, th, (dl, dh) = run[-1]
-        r = 2 * max(abs(tl - x), abs(th - x)) * one // min(
-            abs(dl - one), abs(dh - one)) + 2
-        if r << 4 > one or _cycle_orbit(cf, n, q, p, (x - r, x + r)) is None:
-            continue  # far off: a wide box would only blow up
-        got = interval_newton(*_return_map(cf, n, q, p), x - r, x + r, q)
-        if got is None or not got[2]:
-            continue
-        orbit = _cycle_orbit(cf, n, q, p, got[:2])
-        mult = orbit[-1][2]
-        if -one < mult[0] and mult[1] < one and _minimal(orbit):
-            return _certified(orbit, q)
+    orbit, longest, steps = _critical_ints(c, p)[1], 2 * max_period + 2, []
+    for length in sorted({min(32, longest), longest}):
+        tried = len(steps)  # periods below it were tried at the last x
+        steps += islice(orbit, length + 1 - len(steps))
+        x = steps[-1][0]
+        for n in range(max(2, tried), min(max_period + 1, len(steps))):
+            if abs(x - steps[-1 - n][0]) < one >> 6 and (
+                    cert := _seeded_cycle(cf, n, q, p, x)):
+                return cert
+        K = "".join(takewhile("?".__ne__, _symbols(steps, known)))
+        words, decided, B = _parse(K, max_period, max_period, max_period,
+                                   None)
+        if not decided and B is None and len(K) == length < longest:
+            continue  # the parse ran out of symbols: read more first
+        cert = _cycle_walk(c, cf, q, p, words, B, max_period)
+        if cert is not None or decided or len(steps) <= length:
+            return cert
+        if len(K) < length:
+            raise _Undecided("the kneading runs into '?'")
     return None
 
 
-def _cycle_walk(c: Interval, cf: tuple, q: int, p: int, tower: list,
-                orbit: list, max_period: int) -> CertifiedCycle | None:
-    """The first level down tower whose alpha' attracts, from the fixed
+def _seeded_cycle(cf: tuple, n: int, q: int, p: int,
+                  x: int) -> CertifiedCycle | None:
+    """The attracting n-cycle that interval Newton certifies in a box of
+    twice the last of up to three point Newton steps on G = P^n - id from
+    x, or None."""
+    one = 1 << q
+    for _ in range(3):
+        run = _cycle_orbit(cf, n, q, p, (x, x))
+        if run is None or not -2 * one < run[-1][2][0] < 2 * one:
+            return None  # near an attracting cycle (P^n)' is its multiplier
+        tl, th, (dl, dh) = run[-1]
+        step = ((tl + th >> 1) - x) * one // ((dl + dh >> 1) - one or 1)
+        x, r = x - step, 2 * abs(step) + (one >> p // 2)
+        if r < one >> p // 2 - 2:
+            break  # a further step would be below the rounding
+    if r << 4 > one or _cycle_orbit(cf, n, q, p, (x - r, x + r)) is None:
+        return None  # far off: a wide box would only blow up
+    got = interval_newton(*_return_map(cf, n, q, p), x - r, x + r, q)
+    orbit = got and got[2] and _cycle_orbit(cf, n, q, p, got[:2])
+    return _attracting(orbit, q) if orbit and _minimal(orbit) else None
+
+
+def _cycle_walk(c: Interval, cf: tuple, q: int, p: int, words: list,
+                B: str | None, max_period: int) -> CertifiedCycle | None:
+    """The first level down the tower whose alpha' attracts, from the fixed
     point's orbit: each relative word starred onto the last level's
-    itinerary, then one relative doubling more where the last multiplier
-    is below -1.  None where a level's J holds no alpha' or the multiplier
-    of the last is outside [-1, 1]; renorm._Undecided where it holds -1 or
-    1."""
-    from .renorm import _VALUE, _renorm_end, _star, _Undecided
+    itinerary, then the candidate B (on the plateau between a centre and
+    its right end the kneading is the end's (B t')^oo, which the parse
+    cannot tell from the window of B), then one relative doubling more
+    where the last multiplier is below -1.  None where a level's J holds
+    no alpha' or the last multiplier is outside [-1, 1];
+    renorm._Undecided where it holds -1 or 1."""
+    from .renorm import _VALUE, _alpha, _renorm_end, _star, _Undecided
     one, word = 1 << q, ""
-    for k, B in enumerate(tower + ["L"]):
-        if k == len(tower) and not orbit[-1][2][1] < -one:
-            break
-        word = _star(word, B)
+    orbit = _cycle_orbit(cf, 1, q, p, fixed_read(q, _alpha(c, p))[1])
+    # a candidate L is the relative doubling that ends every walk anyway
+    levels = words + ([B] if B not in (None, "L") else [])
+    for k, A in enumerate(levels + ["L"]):
+        word = _star(word, A)
         n = len(word) + 1
-        if n > max_period:
+        if n > max_period or k == len(levels) and not orbit[-1][2][1] < -one:
             break
-        if B == "L":
+        if A == "L":
             # a doubling: J = [-|x|, |x|], x the last level's cycle point,
-            # taken one grid step inside |x|; at the doubling x is a triple
-            # root of G, which rounding hides within 2^-(p/3)
-            xl, xh = orbit[0][:2]
-            j = min(abs(xl), abs(xh)) - 1 if xl > 0 or xh < 0 else 0
-            depth = p // 3
+            # a fixed point of P^n that the queue passes over (multiplier
+            # above 1); at the doubling x is a triple root of G, which
+            # rounding hides within 2^-(p/3)
+            j, depth = abs(orbit[0][0] + orbit[0][1]) >> 1, p // 3
         else:
             # J's end b, b 2^-(p/4) out: next to a saddle node _renorm_end
             # misses b by up to 2^-(p/2 - 9), more than b lies from alpha';
@@ -382,12 +365,11 @@ def _cycle_walk(c: Interval, cf: tuple, q: int, p: int, tower: list,
                 return None
             j = b.scale2(q).floor_int()
             j, depth = j + (j >> (p // 4)), p // 2
-        orbit = _alpha_prime(cf, n, q, p, j, (1 << q) >> max(16, depth))
+        orbit = _alpha_prime(cf, n, q, p, j, one >> max(16, depth))
         if orbit is None:
             return None
-        mult = orbit[-1][2]
-        if -one < mult[0] and mult[1] < one:
-            return _certified(orbit, q)
+        if (cert := _attracting(orbit, q)) is not None:
+            return cert
     mult = orbit[-1][2]
     if mult[0] <= one <= mult[1] or mult[0] <= -one <= mult[1]:
         raise _Undecided("the cycle's multiplier holds -1 or 1")
@@ -402,11 +384,9 @@ def _alpha_prime(cf: tuple, n: int, q: int, p: int, j: int,
     renorm._Undecided at a root cluster of boxes of min_width: narrower
     boxes could not split a root that rounding hides, only multiply."""
     from .renorm import _Undecided
-    if j <= 0:
-        return None
     # c in the window keeps the images P^k(J), 0 < k < n, off 0; where one
     # holds 0, P^n turns inside J and G may have roots without number
-    images = _cycle_orbit(cf, n - 1, q, p, (-j, j))
+    images = _cycle_orbit(cf, n - 1, q, p, (-j, j)) if j > 0 else None
     if images is None or any(lo <= 0 <= hi for lo, hi, _ in images[1:]):
         return None
     for lo, hi, unique in _fixed_point_boxes(cf, n, q, p, -j, j, min_width):
@@ -416,6 +396,19 @@ def _alpha_prime(cf: tuple, n: int, q: int, p: int, j: int,
         if orbit[-1][2][0] <= 1 << q and _minimal(orbit):
             return orbit
     return None
+
+
+def _attracting(orbit: list | None, q: int) -> CertifiedCycle | None:
+    """The cycle of a box that holds a fixed point of P^n, n = len(orbit) -
+    1, with pairwise disjoint images, from its _cycle_orbit, where the
+    multiplier is inside (-1, 1); else None."""
+    one = 1 << q
+    if orbit is None or not -one < orbit[-1][2][0] or \
+            not orbit[-1][2][1] < one:
+        return None
+    encs = [from_fixed(lo, hi, q) for lo, hi, _ in orbit[:-1]]
+    mult = from_fixed(*orbit[-1][2], q)
+    return CertifiedCycle(len(encs), encs, mult, classify_cycle(encs, mult))
 
 
 def _minimal(orbit: list) -> bool:
@@ -437,14 +430,6 @@ def _cycle_orbit(cf: tuple, n: int, q: int, p: int,
             return None
         run.append(step)
     return run
-
-
-def _certified(orbit: list, q: int) -> CertifiedCycle:
-    """The cycle of a box that holds a fixed point of P^n, n = len(orbit) -
-    1, with pairwise disjoint images, from its _cycle_orbit."""
-    encs = [from_fixed(lo, hi, q) for lo, hi, _ in orbit[:-1]]
-    mult = from_fixed(*orbit[-1][2], q)
-    return CertifiedCycle(len(encs), encs, mult, classify_cycle(encs, mult))
 
 
 def _squeeze_cycle_point(box: Interval, c: Interval, n: int,
@@ -481,7 +466,8 @@ def _return_map(cf: tuple, n: int, q: int, p: int) -> tuple:
             m = (lo + hi) >> 1
             *_, (_, _, (ml, mh)) = fixed_orbit((m, m), cf, n, q, p, (one, one))
             w = max(hi - m, m - lo) * max(-el, eh)
-            dl, dh = max(dl, ((ml << q) - w) >> q), min(dh, -((-(mh << q) - w) >> q))
+            dl = max(dl, ((ml << q) - w) >> q)
+            dh = min(dh, -((-(mh << q) - w) >> q))
         return dl - one, dh - one
     return g, dg
 

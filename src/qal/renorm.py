@@ -55,7 +55,8 @@ def kneading(o: ParamOracle, length: int,
     best = "?" * length
     for p in ladder():
         c = check_range(o.enclosure(p, ledger))
-        s = "C" + "".join(islice(_symbols(c, p, o.known_critical_period),
+        s = "C" + "".join(islice(_symbols(_critical_ints(c, p)[1],
+                                          o.known_critical_period),
                                  length - 1))
         if "?" not in s:
             return KneadingSequence(s, length)
@@ -75,13 +76,11 @@ def feigenbaum_word(depth: int) -> str:
     return w
 
 
-def _symbols(c: Interval, p: int, q: int | None):
-    """Symbols of P(0), P^2(0), ... over the bracket c at precision p: C at
-    multiples of the known critical period q, else L, R or '?', read off
-    the ints of _critical_ints."""
-    _, steps = _critical_ints(c, p)
-    next(steps)
-    for k, (lo, hi) in enumerate(steps, 1):
+def _symbols(steps, q: int | None):
+    """Symbols of P(0), P^2(0), ... off the int pairs steps of _critical_ints
+    (0 first): C at multiples of the known critical period q, else L, R or
+    '?'."""
+    for k, (lo, hi) in enumerate(islice(steps, 1, None), 1):
         yield "C" if q and k % q == 0 else _SYMBOL[(lo > 0) - (hi < 0)]
 
 
@@ -108,7 +107,8 @@ def kneading_order(x: Dyadic, word, p: int) -> int:
     of the orbit of x that leaves the word decides, by _order.  0 when an
     enclosure straddles 0 first; OracleFault when the orbit follows the
     whole word."""
-    s = _order(_symbols(Interval.point(x), p, None), word)
+    s = _order(_symbols(_critical_ints(Interval.point(x), p)[1], None),
+               word)
     if s is None:
         raise OracleFault(f"the itinerary of {x} follows the whole "
                           f"kneading word")
@@ -290,12 +290,10 @@ def _parse(K: str, depth: int, max_period: int, max_relative: int,
                 return words, True, None
             if len(B) < q - 1:
                 return words, False, None
-            if not _admissible(B):
-                continue
             t, t_bar = _tails(B)
             left = _order(K, window_left_word(B))
             right = _order(K, cycle(B + t_bar))
-            if left == -1 or right == 1:
+            if left == -1 or right == 1 or not _admissible(B):
                 continue
             if None in (left, right) and period * q != cycle_period:
                 return words, False, B
@@ -355,7 +353,7 @@ def window_tower(o: ParamOracle, depth: int, max_period: int,
         if _alpha(c, max(64, 4 * m)).lo > _HALF_NEG:
             return [], True  # 2 alpha > -1: c > -3/4, in no window
         symbols, K = takewhile("?".__ne__, _symbols(
-            c, max(64, 4 * m), o.known_critical_period)), ""
+            _critical_ints(c, max(64, 4 * m))[1], o.known_critical_period)), ""
         for length in (64, 512, _PREFIX_CAP):
             K += "".join(islice(symbols, length - len(K)))
             words, decided, _ = _parse(K, depth, max_period,

@@ -49,21 +49,26 @@ MUTANTS = [
      [INTERVAL + "test_fixed_quotient_sound", SQUEEZE]),
     ("dynamics.py", "return dl - one, dh - one", "return dl, dh",
      [CYCLE + "test_a_multiplier_near_one_certifies"]),
-    # the cycle search (qal.dynamics): the closed form's strict -1 < 2 alpha,
-    # the relative doubling that ends a walk, and the disjoint images that
-    # fix the period
-    ("dynamics.py", "    if -one < mult[0] and mult[1] < one:\n"
-     "        return _certified(top, q)\n",
-     "    if -one <= mult[0] and mult[1] < one:\n"
-     "        return _certified(top, q)\n",
+    # the cycle search (qal.dynamics): the strict -1 < multiplier (the
+    # closed form's 2 alpha among them), the relative doubling that ends a
+    # walk, the disjoint images that fix the period, and the parse's
+    # symbols past 32 and its climb where '?' cuts them short
+    ("dynamics.py", "not -one < orbit[-1][2][0]",
+     "not -one <= orbit[-1][2][0]",
      [CYCLE + "test_a_multiplier_of_minus_one_is_not_attracting"]),
-    ("dynamics.py", 'for k, B in enumerate(tower + ["L"]):',
-     "for k, B in enumerate(tower):",
+    ("dynamics.py", 'for k, A in enumerate(levels + ["L"]):',
+     "for k, A in enumerate(levels):",
      [CYCLE + "test_both_sides_of_a_doubling_certify"]),
     ("dynamics.py",
      "    return all(a[1] < b[0] for a, b in zip(ends, ends[1:]))\n",
      "    return True\n",
      [CYCLE + "test_a_multiple_of_the_period_is_not_certified"]),
+    ("dynamics.py", "2 * max_period + 2, []", "32, []",
+     [CYCLE + "test_a_window_of_any_period_up_to_max_period_certifies"]),
+    ("dynamics.py",
+     "            raise _Undecided(\"the kneading runs into '?'\")\n",
+     "            return None\n",
+     [CYCLE + "test_a_window_of_any_period_up_to_max_period_certifies"]),
     ("solver.py", "unique = unique or lo < nlo and nhi < hi", "unique = True",
      [NEWTON + "test_unique_once_a_step_lands_strictly_inside"]),
     ("solver.py", "        if nlo > hi or nhi < lo:\n            return None\n",

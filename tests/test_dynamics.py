@@ -13,13 +13,15 @@ from qal.dyadic import (DOWN, NEAREST, UP, ZERO, Dyadic, Interval, dy_max,
                         dy_min, fixed_read, from_fixed, iv_iterate)
 from qal.dynamics import (PARAM_RANGE, ParameterRangeError,
                           PrecisionExhausted, TrackedInterval,
-                          _critical_enclosures, _escape_count, _return_map,
-                          _squeeze_cycle_point,
-                          certify_attracting_cycle, check_param,
+                          _critical_enclosures, _critical_ints, _cycle_orbit,
+                          _escape_count, _minimal, _return_map,
+                          _squeeze_cycle_point, certify_attracting_cycle,
+                          check_param,
                           critical_orbit, escape_time,
                           isolate_periodic_points, iter_eval,
                           symmetric_trap)
 from qal.oracle import WorstCaseOracle, oracle_exact
+from qal.params import _centre_of, _window_at
 from qal.renorm import _SYMBOL, _symbols
 from qal.solver import interval_newton, iv_sign
 
@@ -46,6 +48,16 @@ SAMPLE_WINDOWS = [(Fraction(-3, 4), Fraction(1, 4)),
                   (Fraction(-17685, 10000), Fraction(-7, 4)),
                   (Fraction(-13681, 10000), Fraction(-5, 4)),
                   (Fraction(-1394, 1000), Fraction(-13681, 10000))]
+
+# c * 2^40 inside primitive windows of periods 5-19, drawn on that grid
+# in [-2, -1.402]; the float search that certify_attracting_cycle once
+# seeded from gave each the same period
+PRIMITIVE = [(-2046118258429, 5), (-2097170234875, 6), (-2118915583158, 7),
+             (-1881307001200, 8), (-1820933417164, 9),
+             (-1871037562597, 10), (-1904355513698, 11),
+             (-1874492777887, 12), (-1885394435677, 13),
+             (-1912840994685, 14), (-1886381247362, 15),
+             (-1916821226777, 17), (-1912263751080, 19)]
 
 params_in_range = st.builds(
     lambda k: Dyadic(k, -52),
@@ -115,7 +127,8 @@ class TestCriticalSteps:
             c = Interval(c.lo - Dyadic(1, -w), c.hi + Dyadic(1, -w))
         steps = _critical_enclosures(c, n, p)
         assert steps == clamped_steps(c, n, p)
-        assert "".join(islice(_symbols(c, p, None), n)) == "".join(
+        symbols = _symbols(_critical_ints(c, p)[1], None)
+        assert "".join(islice(symbols, n)) == "".join(
             _SYMBOL[iv_sign(x)] for x in steps[1:])
 
     def test_a_bracket_that_straddles_minus_2_is_clamped(self):
@@ -131,8 +144,9 @@ class TestCriticalSteps:
     def test_an_exact_zero_reads_undecided(self):
         # c = -1: 0 -> -1 -> 0 exactly; a 0 is no certified R
         c = Interval.point(Dyadic(-1))
-        assert "".join(islice(_symbols(c, 64, None), 4)) == "L?L?"
-        assert "".join(islice(_symbols(c, 64, 2), 4)) == "LCLC"
+        steps = list(islice(_critical_ints(c, 64)[1], 5))
+        assert "".join(_symbols(steps, None)) == "L?L?"
+        assert "".join(_symbols(steps, 2)) == "LCLC"
 
 
 class TestTrackedImage:
@@ -327,12 +341,11 @@ class TestCycleCertification:
         assert (cert.period, cert.kind) == (1, "attracting")
 
     def test_a_multiple_of_the_period_is_not_certified(self):
-        # 0 is a root of P^4 - id at c = -1, in a box where P^4 contracts;
-        # its images meet, so the period is not 4
+        # 0 is a fixed point of P^4 at c = -1; its four images meet, so the
+        # period is not 4, and its two images are disjoint
         q, cf = fixed_read(64, oracle_exact(Dyadic(-1)).enclosure(64))
-        assert qal.dynamics._seeded_cycle(cf, q, 64, 0, [4]) is None
-        cert = qal.dynamics._seeded_cycle(cf, q, 64, 0, [4, 2])
-        assert (cert.period, cert.kind) == (2, "superattracting")
+        assert not _minimal(_cycle_orbit(cf, 4, q, 64, (0, 0)))
+        assert _minimal(_cycle_orbit(cf, 2, q, 64, (0, 0)))
 
     def test_the_sample_of_five_windows_certifies(self):
         # 200 c at the odd 400ths of each window, on the grid 2^-32; near
@@ -343,6 +356,42 @@ class TestCycleCertification:
                 c = Dyadic(round(x * 2**32), -32)
                 cert = certify_attracting_cycle(oracle_exact(c))
                 assert (cert.period, cert.kind) == (period, "attracting"), c
+
+    @pytest.mark.parametrize("k, period", PRIMITIVE)
+    def test_a_primitive_window_certifies(self, k, period):
+        cert = certify_attracting_cycle(oracle_exact(Dyadic(k, -40)))
+        assert (cert.period, cert.kind) == (period, "attracting")
+
+    @pytest.mark.parametrize("k", range(20))
+    def test_a_window_of_any_period_up_to_max_period_certifies(
+            self, k, monkeypatch):
+        # the primitive windows LR (LLR)^k LL of periods 5, 8, ..., 62 that
+        # pile up on the saddle node -7/4 from the right, at the centre to
+        # 2^-64: with the fast path, and with the parse and the walk alone,
+        # which past period 33 read more than 32 kneading symbols
+        A = "LR" + "LLR" * k + "LL"
+        c = _centre_of(A).enclosure(128).mid().round(64)
+        for fast in (True, False):
+            if not fast:
+                monkeypatch.setattr(qal.dynamics, "_seeded_cycle",
+                                    lambda *args: None)
+            cert = certify_attracting_cycle(oracle_exact(c))
+            assert cert.period == len(A) + 1
+            assert cert.kind in ("attracting", "superattracting")
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_next_to_a_saddle_node_the_walk_certifies(self, k, monkeypatch):
+        # 2^-8 of the way from the right end of LR (LLR)^k LL (periods 5 to
+        # 29) to its centre, where the multiplier is near 1 and the
+        # kneading is the end's, the plateau's candidate word
+        A = "LR" + "LLR" * k + "LL"
+        centre = _centre_of(A)
+        end = _window_at(A, centre).right.mid()
+        c = (end + (centre.enclosure(128).mid() - end).scale2(-8)).round(80)
+        monkeypatch.setattr(qal.dynamics, "_seeded_cycle",
+                            lambda *args: None)
+        cert = certify_attracting_cycle(oracle_exact(c))
+        assert (cert.period, cert.kind) == (len(A) + 1, "attracting")
 
 
 def float_root_count(c: float, n: int, grid: int = 1 << 16) -> int:

@@ -13,7 +13,8 @@ import qal.renorm
 from qal.cli import parse_oracle
 from qal.dyadic import Dyadic, Interval, iv_iterate
 from qal.dynamics import (ParameterRangeError, TrackedInterval,
-                          _critical_enclosures, iter_eval, symmetric_trap)
+                          _critical_enclosures, _critical_ints, iter_eval,
+                          symmetric_trap)
 from qal.oracle import QueryLedger, oracle_exact
 from qal.params import (_centre_of, _centre_words, _window_at,
                         epsilon_family, feigenbaum_limit, superstable_center)
@@ -144,8 +145,9 @@ class TestKneadingParse:
     def test_a_short_prefix_never_decides(self):
         # the prefix window_tower reads at m = 27
         c = feigenbaum_limit().enclosure(27)
+        steps = _critical_ints(c, 108)[1]
         K = "".join(takewhile("?".__ne__,
-                              islice(_symbols(c, 108, None), 4096)))
+                              islice(_symbols(steps, None), 4096)))
         full = _parse(K, 5, 64, 8, None)[:2]
         assert full == (["L"] * 5, True)
         for j in range(len(K)):
