@@ -67,7 +67,10 @@ class Budget:
 @dataclass(frozen=True)
 class AttractorClass:
     variant: str  # limit-cycle | interval-cycle | feigenbaum-like
-    kind: str | None = None  # attracting | superattracting | parabolic
+    # limit cycles: "attracting" (|lambda| < 1 certified), "superattracting"
+    # (lambda = 0: the oracle declares the period, or case 1b) or
+    # "parabolic" (case 1c, a period hint)
+    kind: str | None = None
     period: int | None = None
     prefix: tuple = ()  # CombinatorialType per tower level (case 3)
 
@@ -132,7 +135,7 @@ def _classify(o: ParamOracle, h: Hints, b: Budget,
                                             p_cap=min(512, b.p_cap()))
         except OracleFault:
             cert = None  # oracle cannot reach the precision; try deeper cases
-        if cert is not None and cert.kind in ("attracting", "superattracting"):
+        if cert is not None:
             return AttractorClass("limit-cycle", cert.kind, cert.period), \
                 cert, ()
         if h.case == "1a":
@@ -143,8 +146,8 @@ def _classify(o: ParamOracle, h: Hints, b: Budget,
                 None, ()
         if _interval_chain(o, h.period, 10, b, ledger) is not None:
             return AttractorClass("interval-cycle", None, h.period), None, ()
-    words, _ = window_tower(o, b.depth, max(b.max_period, 64), 8, ledger,
-                            b.p_cap())
+    words, *_ = window_tower(o, b.depth, max(b.max_period, 64), 8, ledger,
+                             b.p_cap())
     prefix = tuple(map(itinerary_type, words))
     if words and (h.case == "3" or set(words) == {o.known_tower}):
         return AttractorClass("feigenbaum-like", prefix=prefix), None, prefix

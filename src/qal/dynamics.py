@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice, takewhile
 
-from .dyadic import (DOWN, ONE, UP, ZERO, Dyadic, Interval, dy_max, dy_min,
+from .dyadic import (DOWN, UP, ZERO, Dyadic, Interval, dy_max, dy_min,
                      fixed_box, fixed_centred, fixed_orbit, fixed_read,
                      from_fixed, iv_quad_step)
 from .oracle import ParamOracle, QueryLedger
@@ -209,23 +209,10 @@ class TrackedInterval:
 class CertifiedCycle:
     period: int
     point_enclosures: list  # Interval, pairwise disjoint, cyclically mapped
-    multiplier: Interval
-    kind: str  # attracting | superattracting | parabolic | repelling | undecided
-
-
-def classify_cycle(point_enclosures: list, multiplier: Interval) -> str:
-    """Kind certified by the multiplier enclosure; parabolic never inferred."""
-    if multiplier.contains_zero() and any(e.contains_zero() for e in point_enclosures):
-        if multiplier.mag() < ONE:
-            return "superattracting"
-        return "undecided"
-    m = multiplier.mag()
-    lo = multiplier.mig()
-    if m < ONE and lo > ZERO:
-        return "attracting"
-    if lo > ONE:
-        return "repelling"
-    return "undecided"
+    multiplier: Interval  # inside (-1, 1): |lambda| < 1
+    # "superattracting" (lambda = 0) where the oracle declares P^period(0) =
+    # 0, so that 0 is on the cycle; else "attracting"
+    kind: str = "attracting"
 
 
 def certify_attracting_cycle(o: ParamOracle, max_period: int = 64,
@@ -244,16 +231,21 @@ def certify_attracting_cycle(o: ParamOracle, max_period: int = 64,
     reads c once, and the climb goes on only where a multiplier holds -1
     or 1, the root queue ends at its minimum width, or '?' cuts the parse
     short: a decided "no" costs one read.  None when nothing certifies
-    below p_cap -- never a false certificate.
+    below p_cap -- never a false certificate.  The kind is
+    "superattracting" where the oracle declares the period as its critical
+    period, else "attracting": a box holding 0 does not prove lambda = 0.
     """
     from .renorm import _Undecided  # renorm imports this module
     check_param(o, ledger)
     for p in ladder(64, p_cap):
         try:
-            return _cycle_at(o.enclosure(p, ledger), p, max_period,
+            cert = _cycle_at(o.enclosure(p, ledger), p, max_period,
                              o.known_critical_period)
         except _Undecided:
-            pass
+            continue
+        if cert is not None and cert.period == o.known_critical_period:
+            cert.kind = "superattracting"
+        return cert
     return None
 
 
@@ -294,8 +286,7 @@ def _cycle_at(c: Interval, p: int, max_period: int,
                     cert := _seeded_cycle(cf, n, q, p, x)):
                 return cert
         K = "".join(takewhile("?".__ne__, _symbols(steps, known)))
-        words, decided, B = _parse(K, max_period, max_period, max_period,
-                                   None)
+        words, decided, B = _parse(K, max_period, max_period, max_period)
         if not decided and B is None and len(K) == length < longest:
             continue  # the parse ran out of symbols: read more first
         cert = _cycle_walk(c, cf, q, p, words, B, max_period)
@@ -407,8 +398,7 @@ def _attracting(orbit: list | None, q: int) -> CertifiedCycle | None:
             not orbit[-1][2][1] < one:
         return None
     encs = [from_fixed(lo, hi, q) for lo, hi, _ in orbit[:-1]]
-    mult = from_fixed(*orbit[-1][2], q)
-    return CertifiedCycle(len(encs), encs, mult, classify_cycle(encs, mult))
+    return CertifiedCycle(len(encs), encs, from_fixed(*orbit[-1][2], q))
 
 
 def _minimal(orbit: list) -> bool:

@@ -20,7 +20,8 @@ from itertools import cycle, product
 from .dyadic import (NEAREST, TWO, UP, Dyadic, Interval, fixed_box,
                      fixed_centred, fixed_orbit, fixed_quotient, fixed_read,
                      from_fixed)
-from .dynamics import PARAM_RANGE, _critical_enclosures, iter_eval
+from .dynamics import (PARAM_RANGE, _critical_enclosures, _cycle_orbit,
+                       _minimal)
 from .oracle import (BisectOracle, IntervalNewtonOracle, OracleFault,
                      ParamOracle, QueryLedger, RefinerOracle, ladder_sign)
 from .renorm import (CombinatorialType, _admissible, _order,
@@ -295,7 +296,8 @@ class _RightEndOracle(RefinerOracle):
     A period-doubling window (n even, nested in a period-n/2 window) ends
     where the parent n/2-cycle has multiplier -1, as the n-cycle system is a
     triple root there.  Seeds are the superstable cycle points; a solution
-    not certified to have no smaller period is skipped."""
+    whose q images are not certified pairwise disjoint (dynamics._minimal)
+    is skipped."""
 
     def __init__(self, n: int, center: ParamOracle, spec: str):
         super().__init__()
@@ -309,22 +311,21 @@ class _RightEndOracle(RefinerOracle):
             for k in range(n):
                 sol = _parabolic_refine(q, c_star, _q_float(c_star, k),
                                         width_exp, mult=mult)
-                if sol is None or _divisor_cycle(q, *sol, 4 * width_exp):
+                if sol is None:
+                    continue
+                # Newton can land on a parabolic cycle of a period d that
+                # divides q, whose P^q-multiplier is the d-cycle's to the
+                # power q/d: its q images meet
+                p = 4 * width_exp
+                t, cb, wb = fixed_read(p, *sol)
+                orbit = _cycle_orbit(cb, q, t, p, wb)
+                if orbit is None or not _minimal(orbit):
                     continue
                 r = float(sol[0].lo)
                 if c_star < r <= 0.25 and r - c_star < 1.0:
                     self.bracket = sol[0]
                     return
         raise OracleFault(f"right endpoint of period {n} did not certify")
-
-
-def _divisor_cycle(q: int, c: Interval, w: Interval, p: int) -> bool:
-    """False when P^d(w) is certified apart from w for every proper d | q.
-
-    Newton can land on a parabolic cycle of a proper divisor period d,
-    whose P^q-multiplier is the d-cycle's to the power q/d."""
-    return any(iter_eval(w, c, d, p)[0].intersect(w) is not None
-               for d in range(1, q) if q % d == 0)
 
 
 def window_endpoint_oracle(period: int, side: str,

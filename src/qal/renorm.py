@@ -271,20 +271,14 @@ def itinerary_type(B: str) -> CombinatorialType:
         lambda i, j: _order(its[j], its[i]))))
 
 
-def _parse(K: str, depth: int, max_period: int, max_relative: int,
-           cycle_period: int | None) -> tuple:
+def _parse(K: str, depth: int, max_period: int, max_relative: int) -> tuple:
     """(words, decided, candidate): window_tower on the certified kneading
-    prefix K.  Given the period of a certified attracting cycle, window
-    periods divide it, and one that runs out at it is inside: the cycle's
-    hyperbolic component lies in the window of its centre, whose itinerary
-    is the prefix.  A comparison that runs out otherwise leaves the parse
-    undecided and names its word B the candidate: on the plateau between
-    a centre and its right end the kneading is that end's (B t')^oo."""
+    prefix K.  A comparison that runs out leaves the parse undecided and
+    names its word B the candidate: on the plateau between a centre and
+    its right end the kneading is that end's (B t')^oo."""
     words, period = [], 1
     while len(words) < depth:
         for q in range(2, min(max_relative, max_period // period) + 1):
-            if cycle_period is not None and cycle_period % (period * q):
-                continue
             B = K[:q - 1]
             if "C" in B:  # a centre of smaller period: in no window of q
                 return words, True, None
@@ -295,7 +289,7 @@ def _parse(K: str, depth: int, max_period: int, max_relative: int,
             right = _order(K, cycle(B + t_bar))
             if left == -1 or right == 1 or not _admissible(B):
                 continue
-            if None in (left, right) and period * q != cycle_period:
+            if None in (left, right):
                 return words, False, B
             break
         else:
@@ -316,11 +310,12 @@ def _star(A: str, B: str) -> str:
 
 def window_tower(o: ParamOracle, depth: int, max_period: int,
                  max_relative: int, ledger: QueryLedger | None = None,
-                 p_cap: int = PRECISION_CAP,
-                 cycle_period: int | None = None) -> tuple:
-    """(words, decided): the relative itineraries of up to depth nested
-    windows around c (relative periods <= max_relative, periods <=
-    max_period), each the smallest, and whether the parse ended certified.
+                 p_cap: int = PRECISION_CAP) -> tuple:
+    """(words, decided, candidate): the relative itineraries of up to depth
+    nested windows around c (relative periods <= max_relative, periods <=
+    max_period), each the smallest, whether the parse ended certified, and
+    the candidate word that the last parse named where a comparison ran
+    out (_parse), else None.
 
     The window of the centre with itinerary B holds the c with kneading
     B * X = B x_1' B x_2' ..., x' = t for L, t' for R (Derrida, Gervois &
@@ -344,47 +339,48 @@ def window_tower(o: ParamOracle, depth: int, max_period: int,
     ([], True) before any symbol, which spares the main cardioid the 4096
     symbols of L^oo but for the c within about 2^-6 of -3/4.
     """
-    words, decided, m = [], False, 8
+    words, decided, B, m = [], False, None, 8
     while m <= min(p_cap, _PREFIX_CAP):
         try:
             c = check_range(o.enclosure(m, ledger))
         except OracleFault:
             break
         if _alpha(c, max(64, 4 * m)).lo > _HALF_NEG:
-            return [], True  # 2 alpha > -1: c > -3/4, in no window
+            return [], True, None  # 2 alpha > -1: c > -3/4, in no window
         symbols, K = takewhile("?".__ne__, _symbols(
             _critical_ints(c, max(64, 4 * m))[1], o.known_critical_period)), ""
         for length in (64, 512, _PREFIX_CAP):
             K += "".join(islice(symbols, length - len(K)))
-            words, decided, _ = _parse(K, depth, max_period,
-                                       max_relative, cycle_period)
+            words, decided, B = _parse(K, depth, max_period, max_relative)
             if decided or len(K) < length:
                 break
         if decided or len(K) == _PREFIX_CAP:
             break
         m += m // 2
-    return words, decided
+    return words, decided, B
 
 
 def locate_window(o: ParamOracle, max_period: int,
                   ledger: QueryLedger | None = None) -> tuple:
-    """window_tower at depth 1, given the oracle's declared critical period
-    q; else parsed alone first, and where that is undecided (c's kneading
-    is its window's right end word, as at -7/8: L^oo) again given the
-    period of a certified attracting cycle."""
-    q = o.known_critical_period
-    if q is None:
-        words, decided = window_tower(o, 1, max_period, max_period, ledger)
-        if decided:
-            return words, decided
-        try:  # one 64-bit read: a parabolic c would climb to the cap
-            cert = certify_attracting_cycle(o, max_period, ledger, p_cap=64)
-        except OracleFault:
-            cert = None  # the oracle cannot reach the filter's precision
-        if cert is None or cert.kind not in ("attracting", "superattracting"):
-            return words, decided
-        q = cert.period
-    return window_tower(o, 1, max_period, max_period, ledger, cycle_period=q)
+    """(words, decided): window_tower at depth 1; where it is undecided
+    with a candidate B (c's kneading is B's right end word, as at -7/8:
+    L^oo), the period of a certified attracting cycle decides.  Period
+    len(B) + 1 puts c in B's window: the cycle's hyperbolic component lies
+    in the window of its centre, whose itinerary is the kneading prefix B,
+    and the parse ruled out every smaller period.  Period 1 puts c in the
+    main cardioid, in no window."""
+    words, decided, B = window_tower(o, 1, max_period, max_period, ledger)
+    if decided or B is None:
+        return words, decided
+    try:  # one 64-bit read: a parabolic c would climb to the cap
+        cert = certify_attracting_cycle(o, max_period, ledger, p_cap=64)
+    except OracleFault:
+        cert = None  # the oracle cannot reach the cycle's precision
+    if cert is not None and cert.period == len(B) + 1:
+        return [B], True
+    if cert is not None and cert.period == 1:
+        return [], True
+    return words, decided
 
 
 # ---------------------------------------------------------------------------

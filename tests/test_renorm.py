@@ -112,7 +112,7 @@ class TestKneadingParse:
         # word R passed as a period-2 window and levels went on
         assert not _admissible("R")
         assert window_tower(oracle_exact(Dyadic(-11, -3)), 5, 64, 8) \
-            == (["L", "L"], False)
+            == (["L", "L"], False, "L")
 
     @pytest.mark.parametrize("q", range(2, 7))
     def test_parse_matches_the_certified_window_ends(self, q):
@@ -125,22 +125,20 @@ class TestKneadingParse:
             win = _window_at(B, o)
             assert win.tau == itinerary_type(B)
 
-            def tower(x, cycle=None):
-                return window_tower(oracle_exact(x), 3, q, q,
-                                    cycle_period=cycle)
+            def tower(x):
+                return window_tower(oracle_exact(x), 3, q, q)
 
-            words, _ = tower(win.left.hi + eps)
+            words, *_ = tower(win.left.hi + eps)
             assert star(words) == B
             for x in (win.left.lo - eps, win.right.hi + eps):
-                words, _ = tower(x)
+                words, *_ = tower(x)
                 assert not words or star(words) != B
             # inside the right end, c lies in the period-q hyperbolic
             # component, whose kneading is the right end word: undecided,
-            # unless the period of its attracting cycle is given
-            x = win.right.lo - eps
-            words, decided = tower(x)
+            # and the parse names B's last level its candidate
+            words, decided, candidate = tower(win.right.lo - eps)
             assert not decided and (not words or star(words) != B)
-            assert star(tower(x, q)[0]) == B
+            assert star(words + [candidate]) == B
 
     def test_a_short_prefix_never_decides(self):
         # the prefix window_tower reads at m = 27
@@ -148,10 +146,10 @@ class TestKneadingParse:
         steps = _critical_ints(c, 108)[1]
         K = "".join(takewhile("?".__ne__,
                               islice(_symbols(steps, None), 4096)))
-        full = _parse(K, 5, 64, 8, None)[:2]
+        full = _parse(K, 5, 64, 8)[:2]
         assert full == (["L"] * 5, True)
         for j in range(len(K)):
-            words, decided, _ = _parse(K[:j], 5, 64, 8, None)
+            words, decided, _ = _parse(K[:j], 5, 64, 8)
             assert words == full[0][:len(words)]
             assert not decided or (words, decided) == full
         for word in (window_left_word("L"), "L" * len(K)):
@@ -240,7 +238,7 @@ class TestRenormalization:
         ledgers = QueryLedger(), QueryLedger()
         assert locate_window(oracle_exact(c), 6, ledgers[0]) == (words, True)
         assert window_tower(oracle_exact(c), 1, 6, 6, ledgers[1]) == (
-            words, True)
+            words, True, None)
         assert ledgers[0] == ledgers[1]
 
     @pytest.mark.parametrize("q", range(3, 9))
@@ -259,7 +257,7 @@ class TestRenormalization:
         seven_eighths = oracle_exact(Dyadic(-7, -3))
         cardioid = oracle_exact(Dyadic(-767, -10))
         for o in (seven_eighths, cardioid):
-            assert window_tower(o, 1, 4, 4) == ([], False)
+            assert window_tower(o, 1, 4, 4) == ([], False, "L")
         assert locate_window(seven_eighths, 4) == (["L"], True)
         assert locate_window(cardioid, 4) == ([], True)
 
@@ -268,7 +266,7 @@ class TestRenormalization:
         # 2 alpha > -1: in no window, before any symbol is read
         ledger = QueryLedger()
         assert window_tower(oracle_exact(HALF_NEG), 1, 4, 4, ledger) == (
-            [], True)
+            [], True, None)
         assert (ledger.total_units, ledger.query_count) == (8, 1)
 
     def test_a_trap_whose_images_overlap_is_no_renormalization(self):
