@@ -156,7 +156,7 @@ class RenormWindow:
     tau: CombinatorialType
 
 
-_SEED_RADIUS = 1e-4  # of _parabolic_refine's box around its float seed
+_SEED_RADIUS = 1e-4  # the widest of _parabolic_refine's seed boxes
 
 
 def _system_eval(c: tuple, w: tuple, n: int, p: int):
@@ -189,18 +189,22 @@ def _parabolic_refine(n: int, c0: float, w0: float, target_exp: int,
     below 2^-target_exp, or None.
 
     Interval Newton N(Y) = m - J(Y)^-1 F(m) on int pairs at 2^-p, Y the
-    box of radius _SEED_RADIUS around the polished float seed at each rung:
-    Cramer's rule, J's products exact at 2^-2p, the quotients outward by
+    box around the polished float seed at each rung (its radius
+    _SEED_RADIUS, or a quarter of the seed's distance from the centre c0
+    where that is less: some windows of period 11 are narrower than
+    _SEED_RADIUS, and such boxes did not certify): Cramer's
+    rule, J's products exact at 2^-2p, the quotients outward by
     fixed_quotient.  Certified once a step lands strictly inside both boxes;
     a rung ends, as interval_newton does, at a step that halves neither.
     """
     seed = _parabolic_float(n, c0, w0, mult)
     if seed is None:
         return None
+    radius = min(_SEED_RADIUS, abs(seed[0] - c0) / 4)
     for p in ladder(64, 1024):
         one, tgt, certified = 1 << p, mult << p, False
         r, cm, wm = (Dyadic.from_float(x).round(min(p, 128), mode) for x, mode
-                     in ((_SEED_RADIUS, UP), (seed[0], NEAREST),
+                     in ((radius, UP), (seed[0], NEAREST),
                          (seed[1], NEAREST)))
         _, cbox, wbox = fixed_read(p, Interval(cm - r, cm + r),
                                    Interval(wm - r, wm + r))
