@@ -74,7 +74,7 @@ ALPHA_WAS = Interval(Dyadic(-16746645017129497823, -64),
 # width: the left end by bisection on the kneading order, the right end by
 # the two-variable parabolic Newton.
 WINDOW_ENDS = (
-    "9061d7e139995788683643ecd3a4c0fd6198584afa1188e11a148ce25f30f1c1")
+    "f15bd7798902016564480dd12f084c19e638ce3ed71779167d1e125e661a4e46")
 
 
 def _sha256(data: bytes) -> str:
