@@ -24,7 +24,7 @@ from .dynamics import (PARAM_RANGE, _critical_enclosures, _cycle_orbit,
                        _minimal)
 from .oracle import (BisectOracle, IntervalNewtonOracle, OracleFault,
                      ParamOracle, QueryLedger, RefinerOracle, ladder_sign)
-from .renorm import (CombinatorialType, _admissible, _order,
+from .renorm import (CombinatorialType, _admissible, _order, _star,
                      feigenbaum_word, itinerary_type, kneading_order,
                      locate_window, principal_nest, window_left_word)
 from .solver import ladder
@@ -189,18 +189,19 @@ def _parabolic_refine(n: int, c0: float, w0: float, target_exp: int,
     below 2^-target_exp, or None.
 
     Interval Newton N(Y) = m - J(Y)^-1 F(m) on int pairs at 2^-p, Y the
-    box around the polished float seed at each rung (its radius
-    _SEED_RADIUS, or a quarter of the seed's distance from the centre c0
-    where that is less: some windows of period 11 are narrower than
-    _SEED_RADIUS, and such boxes did not certify): Cramer's
-    rule, J's products exact at 2^-2p, the quotients outward by
-    fixed_quotient.  Certified once a step lands strictly inside both boxes;
-    a rung ends, as interval_newton does, at a step that halves neither.
+    box around the polished float seed at each rung: Cramer's rule, J's
+    products exact at 2^-2p, the quotients outward by fixed_quotient.
+    Y's radius is _SEED_RADIUS, or a quarter of the way the float Newton
+    moved c from its start c0, the window's centre, where that is less
+    but not 0: some windows of period 11 are narrower than _SEED_RADIUS,
+    and such boxes did not certify.  Certified once a step lands strictly
+    inside both boxes; a rung ends, as interval_newton does, at a step that
+    halves neither.
     """
     seed = _parabolic_float(n, c0, w0, mult)
     if seed is None:
         return None
-    radius = min(_SEED_RADIUS, abs(seed[0] - c0) / 4)
+    radius = min(_SEED_RADIUS, abs(seed[0] - c0) / 4 or _SEED_RADIUS)
     for p in ladder(64, 1024):
         one, tgt, certified = 1 << p, mult << p, False
         r, cm, wm = (Dyadic.from_float(x).round(min(p, 128), mode) for x, mode
@@ -277,7 +278,7 @@ def _window_at(A: str, center: ParamOracle,
     """window_endpoints around the centre with itinerary A that center
     delivers."""
     n = len(A) + 1
-    right = _RightEndOracle(n, center, f"window-right:{n}")
+    right = _RightEndOracle(A, center, f"window-right:{n}")
     left = _left_end_oracle(A, center, f"window-left:{n}")
     for end in (right, left):
         end._refine_to(width_exp)
@@ -294,41 +295,45 @@ def _left_end_oracle(A: str, center: ParamOracle, spec: str) -> BisectOracle:
 
 
 class _RightEndOracle(RefinerOracle):
-    """The right end of the period-n window around center, refined on demand.
+    """The right end of the period-n window around center, whose itinerary
+    is A, refined on demand.
 
     A primitive window ends in a saddle-node of the n-cycle: multiplier +1.
-    A period-doubling window (n even, nested in a period-n/2 window) ends
-    where the parent n/2-cycle has multiplier -1, as the n-cycle system is a
-    triple root there.  Seeds are the superstable cycle points; a solution
-    whose q images are not certified pairwise disjoint (dynamics._minimal)
-    is skipped."""
+    A period-doubling window (A = B * L, nested in the period-n/2 window of
+    B) ends where the parent n/2-cycle has multiplier -1; the n-cycle
+    system is a triple root there.  Seeds are the superstable cycle points;
+    a solution whose q images are not certified pairwise disjoint
+    (dynamics._minimal), or that lies left of the centre, is skipped."""
 
-    def __init__(self, n: int, center: ParamOracle, spec: str):
+    def __init__(self, A: str, center: ParamOracle, spec: str):
         super().__init__()
-        self.n, self.center, self.spec = n, center, spec
+        self.A, self.center, self.spec = A, center, spec
 
     def _refine_to(self, width_exp: int):
         if self.bracket and self.bracket.width() < Dyadic(1, -width_exp):
             return
-        n, c_star = self.n, float(self.center.query(53))
-        for q, mult in ((n, 1),) + (((n // 2, -1),) if n % 2 == 0 else ()):
-            for k in range(n):
-                sol = _parabolic_refine(q, c_star, _q_float(c_star, k),
-                                        width_exp, mult=mult)
-                if sol is None:
-                    continue
-                # Newton can land on a parabolic cycle of a period d that
-                # divides q, whose P^q-multiplier is the d-cycle's to the
-                # power q/d: its q images meet
-                p = 4 * width_exp
-                t, cb, wb = fixed_read(p, *sol)
-                orbit = _cycle_orbit(cb, q, t, p, wb)
-                if orbit is None or not _minimal(orbit):
-                    continue
-                r = float(sol[0].lo)
-                if c_star < r <= 0.25 and r - c_star < 1.0:
-                    self.bracket = sol[0]
-                    return
+        n, c_star = len(self.A) + 1, float(self.center.query(53))
+        # the doubling window of B, the first inside it, has the centre B * L
+        B = self.A[:n // 2 - 1]
+        q, mult = ((n // 2, -1) if n % 2 == 0 and _admissible(B)
+                   and _star(B, "L") == self.A else (n, 1))
+        for k in range(n):
+            sol = _parabolic_refine(q, c_star, _q_float(c_star, k),
+                                    width_exp, mult=mult)
+            if sol is None:
+                continue
+            # Newton can land on a parabolic cycle of a period d that
+            # divides q, whose P^q-multiplier is the d-cycle's to the
+            # power q/d: its q images meet
+            p = 4 * width_exp
+            t, cb, wb = fixed_read(p, *sol)
+            orbit = _cycle_orbit(cb, q, t, p, wb)
+            if orbit is None or not _minimal(orbit):
+                continue
+            r = float(sol[0].lo)
+            if c_star < r <= 0.25 and r - c_star < 1.0:
+                self.bracket = sol[0]
+                return
         raise OracleFault(f"right endpoint of period {n} did not certify")
 
 
@@ -343,7 +348,7 @@ def window_endpoint_oracle(period: int, side: str,
     A, center_spec = _select_centre(period, index)
     center = _centre_of(A, center_spec)
     if side == "right":
-        return _RightEndOracle(period, center, spec)
+        return _RightEndOracle(A, center, spec)
     return _left_end_oracle(A, center, spec)
 
 
