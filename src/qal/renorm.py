@@ -508,7 +508,8 @@ def principal_nest(o: ParamOracle, max_depth: int,
 
     Levels are built until max_depth, until the construction closes on a
     renormalization, or until the dynamics admits no deeper central
-    component.  Precision escalates on undecided tests; running out, or an
+    component; where the closed form (_alpha) certifies 2 alpha > -1, c is
+    in the main cardioid and I^0 is the only level.  Precision escalates on undecided tests; running out, or an
     oracle fault, marks the record truncated at the precision it reached; a
     bracket certified outside [-2, 1/4] raises ParameterRangeError.
     """
@@ -531,6 +532,8 @@ def _nest_at_precision(o: ParamOracle, p: int, max_depth: int,
     if not alpha.hi < ZERO:
         return nest
     nest.levels.append(TrackedInterval(alpha, -alpha))
+    if alpha.lo > _HALF_NEG:
+        return nest  # 2 alpha > -1: c > -3/4, no level below I^0
     orbit = _orbit_reader(c, _MAX_RETURN, p)
     while not nest.closed and nest.depth < max_depth:
         try:

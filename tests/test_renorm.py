@@ -302,6 +302,20 @@ class TestPrincipalNest:
         assert not nest.truncated and not nest.closed
         assert nest.return_iterates == [None] + ([t] if t else [])
 
+    @pytest.mark.parametrize("c", [Dyadic(-1, -1), Dyadic(-1, -2),
+                                   Dyadic(-1, -30)])
+    def test_the_main_cardioid_has_level_0_alone(self, c):
+        # 2 alpha > -1 on the first read: no level below I^0, and no climb
+        # (the 4096-bit climb charged 8,128 units for a truncated record)
+        ledger = QueryLedger()
+        nest = principal_nest(oracle_exact(c), 64, ledger)
+        assert (nest.depth, nest.closed, nest.truncated) == (0, False, False)
+        assert nest.levels[0].lo.contains(_alpha(Interval.point(c), 128).mid())
+        assert (ledger.total_units, ledger.query_count) == (64, 1)
+        ledger = QueryLedger()
+        assert essential_period(oracle_exact(c), ledger) is None
+        assert (ledger.total_units, ledger.query_count) == (64, 1)
+
 
 def nest_key(nest) -> tuple:
     """Everything a NestRecord holds, with its levels as Interval pairs."""
