@@ -19,9 +19,10 @@ from qal.attractor import (ApproximationFailed, Budget, Hints, approximate,
                            classify, pixel_query, render)
 from qal.cli import parse_oracle
 from qal.dyadic import Dyadic, Interval
+from qal.dynamics import certify_attracting_cycle
 from qal.oracle import (OracleFault, ParamOracle, QueryLedger, WorstCaseOracle,
                         oracle_exact)
-from qal.params import feigenbaum_limit, window_locate
+from qal.params import feigenbaum_limit, superstable_center, window_locate
 
 NEG_ONE = Dyadic(-1)
 QUARTER = Dyadic(1, -2)
@@ -49,6 +50,32 @@ class TestClassify:
         cls = classify(oracle_exact(Dyadic(-1, -1)))
         assert (cls.variant, cls.kind, cls.period) == \
             ("limit-cycle", "attracting", 1)
+
+    @pytest.mark.parametrize("c, period", [
+        (NEG_ONE + Dyadic(1, -62), 2), (NEG_ONE + Dyadic(1, -100), 2),
+        (Dyadic(-1, -64), 1), (Dyadic(-1, -100), 1)])
+    def test_a_multiplier_box_that_holds_0_is_attracting(self, c, period):
+        # lambda = 4(1 + c) = 2^-60 and 2^-98, 2 alpha near -2^-63 and
+        # -2^-99: the certified box holds 0 and proves |lambda| < 1; only a
+        # declared critical period proves lambda = 0
+        cert = certify_attracting_cycle(oracle_exact(c))
+        assert cert.multiplier.contains(Dyadic(0))
+        assert (cert.period, cert.kind) == (period, "attracting")
+        assert classify(oracle_exact(c)).describe() == \
+            f"LimitCycle attracting period={period}"
+
+    @pytest.mark.parametrize("make", [
+        lambda: oracle_exact(Dyadic(0)), lambda: oracle_exact(NEG_ONE),
+        lambda: WorstCaseOracle(oracle_exact(NEG_ONE)),
+        lambda: superstable_center(3)],
+        ids=["0", "-1", "worst-case-1", "superstable-3"])
+    def test_a_declared_period_is_superattracting(self, make):
+        o = make()
+        cert = certify_attracting_cycle(o)
+        assert (cert.period, cert.kind) == (o.known_critical_period,
+                                            "superattracting")
+        assert classify(o, Hints(case="1a")).describe() == \
+            f"LimitCycle superattracting period={cert.period}"
 
     def test_parabolic_with_hints(self):
         cls = classify(oracle_exact(QUARTER), Hints(1, "1c"))

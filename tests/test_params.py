@@ -11,10 +11,11 @@ import pytest
 
 import qal.oracle
 import qal.params
-from qal.dyadic import Dyadic, Interval
+from qal.dyadic import Dyadic, Interval, fixed_read
+from qal.dynamics import _cycle_orbit, _minimal
 from qal.oracle import OracleFault, WorstCaseOracle, oracle_exact
 from qal.params import (_centre_of, _centre_words, _parabolic_refine,
-                        epsilon_family, feigenbaum_limit, superstable_center,
+                        _window_at, epsilon_family, feigenbaum_limit, superstable_center,
                         window_endpoint_oracle, window_endpoints,
                         window_locate)
 from qal.renorm import (CombinatorialType, detect_renormalization,
@@ -275,6 +276,42 @@ class TestWindowEndpoints:
         assert _parabolic_refine(1, -0.75, -0.5, 34, mult=-1) is not None
         monkeypatch.setattr(qal.params, "_SEED_RADIUS", 0.0)
         assert _parabolic_refine(1, -0.75, -0.5, 34, mult=-1) is None
+
+    def test_a_divisor_cycle_is_no_right_end(self, monkeypatch):
+        # at c = -3/4 the fixed point -1/2 is parabolic: as a 2-cycle its
+        # two images are one point.  The 2-cycle's doubling at -5/4 solves
+        # the period-4 saddle-node system too (multiplier (-1)^2 = 1); its
+        # four images are two, so the right end of 4:0 passes over it
+        q, w, cf = fixed_read(64, Interval.point(Dyadic(-1, -1)),
+                              Interval.point(Dyadic(-3, -2)))
+        assert not _minimal(_cycle_orbit(cf, 2, q, 64, w))
+        assert _minimal(_cycle_orbit(cf, 1, q, 64, w))
+        doubling = _parabolic_refine(2, -1.3, 0.0, 34, mult=-1)
+        assert doubling[0].contains(Dyadic(-5, -2))
+        want, seeds = window_endpoints(4, 0).right, []
+
+        def doubling_first(*args, **kwargs):
+            seeds.append(args)
+            return doubling if len(seeds) == 1 else \
+                _parabolic_refine(*args, **kwargs)
+        monkeypatch.setattr(qal.params, "_parabolic_refine", doubling_first)
+        got = window_endpoints(4, 0).right  # from the next seed
+        assert len(seeds) > 1 and got.intersect(want) is not None
+
+    @pytest.mark.parametrize("q", range(9, 13))
+    def test_every_window_of_a_long_period_certifies(self, q):
+        # each right end between its centre and the next centre: the seed
+        # box once spanned the narrowest windows of period 11, the right
+        # ends of 26 windows of period 12 were another window's, and that
+        # of 10:47, the doubling window inside 5:2, a saddle node past the
+        # next centre
+        words = _centre_words(q)
+        centres = [_centre_of(A).enclosure(64) for A in words]
+        for i, (A, centre) in enumerate(zip(words, centres)):
+            win = _window_at(A, _centre_of(A))
+            nxt = centres[i + 1].lo if i + 1 < len(words) else Dyadic(1, -2)
+            assert win.left.hi <= centre.lo, (q, i)
+            assert centre.hi < win.right.lo and win.right.hi < nxt, (q, i)
 
     def test_requested_width_is_honored(self):
         win = window_endpoints(3, width_exp=48)

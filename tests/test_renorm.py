@@ -17,7 +17,8 @@ from qal.dynamics import (ParameterRangeError, TrackedInterval,
                           symmetric_trap)
 from qal.oracle import QueryLedger, oracle_exact
 from qal.params import (_centre_of, _centre_words, _window_at,
-                        epsilon_family, feigenbaum_limit, superstable_center)
+                        epsilon_family, feigenbaum_limit, superstable_center,
+                        window_endpoints)
 from qal.renorm import (CombinatorialType, _admissible, _alpha, _cycle_type,
                         _order, _parse, _pullback, _renorm_images, _symbols,
                         detect_renormalization, essential_period,
@@ -260,6 +261,21 @@ class TestRenormalization:
             assert window_tower(o, 1, 4, 4) == ([], False, "L")
         assert locate_window(seven_eighths, 4) == (["L"], True)
         assert locate_window(cardioid, 4) == ([], True)
+
+    @pytest.mark.parametrize("q, i, first", [(3, 0, "LR"), (4, 1, "L"),
+                                             (5, 2, "LRLL")])
+    def test_a_plateau_point_is_located_by_its_cycle(self, q, i, first):
+        # right.lo - 2^-k, k = 16, 24, ..., 56, lies between the centre of
+        # A and its right end, where the kneading is the end word: the
+        # parse names A's last level its candidate, and the cycle of
+        # period q accepts it (4:1, the doubling of L, is in L's window)
+        A = _centre_words(q)[i]
+        right = window_endpoints(q, i, 80).right
+        for k in range(16, 57, 8):
+            o = oracle_exact((right.lo - Dyadic(1, -k)).round(80))
+            words, decided, candidate = window_tower(o, 3, q, q)
+            assert not decided and star(words + [candidate]) == A, k
+            assert locate_window(o, q) == ([first], True), k
 
     def test_the_closed_form_decides_the_main_cardioid(self):
         # -1/2 shares that kneading too, but its 8-bit bracket certifies
