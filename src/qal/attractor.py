@@ -67,9 +67,8 @@ class Budget:
 @dataclass(frozen=True)
 class AttractorClass:
     variant: str  # limit-cycle | interval-cycle | feigenbaum-like
-    # limit cycles: "attracting" (|lambda| < 1 certified), "superattracting"
-    # (lambda = 0: the oracle declares the period, or case 1b) or
-    # "parabolic" (case 1c, a period hint)
+    # a limit cycle's: attracting (|lambda| < 1), superattracting (lambda =
+    # 0: a declared critical period) or parabolic (case 1c)
     kind: str | None = None
     period: int | None = None
     prefix: tuple = ()  # CombinatorialType per tower level (case 3)

@@ -210,9 +210,7 @@ class CertifiedCycle:
     period: int
     point_enclosures: list  # Interval, pairwise disjoint, cyclically mapped
     multiplier: Interval  # inside (-1, 1): |lambda| < 1
-    # "superattracting" (lambda = 0) where the oracle declares P^period(0) =
-    # 0, so that 0 is on the cycle; else "attracting"
-    kind: str = "attracting"
+    kind: str = "attracting"  # "superattracting": declared period, lambda = 0
 
 
 def certify_attracting_cycle(o: ParamOracle, max_period: int = 64,

@@ -322,16 +322,13 @@ class _RightEndOracle(RefinerOracle):
                                     width_exp, mult=mult)
             if sol is None:
                 continue
-            # Newton can land on a parabolic cycle of a period d that
-            # divides q, whose P^q-multiplier is the d-cycle's to the
-            # power q/d: its q images meet
-            p = 4 * width_exp
-            t, cb, wb = fixed_read(p, *sol)
-            orbit = _cycle_orbit(cb, q, t, p, wb)
-            if orbit is None or not _minimal(orbit):
-                continue
+            # on a parabolic cycle of a period d | q, whose P^q-multiplier
+            # is the d-cycle's to the power q/d, the q images meet
+            t, cb, wb = fixed_read(4 * width_exp, *sol)
+            orbit = _cycle_orbit(cb, q, t, 4 * width_exp, wb)
             r = float(sol[0].lo)
-            if c_star < r <= 0.25 and r - c_star < 1.0:
+            if orbit and _minimal(orbit) and c_star < r <= 0.25 \
+                    and r - c_star < 1.0:
                 self.bracket = sol[0]
                 return
         raise OracleFault(f"right endpoint of period {n} did not certify")

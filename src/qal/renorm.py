@@ -336,8 +336,8 @@ def window_tower(o: ParamOracle, depth: int, max_period: int,
     it answered stand.  A bracket certified outside [-2, 1/4] raises
     ParameterRangeError.  A bracket on which the closed form of the fixed
     point's multiplier (_alpha) certifies 2 alpha > -1 is in no window:
-    ([], True) before any symbol, which spares the main cardioid the 4096
-    symbols of L^oo but for the c within about 2^-6 of -3/4.
+    ([], True, None) before any symbol, which spares the main cardioid
+    the 4096 symbols of L^oo but for the c within about 2^-6 of -3/4.
     """
     words, decided, B, m = [], False, None, 8
     while m <= min(p_cap, _PREFIX_CAP):
@@ -370,15 +370,16 @@ def locate_window(o: ParamOracle, max_period: int,
     and the parse ruled out every smaller period.  Period 1 puts c in the
     main cardioid, in no window."""
     words, decided, B = window_tower(o, 1, max_period, max_period, ledger)
-    if decided or B is None:
+    if decided:
         return words, decided
     try:  # one 64-bit read: a parabolic c would climb to the cap
         cert = certify_attracting_cycle(o, max_period, ledger, p_cap=64)
     except OracleFault:
         cert = None  # the oracle cannot reach the cycle's precision
-    if cert is not None and cert.period == len(B) + 1:
+    period = cert and cert.period
+    if B is not None and period == len(B) + 1:
         return [B], True
-    if cert is not None and cert.period == 1:
+    if period == 1:
         return [], True
     return words, decided
 
@@ -509,9 +510,10 @@ def principal_nest(o: ParamOracle, max_depth: int,
     Levels are built until max_depth, until the construction closes on a
     renormalization, or until the dynamics admits no deeper central
     component; where the closed form (_alpha) certifies 2 alpha > -1, c is
-    in the main cardioid and I^0 is the only level.  Precision escalates on undecided tests; running out, or an
-    oracle fault, marks the record truncated at the precision it reached; a
-    bracket certified outside [-2, 1/4] raises ParameterRangeError.
+    in the main cardioid and I^0 is the only level.  Precision escalates on
+    undecided tests; running out, or an oracle fault, marks the record
+    truncated at the precision it reached; a bracket certified outside
+    [-2, 1/4] raises ParameterRangeError.
     """
     for p in ladder():
         try:

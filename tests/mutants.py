@@ -51,7 +51,8 @@ MUTANTS = [
      [CYCLE + "test_a_multiplier_near_one_certifies"]),
     # the cycle search (qal.dynamics): the strict -1 < multiplier (the
     # closed form's 2 alpha among them), the relative doubling that ends a
-    # walk, the disjoint images that fix the period, and the parse's
+    # walk, the disjoint images that fix the period, the kind that only a
+    # declared critical period makes superattracting, and the parse's
     # symbols past 32 and its climb where '?' cuts them short
     ("dynamics.py", "not -one < orbit[-1][2][0]",
      "not -one <= orbit[-1][2][0]",
@@ -63,6 +64,9 @@ MUTANTS = [
      "    return all(a[1] < b[0] for a, b in zip(ends, ends[1:]))\n",
      "    return True\n",
      [CYCLE + "test_a_multiple_of_the_period_is_not_certified"]),
+    ("dynamics.py", "cert.period == o.known_critical_period", "True",
+     ["tests/test_attractor.py::TestClassify"
+      "::test_a_multiplier_box_that_holds_0_is_attracting"]),
     ("dynamics.py", "2 * max_period + 2, []", "32, []",
      [CYCLE + "test_a_window_of_any_period_up_to_max_period_certifies"]),
     ("dynamics.py",
@@ -143,11 +147,11 @@ MUTANTS = [
     ("attractor.py", "        trap = None\n        while trap is None:\n",
      "        trap, m = None, n + 10\n        while trap is None:\n",
      [COVER + "test_the_feigenbaum_ledgers"]),
-    # the one window search: the cycle period in the locate step, the
-    # renormalization's disjoint images, K read in growing lengths
-    # (qal.renorm)
-    ("renorm.py", "max_period, ledger, cycle_period=q)",
-     "max_period, ledger, cycle_period=None)",
+    # the one window search: the cycle's period that accepts the parse's
+    # candidate in the locate step, the renormalization's disjoint images,
+    # K read in growing lengths, the nest's main-cardioid exit (qal.renorm)
+    ("renorm.py", "if B is not None and period == len(B) + 1:",
+     "if B is not None:",
      [RENORM + "test_the_cycle_decides_a_right_end_word"]),
     ("renorm.py",
      "    if any(a[1] > b[0] for a, b in zip(ends, ends[1:])):\n"
@@ -157,6 +161,9 @@ MUTANTS = [
      "for length in (64,):",
      ["tests/test_params.py::TestWindowLocate"
       "::test_a_parameter_near_an_end_reads_a_long_prefix"]),
+    ("renorm.py", "    if alpha.lo > _HALF_NEG:\n        return nest", "",
+     ["tests/test_renorm.py::TestPrincipalNest"
+      "::test_the_main_cardioid_has_level_0_alone"]),
     # the critical orbit on ints: its [-2, 2] clamp, the kneading sign read
     # off the ints, and the nest's lazy read up to _MAX_RETURN; the parse
     # before the cycle in the locate step (qal.dynamics, qal.renorm)
@@ -171,7 +178,7 @@ MUTANTS = [
      "_orbit_reader(c, 64, p)",
      ["tests/test_renorm.py::TestPrincipalNest"
       "::test_a_late_first_return_is_read"]),
-    ("renorm.py", "        if decided:\n            return words, decided\n",
+    ("renorm.py", "    if decided:\n        return words, decided\n",
      "", [RENORM + "test_a_decided_parse_certifies_no_cycle"]),
     # J by pullback: Aitken steps from just below |alpha| and every
     # |P^k(0)|; alpha in closed form on the nest's one range-checked read;
@@ -192,7 +199,8 @@ MUTANTS = [
     ("renorm.py", "while len(cycle) < period:", "while len(cycle) <= period:",
      [ESSENTIAL + "test_the_cycle_of_j_is_its_first_return_long"]),
     # the 2x2 parabolic Newton on ints: its determinant's corners, its
-    # strict inclusion test (qal.params); the escape count's upward
+    # strict inclusion test, its seed box inside narrow windows, and the
+    # right end's disjoint images (qal.params); the escape count's upward
     # rounding and its step-limit exit (qal.dynamics)
     ("params.py", "return min(m) - max(k), max(m) - min(k)",
      "return min(m) - min(k), max(m) - max(k)",
@@ -204,6 +212,12 @@ MUTANTS = [
      "                                      and wl <= nw[0] and nw[1] <= wh)",
      ["tests/test_params.py::TestWindowEndpoints"
       "::test_a_point_box_at_an_exactly_dyadic_end_is_not_certified"]),
+    ("params.py", "abs(seed[0] - c0) / 4 or _SEED_RADIUS", "_SEED_RADIUS",
+     ["tests/test_params.py::TestWindowEndpoints"
+      "::test_every_window_of_a_long_period_certifies"]),
+    ("params.py", "if orbit and _minimal(orbit) and", "if orbit and",
+     ["tests/test_params.py::TestWindowEndpoints"
+      "::test_a_divisor_cycle_is_no_right_end"]),
     ("dynamics.py", "1 if mode == UP else 0", "0",
      [DYN + "::TestEscapeTime::test_the_count_is_the_dyadic_loop"]),
     ("dynamics.py",
