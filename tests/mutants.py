@@ -205,7 +205,7 @@ MUTANTS = [
     ("params.py", "return min(m) - max(k), max(m) - min(k)",
      "return min(m) - min(k), max(m) - max(k)",
      ["tests/test_params.py::TestWindowEndpoints"
-      "::test_period_two_right_endpoint_closed_form"]),
+      "::test_the_cross_product_is_exact_at_its_corners"]),
     ("params.py", "(cl < nc[0] and nc[1] < ch\n"
      "                                      and wl < nw[0] and nw[1] < wh)",
      "(cl <= nc[0] and nc[1] <= ch\n"

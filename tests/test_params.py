@@ -4,7 +4,7 @@ import signal
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import ceil, floor
 
 import pytest
@@ -14,8 +14,8 @@ import qal.params
 from qal.dyadic import Dyadic, Interval, fixed_read
 from qal.dynamics import _cycle_orbit, _minimal
 from qal.oracle import OracleFault, WorstCaseOracle, oracle_exact
-from qal.params import (_centre_of, _centre_words, _parabolic_refine,
-                        _window_at, epsilon_family, feigenbaum_limit, superstable_center,
+from qal.params import (_centre_of, _centre_words, _cross,
+                        _parabolic_refine, _window_at, epsilon_family, feigenbaum_limit, superstable_center,
                         window_endpoint_oracle, window_endpoints,
                         window_locate)
 from qal.renorm import (CombinatorialType, detect_renormalization,
@@ -276,6 +276,14 @@ class TestWindowEndpoints:
         assert _parabolic_refine(1, -0.75, -0.5, 34, mult=-1) is not None
         monkeypatch.setattr(qal.params, "_SEED_RADIUS", 0.0)
         assert _parabolic_refine(1, -0.75, -0.5, 34, mult=-1) is None
+
+    def test_the_cross_product_is_exact_at_its_corners(self):
+        # a b - c d over int pairs: the 2x2 Newton's determinant and
+        # numerators, bilinear in each pair, so extreme at the corners
+        for a, b, c, d in product([(-2, 1), (0, 3), (-4, -1)], repeat=4):
+            values = [w * x - y * z for w in a for x in b for y in c
+                      for z in d]
+            assert _cross(a, b, c, d) == (min(values), max(values))
 
     def test_a_divisor_cycle_is_no_right_end(self, monkeypatch):
         # at c = -3/4 the fixed point -1/2 is parabolic: as a 2-cycle its
