@@ -15,7 +15,8 @@ from qal.dyadic import Dyadic, Interval, fixed_read
 from qal.dynamics import _cycle_orbit, _minimal
 from qal.oracle import OracleFault, WorstCaseOracle, oracle_exact
 from qal.params import (_centre_of, _centre_words, _cross,
-                        _parabolic_refine, _window_at, epsilon_family, feigenbaum_limit, superstable_center,
+                        _parabolic_refine, _window_at, epsilon_family,
+                        feigenbaum_limit, superstable_center,
                         window_endpoint_oracle, window_endpoints,
                         window_locate)
 from qal.renorm import (CombinatorialType, detect_renormalization,
@@ -308,11 +309,10 @@ class TestWindowEndpoints:
 
     @pytest.mark.parametrize("q", range(9, 13))
     def test_every_window_of_a_long_period_certifies(self, q):
-        # each right end between its centre and the next centre: the seed
-        # box once spanned the narrowest windows of period 11, the right
-        # ends of 26 windows of period 12 were another window's, and that
-        # of 10:47, the doubling window inside 5:2, a saddle node past the
-        # next centre
+        # each right end between its centre and the next centre: a seed
+        # box wider than the window (some of period 11 are narrower than
+        # 1e-4) gives no end or another window's, and so does a saddle
+        # node tried in a doubling window (10:47, inside 5:2)
         words = _centre_words(q)
         centres = [_centre_of(A).enclosure(64) for A in words]
         for i, (A, centre) in enumerate(zip(words, centres)):

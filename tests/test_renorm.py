@@ -322,7 +322,8 @@ class TestPrincipalNest:
                                    Dyadic(-1, -30)])
     def test_the_main_cardioid_has_level_0_alone(self, c):
         # 2 alpha > -1 on the first read: no level below I^0, and no climb
-        # (the 4096-bit climb charged 8,128 units for a truncated record)
+        # (the first return's pullback of -alpha is |alpha| exactly, which
+        # no precision tells from I^0's end)
         ledger = QueryLedger()
         nest = principal_nest(oracle_exact(c), 64, ledger)
         assert (nest.depth, nest.closed, nest.truncated) == (0, False, False)
